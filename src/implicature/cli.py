@@ -46,6 +46,8 @@ def _read_scenario(ref: str) -> Scenario:
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     config = scenario.config
     if getattr(args, "bound", None) is not None:
+        if args.bound < 1:
+            raise ScenarioError(f"--bound: expected an integer >= 1, got {args.bound}")
         config = replace(config, bound=args.bound)
     if getattr(args, "strict", False):
         config = replace(config, strict=True)

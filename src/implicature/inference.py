@@ -19,7 +19,6 @@ Successful ascriptions land in the hearer's view of the speaker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 from .acts import (
     ActInstance,
@@ -49,7 +48,7 @@ from .planner import (
     exclusive_states,
     linearize,
     plan,
-    rename_operator,
+    relevance_gate,
     simulate,
 )
 from .terms import (
@@ -57,9 +56,7 @@ from .terms import (
     Compound,
     Substitution,
     Term,
-    apply,
     is_ground,
-    rename_apart,
     render,
     struct,
     unify,
@@ -226,6 +223,20 @@ def _goal_parts(g: Term) -> tuple[str, Term] | None:
     return None
 
 
+def _library_goals(domain: Domain, speaker: str) -> list[Term]:
+    """The speaker's goal templates: from the stereotype goal libraries of
+    the stereotypes it belongs to, then scenario-declared, without repeats."""
+    templates = [
+        g for st in domain.stereotypes if speaker in st.members for g in st.goal_library
+    ]
+    out: list[Term] = []
+    for g in templates + list(domain.declared_goals):
+        parts = _goal_parts(g)
+        if parts and parts[0] == speaker and g not in out:
+            out.append(g)
+    return out
+
+
 def candidate_goals(
     store: BeliefStore, hearer: str, speaker: str, domain: Domain
 ) -> list[Term]:
@@ -236,33 +247,17 @@ def candidate_goals(
     for stereotypes the speaker belongs to, then scenario-declared goals.
     """
     out: list[Term] = []
-
-    def push(g: Term) -> None:
-        if g not in out:
-            out.append(g)
-
     for exp in store.expectations:
         if exp.answerer != speaker or exp.asker != hearer:
             continue
         p = exp.content
-        push(struct("goal", Atom(speaker), struct("bel", Atom(exp.asker), p)))
-        push(
+        out.append(struct("goal", Atom(speaker), struct("bel", Atom(exp.asker), p)))
+        out.append(
             struct(
                 "goal", Atom(speaker), struct("bel", Atom(exp.asker), struct("not", p))
             )
         )
-    for st in domain.stereotypes:
-        if speaker not in st.members:
-            continue
-        for g in st.goal_library:
-            parts = _goal_parts(g)
-            if parts and parts[0] == speaker:
-                push(g)
-    for g in domain.declared_goals:
-        parts = _goal_parts(g)
-        if parts and parts[0] == speaker:
-            push(g)
-    return out
+    return list(_dedupe(out + _library_goals(domain, speaker)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,49 +293,7 @@ def _seeds_for(goal_term: Term) -> list[Term]:
 
 
 def _dedupe(terms: list[Term]) -> tuple[Term, ...]:
-    out: list[Term] = []
-    for t in terms:
-        if t not in out:
-            out.append(t)
-    return tuple(out)
-
-
-def _canonical(t: Term) -> str:
-    renamed, _ = rename_apart(t, 0)
-    return render(renamed)
-
-
-def _utterance_relevant(
-    u_op: Operator, goal_conds: tuple[Term, ...], ops: tuple[Operator, ...]
-) -> bool:
-    """Backward-reachability prefilter: can any utterance effect feed the goal?
-
-    Regression fixpoint over operator add-effects, over-approximating the
-    conditions a plan for the goal could ever need; a candidate is only
-    searched when some utterance add-effect unifies with one of them.
-    """
-    relevant: list[Term] = list(goal_conds)
-    seen = {_canonical(t) for t in relevant}
-    counter = count(1)
-    frontier = list(relevant)
-    while frontier and len(relevant) < 400:
-        cond = frontier.pop(0)
-        for op in ops:
-            renamed, _ = rename_operator(op, 10_000 * next(counter))
-            for e in renamed.add:
-                u = unify(e, cond)
-                if u is None:
-                    continue
-                for pre in renamed.preconditions:
-                    inst = apply(u, pre)
-                    key = _canonical(inst)
-                    if key not in seen:
-                        seen.add(key)
-                        relevant.append(inst)
-                        frontier.append(inst)
-    return any(
-        unify(e, r) is not None for e in u_op.add for r in relevant
-    )
+    return tuple(dict.fromkeys(terms))
 
 
 def recognize(
@@ -357,6 +310,18 @@ def recognize(
     Candidates are tried in order; the first reachable one wins.  The plan
     must route a causal-link path from the utterance step to the goal, not
     merely contain it.
+
+    Before planning, a relevance gate (:func:`planner.relevance_gate`)
+    checks over ground facts whether the utterance can feed the candidate
+    at all: a delete-relaxed forward fixpoint over the ground operator
+    instances from the candidate's initial state plus the utterance's
+    add-effects, then backward relevance from the reachable facts that
+    unify with the goal content.  A candidate none of whose relevant facts
+    the utterance adds is skipped with cause ``irrelevant-utterance``;
+    the planner would find no connected plan for it.  When the gate cannot
+    decide (an operator variable only the planner could bind, or a derived
+    fact nested past the limit a plan within the bound allows) it answers
+    "relevant" and traces a ``relevance-fallback`` event with the cause.
     """
     bound = bound if bound is not None else domain.bound
     if snapshot is None:
@@ -369,7 +334,15 @@ def recognize(
             continue
         _, content = parts
         initial = _dedupe(list(base) + _seeds_for(g))
-        if not _utterance_relevant(u_op, (content,), domain.operators):
+        relevant, fallback = relevance_gate(
+            initial, content, domain.operators, u_op, bound
+        )
+        if fallback is not None and trace:
+            cause, detail = fallback
+            trace.emit(
+                _MODULE, "relevance-fallback", goal=render(g), cause=cause, detail=detail
+            )
+        if not relevant:
             if trace:
                 trace.emit(
                     _MODULE, "candidate-skipped", goal=render(g), cause="irrelevant-utterance"
@@ -443,22 +416,6 @@ def _terminal_state(initial: tuple[Term, ...], p: Plan) -> set[Term]:
     return simulate(initial, [p.steps[sid] for sid in linearize(p)])
 
 
-def _goal_library(domain: Domain, speaker: str, exclude: Term) -> list[Term]:
-    out: list[Term] = []
-    for st in domain.stereotypes:
-        if speaker not in st.members:
-            continue
-        for g in st.goal_library:
-            parts = _goal_parts(g)
-            if parts and parts[0] == speaker and g not in out:
-                out.append(g)
-    for g in domain.declared_goals:
-        parts = _goal_parts(g)
-        if parts and parts[0] == speaker and g not in out:
-            out.append(g)
-    return [g for g in out if unify(g, exclude) is None]
-
-
 def ascribe_conjunctive(
     store: BeliefStore,
     r: RecognitionResult,
@@ -482,7 +439,9 @@ def ascribe_conjunctive(
     bound = bound if bound is not None else domain.bound
     speaker, hearer = r.utterance.speaker, r.utterance.hearer
     pr, po = r.plan_r, verdict.plan_o
-    library = _goal_library(domain, speaker, exclude=r.ascribed_goal)
+    library = [
+        g for g in _library_goals(domain, speaker) if unify(g, r.ascribed_goal) is None
+    ]
     if not library:
         return store, None
     parts = _goal_parts(r.ascribed_goal)

@@ -13,7 +13,10 @@ wins, so identical inputs yield identical plans.
 Besides plan construction this module provides the plan-comparison
 machinery the goal-ascription rules need: simulation, asserted states,
 exclusive states, and completion search (a shortest ordered action sequence
-entered from a designated state).
+entered from a designated state); and the relevance gate recognition runs
+before planning (delete-relaxed reachability, then backward relevance, over
+ground operator instances).  The gate and completion search ground
+operators with one matcher over an indexed state.
 """
 
 from __future__ import annotations
@@ -708,35 +711,179 @@ def plan(
 
 
 # ---------------------------------------------------------------------------
-# Completion search
+# Ground matching: shared by the relevance gate and completion search
 # ---------------------------------------------------------------------------
 
 
-def _ground_instances(
-    op: Operator, state: frozenset[Term]
-) -> list[Operator]:
-    """All ground instantiations of op whose preconditions hold in state."""
-    facts = sorted(state, key=render)
+def _key(t: Term) -> tuple[str, int] | None:
+    if isinstance(t, Compound):
+        return t.functor, len(t.args)
+    if isinstance(t, Atom):
+        return t.name, 0
+    return None
+
+
+class _FactIndex:
+    """The facts of one state in render order, bucketed by (functor, arity).
+
+    A bucket keeps the render order, so matching a pattern against its
+    bucket visits the facts that can unify with it in the same order as
+    scanning the whole sorted state would.  A state with a non-ground fact
+    is not bucketed: such a fact may unify with patterns of other keys, and
+    with ground patterns other than itself.
+    """
+
+    __slots__ = ("facts", "members", "buckets")
+
+    def __init__(self, state: set[Term] | frozenset[Term]) -> None:
+        self.facts = sorted(state, key=render)
+        self.members = frozenset(state)
+        self.buckets: dict[tuple[str, int] | None, list[Term]] | None = None
+        if all(is_ground(f) for f in self.facts):
+            self.buckets = {}
+            for f in self.facts:
+                self.buckets.setdefault(_key(f), []).append(f)
+
+    def matching(self, pattern: Term) -> list[Term]:
+        """Facts that may unify with pattern, in render order."""
+        key = _key(pattern)
+        if key is None or self.buckets is None:
+            return self.facts
+        if is_ground(pattern):
+            # only the pattern itself unifies with a ground pattern
+            return [pattern] if pattern in self.members else []
+        return self.buckets.get(key, [])
+
+
+def _ground_instances(op: Operator, index: _FactIndex) -> list[Operator]:
+    """All ground instantiations of op whose preconditions hold in the
+    indexed state, in precondition-match order."""
     results: list[Operator] = []
 
-    def match(i: int, s: Substitution) -> None:
+    def match(i: int, s: Substitution, constraints: tuple[Constraint, ...]) -> None:
+        # constraints resolve as bindings land, pruning early and binding
+        # topics before the preconditions that mention them are matched
+        propagated = _propagate_constraints(s, constraints)
+        if propagated is None:
+            return
+        s, constraints = propagated
         if i == len(op.preconditions):
-            propagated = _propagate_constraints(s, _constraints_of(op))
-            if propagated is None or propagated[1]:
+            if constraints:
                 return
-            inst = op.substituted(propagated[0])
+            inst = op.substituted(s)
             if is_ground(inst.head()) and inst not in results:
                 results.append(inst)
             return
-        for f in facts:
-            u = unify(op.preconditions[i], f, s)
+        pre = op.preconditions[i]
+        for f in index.matching(apply(s, pre)):
+            u = unify(pre, f, s)
             if u is not None:
-                match(i + 1, u)
+                match(i + 1, u, constraints)
 
     renamed, _ = rename_operator(op, 0)
     op = renamed
-    match(0, EMPTY_SUBST)
+    match(0, EMPTY_SUBST, _constraints_of(op))
     return results
+
+
+# ---------------------------------------------------------------------------
+# Relevance gate
+# ---------------------------------------------------------------------------
+
+
+def _depth(t: Term) -> int:
+    if isinstance(t, Compound):
+        return 1 + max(_depth(a) for a in t.args)
+    return 1
+
+
+def _unbound_variable(op: Operator) -> str | None:
+    """A variable of op's args or add-effects that neither its preconditions
+    nor its topic constraints bind, if any."""
+    bound: set[str] = set()
+    for p in op.preconditions:
+        bound |= variables(p)
+    for p, t in op.topic_constraints:
+        if variables(p) <= bound:
+            bound |= variables(t)
+    for t in op.args + op.add:
+        free = variables(t) - bound
+        if free:
+            return min(free)
+    return None
+
+
+def relevance_gate(
+    initial: list[Term] | tuple[Term, ...],
+    goal: Term,
+    ops: list[Operator] | tuple[Operator, ...],
+    step: Operator,
+    bound: int,
+) -> tuple[bool, tuple[str, str] | None]:
+    """Whether the ground ``step`` can feed ``goal`` in a plan from ``initial``.
+
+    Returns ``(relevant, fallback)``; ``fallback`` is a (cause, detail) pair
+    when the gate answered "relevant" without deciding.
+
+    Forward pass: a delete-relaxed fixpoint over the ground instances of
+    ``ops`` from ``initial`` plus the step's add-effects.  Backward pass:
+    from the reachable facts that unify with the goal, add the preconditions
+    of every reachable action that adds a relevant fact, until nothing
+    changes.  The step is irrelevant when none of its add-effects is
+    relevant.  Every step of a complete plan is a ground instance whose
+    preconditions are relaxed-reachable, and a connected plan links the
+    step to the goal through such steps, so an irrelevant verdict means
+    ``plan(initial, goal, ops, bound, required_step=step,
+    require_connected=True)`` returns None.
+
+    Two cases answer "relevant" undecided.  Cause ``"unbound-variable"``:
+    an operator has an arg or add-effect variable that only the planner
+    could bind (from the goal), so forward grounding misses its instances.
+    Cause ``"nesting-limit"``: a derived fact nests deeper than any fact of
+    a plan within ``bound`` steps can, which also keeps the fixpoint finite.
+    """
+    for op in ops:
+        name = _unbound_variable(op)
+        if name is not None:
+            return True, ("unbound-variable", f"{op.name} ?{name}")
+    facts = set(initial) | set(step.add)
+    # each step nests its add-effects at most (template depth - 1) deeper
+    # than the facts it consumes
+    growth = max((_depth(e) - 1 for op in ops for e in op.add), default=0)
+    limit = max(_depth(f) for f in facts) + bound * growth
+    actions: dict[Operator, None] = {}
+    while True:
+        index = _FactIndex(facts)
+        new: set[Term] = set()
+        for op in ops:
+            for inst in _ground_instances(op, index):
+                actions.setdefault(inst)
+                new.update(e for e in inst.add if e not in facts)
+        if not new:
+            break
+        deepest = max(new, key=_depth)
+        if _depth(deepest) > limit:
+            return True, ("nesting-limit", render(deepest))
+        facts |= new
+    relevant = {f for f in facts if unify(goal, f) is not None}
+    pending = list(actions)
+    changed = True
+    while changed:
+        changed = False
+        rest: list[Operator] = []
+        for a in pending:
+            if any(e in relevant for e in a.add):
+                relevant.update(a.preconditions)
+                changed = True
+            else:
+                rest.append(a)
+        pending = rest
+    return any(e in relevant for e in step.add), None
+
+
+# ---------------------------------------------------------------------------
+# Completion search
+# ---------------------------------------------------------------------------
 
 
 def complete_from(
@@ -751,7 +898,7 @@ def complete_from(
     The first action must have a precondition unifying with `state`; every
     action executes in the ambient context (breadth-first, deterministic
     expansion order).  `goal` may contain variables; it is satisfied when it
-    unifies with a fact of the reached state.
+    unifies with a fact of the reached state (the first in render order).
     """
     if bound < 1:
         raise PlannerError("bound must be >= 1")
@@ -761,8 +908,9 @@ def complete_from(
     for depth in range(bound):
         nxt: list[tuple[frozenset[Term], tuple[Operator, ...]]] = []
         for current, seq in frontier:
+            index = _FactIndex(current)
             for op in ops:
-                for inst in _ground_instances(op, current):
+                for inst in _ground_instances(op, index):
                     if not seq:
                         entry = None
                         for pre in inst.preconditions:
@@ -774,14 +922,15 @@ def complete_from(
                             continue
                     new_state = frozenset((current - set(inst.delete)) | set(inst.add))
                     new_seq = seq + (inst,)
-                    for f in sorted(new_state, key=render):
-                        u = unify(goal, f)
-                        if u is not None:
-                            return Completion(
-                                actions=new_seq,
-                                entry_state=state,
-                                achieved_goal=apply(u, goal),
-                            )
+                    reached = [f for f in new_state if unify(goal, f) is not None]
+                    if reached:
+                        u = unify(goal, min(reached, key=render))
+                        assert u is not None
+                        return Completion(
+                            actions=new_seq,
+                            entry_state=state,
+                            achieved_goal=apply(u, goal),
+                        )
                     if new_state not in visited:
                         visited.add(new_state)
                         nxt.append((new_state, new_seq))

@@ -32,7 +32,7 @@ from .beliefs import (
 from .inference import Domain, build_operators, infer
 from .planner import DEFAULT_BOUND, Operator
 from .planner import to_dot as emit_dot  # re-exported: DOT is part of the trace surface
-from .terms import Atom, Compound, Term, TermError, parse_term, render
+from .terms import Atom, Compound, Term, TermError, is_ground, parse_term, render
 from .trace import Event, Trace
 
 
@@ -208,6 +208,8 @@ def act_from_term(t: Term) -> ActInstance:
     speaker, hearer, content = t.args
     if not isinstance(speaker, Atom) or not isinstance(hearer, Atom):
         raise ScenarioError(f"turn roles must be agent atoms: {render(t)}")
+    if not is_ground(content):
+        raise ScenarioError(f"turn content must be ground: {render(t)}")
     return ActInstance(
         schema=t.functor, speaker=speaker.name, hearer=hearer.name, content=content
     )
@@ -299,9 +301,12 @@ def _parse_config(form: list, config: ScenarioConfig) -> ScenarioConfig:
 
     if key == "bound":
         try:
-            return replace(config, bound=int(_as_name(value, "bound")))
+            bound = int(_as_name(value, "bound"))
         except ValueError:
             raise ScenarioError(f"config bound: expected an integer, got {value!r}")
+        if bound < 1:
+            raise ScenarioError(f"config bound: expected an integer >= 1, got {bound}")
+        return replace(config, bound=bound)
     if key == "strict":
         return replace(config, strict=as_flag(value))
     if key == "alternation":

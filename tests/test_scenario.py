@@ -86,6 +86,18 @@ class TestParsing:
         assert s.config.strict is True
         assert s.config.ascription_order == ("avoidance", "conjunctive")
 
+    def test_bound_below_one_rejected(self):
+        for bound in ("0", "-3"):
+            with pytest.raises(ScenarioError, match="config bound: expected an integer >= 1"):
+                load_scenario(f"(agents a b)\n(config bound {bound})")
+
+    def test_non_ground_turn_content_rejected(self):
+        with pytest.raises(ScenarioError, match="turn content must be ground"):
+            load_scenario(
+                "(agents system expert)\n"
+                "(turn question(system, expert, permission(system, ?x)))"
+            )
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError, match="unknown section"):
             load_scenario("(agents a b)\n(wibble x)")
@@ -252,6 +264,23 @@ class TestCli:
         bad = tmp_path / "bad.vgs"
         bad.write_text("(agents a b")
         assert cli_main(["check", str(bad)]) == 1
+
+    def test_bound_zero_is_exit_1(self, tmp_path, capsys):
+        assert cli_main(["run", "computer_off", "--bound", "0"]) == 1
+        assert "--bound: expected an integer >= 1, got 0" in capsys.readouterr().err
+        bad = tmp_path / "bound.vgs"
+        bad.write_text("(agents a b)\n(config bound 0)\n")
+        assert cli_main(["run", str(bad)]) == 1
+        assert "config bound" in capsys.readouterr().err
+
+    def test_non_ground_turn_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "open.vgs"
+        bad.write_text(
+            "(agents system expert)\n"
+            "(turn question(system, expert, permission(system, ?x)))\n"
+        )
+        assert cli_main(["run", str(bad)]) == 1
+        assert "turn content must be ground" in capsys.readouterr().err
 
     def test_bound_override(self, tmp_path, capsys):
         code = cli_main(["run", "computer_off", "--bound", "4", "--trace", str(tmp_path / "t.json")])
