@@ -427,11 +427,13 @@ def ascribe_conjunctive(
     """Try to explain the inefficiency as an extra goal served en route.
 
     Searches (exclusive state of the recognized plan) x (goal library) for a
-    completion; checks exclusiveness by recomputation and the efficiency
-    condition by planning the goal conjunction.  On success the goal and the
-    completion's actions (as intentions) are ascribed into the hearer's view
-    of the speaker.  Later candidates that also pass are traced as
-    alternatives.
+    completion: one completion search per exclusive state serves every
+    template of the library.  Each (state, template) pair with a completion
+    is then checked in library order: exclusiveness by recomputation and
+    the efficiency condition by planning the goal conjunction.  On success
+    the goal and the completion's actions (as intentions) are ascribed into
+    the hearer's view of the speaker.  Later candidates that also pass are
+    traced as alternatives.
     """
     if verdict.kind != "inefficient":
         raise InferenceError("conjunctive ascription needs an inefficient verdict")
@@ -447,21 +449,24 @@ def ascribe_conjunctive(
     parts = _goal_parts(r.ascribed_goal)
     assert parts is not None
     _, g1_content = parts
+    # every template is goal(speaker, content): _library_goals keeps no other
+    contents: list[Term] = []
+    for g2 in library:
+        g2_parts = _goal_parts(g2)
+        assert g2_parts is not None
+        contents.append(g2_parts[1])
     ambient = _terminal_state(r.initial, pr)
     po_states = [t for _, t in asserted_states(po)]
     winner: AscriptionReport | None = None
     for s_state in exclusive_states(pr, po):
-        for g2 in library:
-            g2_parts = _goal_parts(g2)
-            assert g2_parts is not None
-            agent, g2_content = g2_parts
-            comp = complete_from(s_state, g2_content, domain.operators, bound, ambient)
+        comps = complete_from(s_state, contents, domain.operators, bound, ambient)
+        for g2, comp in zip(library, comps):
             if comp is None:
                 continue
             exclusive_ok = all(unify(s_state, t) is None for t in po_states)
             joint_initial = _dedupe(
                 list(r.initial)
-                + _seeds_for(struct("goal", Atom(agent), comp.achieved_goal))
+                + _seeds_for(struct("goal", Atom(speaker), comp.achieved_goal))
             )
             joint = plan(
                 joint_initial,
@@ -495,7 +500,7 @@ def ascribe_conjunctive(
                         else "exclusiveness-condition",
                     )
                 continue
-            g2_inst = struct("goal", Atom(agent), comp.achieved_goal)
+            g2_inst = struct("goal", Atom(speaker), comp.achieved_goal)
             if winner is not None:
                 if trace:
                     trace.emit(
@@ -545,8 +550,10 @@ def ascribe_avoidance(
     """Try to explain the inefficiency as a state the speaker is avoiding.
 
     Searches (exclusive state of the optimal plan) x (avoidance library) for
-    a completion in which the speaker is never the actor; on success the
-    negated goal is ascribed into the hearer's view of the speaker.
+    a completion in which the speaker is never the actor: one completion
+    search per exclusive state serves every avoid-goal, and the pairs are
+    then checked in library order.  The first pair that passes wins, and
+    the negated goal is ascribed into the hearer's view of the speaker.
     """
     if verdict.kind != "inefficient":
         raise InferenceError("avoidance ascription needs an inefficient verdict")
@@ -559,8 +566,10 @@ def ascribe_avoidance(
     ambient = _terminal_state(r.initial, po)
     pr_states = [t for _, t in asserted_states(pr)]
     for s_state in exclusive_states(po, pr):
-        for ag in domain.avoid_goals:
-            comp = complete_from(s_state, ag, domain.operators, bound, ambient)
+        comps = complete_from(
+            s_state, domain.avoid_goals, domain.operators, bound, ambient
+        )
+        for ag, comp in zip(domain.avoid_goals, comps):
             if comp is None:
                 continue
             causality_ok = all(

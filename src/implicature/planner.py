@@ -12,11 +12,12 @@ wins, so identical inputs yield identical plans.
 
 Besides plan construction this module provides the plan-comparison
 machinery the goal-ascription rules need: simulation, asserted states,
-exclusive states, and completion search (a shortest ordered action sequence
-entered from a designated state); and the relevance gate recognition runs
-before planning (delete-relaxed reachability, then backward relevance, over
-ground operator instances).  The gate and completion search ground
-operators with one matcher over an indexed state.
+exclusive states, and completion search (for each of several goals, a
+shortest ordered action sequence entered from a designated state, found by
+one breadth-first search shared by all the goals); and the relevance gate
+recognition runs before planning (delete-relaxed reachability, then
+backward relevance, over ground operator instances).  The gate and
+completion search ground operators with one matcher over an indexed state.
 """
 
 from __future__ import annotations
@@ -888,56 +889,81 @@ def relevance_gate(
 
 def complete_from(
     state: Term,
-    goal: Term,
+    goals: list[Term] | tuple[Term, ...],
     ops: list[Operator] | tuple[Operator, ...],
     bound: int,
     ambient: set[Term] | frozenset[Term],
-) -> Completion | None:
-    """Shortest nonempty action sequence from `state` to `goal`.
+) -> tuple[Completion | None, ...]:
+    """Shortest nonempty action sequence from `state` to each of `goals`.
 
-    The first action must have a precondition unifying with `state`; every
-    action executes in the ambient context (breadth-first, deterministic
-    expansion order).  `goal` may contain variables; it is satisfied when it
-    unifies with a fact of the reached state (the first in render order).
+    Returns one entry per goal, in goal order: the completion, or None when
+    no sequence within `bound` actions reaches the goal.  The first action
+    must have a precondition unifying with `state`; every action executes
+    in the ambient context.  A goal may contain variables; it is reached
+    when it unifies with a fact of a generated state (the least such fact
+    in render order instantiates it).
+
+    One breadth-first search serves every goal.  Its expansion order
+    (frontier, operators, ground instances, visited states) does not depend
+    on the goals; each pending goal is tested at every generated state and
+    settled at its first hit, and the search stops once none is pending.
+    A one-goal search stops at that same first hit, so each answer is
+    exactly the one a search for that goal alone returns.
+
+    The goal test looks only at facts that can be new.  A frontier state
+    past the start was tested when it was generated, so a pending goal
+    unifies with none of its facts: at depth 2 and beyond only the action's
+    add-effects can reach it, and at depth 1 also the ambient facts the
+    action does not delete.
     """
     if bound < 1:
         raise PlannerError("bound must be >= 1")
+    found: list[Completion | None] = [None] * len(goals)
+    pending = list(range(len(goals)))
     start = frozenset(ambient)
+    at_start: list[list[Term]] = []  # the ambient facts each goal unifies with
     frontier: list[tuple[frozenset[Term], tuple[Operator, ...]]] = [(start, ())]
     visited: set[frozenset[Term]] = {start}
-    for depth in range(bound):
+    for _ in range(bound):
+        if not frontier or not pending:
+            break
         nxt: list[tuple[frozenset[Term], tuple[Operator, ...]]] = []
         for current, seq in frontier:
             index = _FactIndex(current)
             for op in ops:
                 for inst in _ground_instances(op, index):
                     if not seq:
-                        entry = None
-                        for pre in inst.preconditions:
-                            u = unify(pre, state)
-                            if u is not None:
-                                entry = apply(u, state)
-                                break
-                        if entry is None:
+                        if all(unify(pre, state) is None for pre in inst.preconditions):
                             continue
-                    new_state = frozenset((current - set(inst.delete)) | set(inst.add))
+                        if not at_start:
+                            at_start = [
+                                [f for f in start if unify(g, f) is not None]
+                                for g in goals
+                            ]
+                    deleted = set(inst.delete)
                     new_seq = seq + (inst,)
-                    reached = [f for f in new_state if unify(goal, f) is not None]
-                    if reached:
-                        u = unify(goal, min(reached, key=render))
-                        assert u is not None
-                        return Completion(
-                            actions=new_seq,
-                            entry_state=state,
-                            achieved_goal=apply(u, goal),
-                        )
+                    for i in tuple(pending):
+                        goal = goals[i]
+                        reached = [e for e in inst.add if unify(goal, e) is not None]
+                        if not seq:
+                            reached += [f for f in at_start[i] if f not in deleted]
+                        if reached:
+                            u = unify(goal, min(reached, key=render))
+                            assert u is not None
+                            found[i] = Completion(
+                                actions=new_seq,
+                                entry_state=state,
+                                achieved_goal=apply(u, goal),
+                            )
+                            pending.remove(i)
+                    if not pending:
+                        return tuple(found)
+                    new_state = frozenset((current - deleted) | set(inst.add))
                     if new_state not in visited:
                         visited.add(new_state)
                         nxt.append((new_state, new_seq))
         frontier = nxt
-        if not frontier:
-            break
-    return None
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

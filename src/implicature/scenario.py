@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import TypeAlias, Union
 
 from .acts import ActError, ActInstance, builtin_schemas
 from .beliefs import (
@@ -30,9 +31,19 @@ from .beliefs import (
     assert_attitude,
 )
 from .inference import Domain, build_operators, infer
-from .planner import DEFAULT_BOUND, Operator
+from .planner import DEFAULT_BOUND, Operator, PlannerError
 from .planner import to_dot as emit_dot  # re-exported: DOT is part of the trace surface
-from .terms import Atom, Compound, Term, TermError, is_ground, parse_term, render
+from .terms import (
+    MAX_TERM_DEPTH,
+    Atom,
+    Compound,
+    Term,
+    TermError,
+    Var,
+    is_ground,
+    parse_term,
+    render,
+)
 from .trace import Event, Trace
 
 
@@ -55,13 +66,15 @@ class UndeclaredAgentError(ScenarioError):
 # S-expression reader with embedded term literals
 # ---------------------------------------------------------------------------
 
-Sexp = "str | Term | list"  # reader atoms are keywords, terms, or nested lists
+#: What the reader yields: a keyword, a term, or a nested list of these.
+Sexp: TypeAlias = Union[str, Term, list["Sexp"]]
 
 
 class _Reader:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0  # lists open at pos
 
     def _line_col(self, pos: int) -> tuple[int, int]:
         line = self.text.count("\n", 0, pos) + 1
@@ -87,7 +100,7 @@ class _Reader:
         self.skip()
         return self.pos >= len(self.text)
 
-    def read(self) -> "Sexp":
+    def read(self) -> Sexp:
         self.skip()
         if self.pos >= len(self.text):
             raise self.error("unexpected end of input")
@@ -98,20 +111,26 @@ class _Reader:
             raise self.error("unbalanced ')'")
         return self._read_atom()
 
-    def _read_list(self) -> list:
+    def _read_list(self) -> list[Sexp]:
+        # lists nest no deeper than terms, so the recursive reader stays
+        # inside Python's recursion limit
+        if self.depth == MAX_TERM_DEPTH:
+            raise self.error(f"lists nested deeper than {MAX_TERM_DEPTH}")
         start = self.pos
         self.pos += 1
-        items: list = []
+        self.depth += 1
+        items: list[Sexp] = []
         while True:
             self.skip()
             if self.pos >= len(self.text):
                 raise self.error("unclosed '('", start)
             if self.text[self.pos] == ")":
                 self.pos += 1
+                self.depth -= 1
                 return items
             items.append(self.read())
 
-    def _read_atom(self) -> "str | Term":
+    def _read_atom(self) -> str | Term:
         start = self.pos
         while self.pos < len(self.text) and (
             self.text[self.pos].isalnum() or self.text[self.pos] in "_?-"
@@ -175,7 +194,7 @@ class Scenario:
     config: ScenarioConfig = field(default_factory=ScenarioConfig)
 
 
-def _as_name(item: "Sexp", what: str) -> str:
+def _as_name(item: Sexp, what: str) -> str:
     if isinstance(item, str):
         return item.lower()
     if isinstance(item, Atom):
@@ -183,15 +202,15 @@ def _as_name(item: "Sexp", what: str) -> str:
     raise ScenarioError(f"expected a {what} name, got {item!r}")
 
 
-def _as_term(item: "Sexp", what: str) -> Term:
-    if isinstance(item, (Atom, Compound)) or type(item).__name__ == "Var":
-        return item  # type: ignore[return-value]
+def _as_term(item: Sexp, what: str) -> Term:
+    if isinstance(item, (Atom, Compound, Var)):
+        return item
     if isinstance(item, str):
         return parse_term(item)
     raise ScenarioError(f"expected a term for {what}, got {item!r}")
 
 
-def _as_attitude(item: "Sexp", what: str) -> Attitude:
+def _as_attitude(item: Sexp, what: str) -> Attitude:
     t = _as_term(item, what)
     if isinstance(t, Compound) and t.functor in ATTITUDE_KINDS and len(t.args) == 1:
         return Attitude(t.functor, t.args[0])
@@ -271,14 +290,17 @@ def _parse_operator(form: list) -> Operator:
             dele.extend(terms)
         else:
             raise ScenarioError(f"unknown operator clause {kind!r} in {name}")
-    return Operator(
-        name=name,
-        args=tuple(args),
-        preconditions=tuple(pre),
-        add=tuple(add),
-        delete=tuple(dele),
-        actor=actor,
-    )
+    try:
+        return Operator(
+            name=name,
+            args=tuple(args),
+            preconditions=tuple(pre),
+            add=tuple(add),
+            delete=tuple(dele),
+            actor=actor,
+        )
+    except PlannerError as exc:
+        raise ScenarioError(f"bad operator {render(head)}: {exc}") from exc
 
 
 _TRUTHY = {"true", "on", "yes", "1"}
@@ -291,7 +313,7 @@ def _parse_config(form: list, config: ScenarioConfig) -> ScenarioConfig:
     key = _as_name(form[1], "config key")
     value = form[2]
 
-    def as_flag(v: "Sexp") -> bool:
+    def as_flag(v: Sexp) -> bool:
         name = _as_name(v, "flag")
         if name in _TRUTHY:
             return True

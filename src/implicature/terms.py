@@ -16,6 +16,14 @@ class TermError(ValueError):
     """Malformed term construction or parse failure."""
 
 
+#: Deepest nesting :func:`parse_term` accepts (an atom or variable is depth
+#: 1, ``f(a)`` depth 2).  Term functions recurse once or twice per level, so
+#: the limit keeps every term the engine builds from its input, plus the
+#: few levels planning and belief updates wrap around it, well inside
+#: Python's recursion limit.
+MAX_TERM_DEPTH = 100
+
+
 def _check_name(name: str, what: str) -> str:
     if not name:
         raise TermError(f"empty {what} name")
@@ -250,17 +258,25 @@ class _Tokenizer:
 
 
 def parse_term(text: str) -> Term:
-    """Parse one term from text. Whitespace between tokens is insignificant."""
+    """Parse one term from text. Whitespace between tokens is insignificant.
+
+    Raises TermError for malformed text and for a term nested deeper than
+    ``MAX_TERM_DEPTH``.
+    """
     tok = _Tokenizer(text)
     anon = [0]
-    t = _parse(tok, anon)
+    t = _parse(tok, anon, 1)
     tok.skip_ws()
     if tok.pos != len(tok.text):
         raise TermError(f"trailing input at position {tok.pos} in {text!r}")
     return t
 
 
-def _parse(tok: _Tokenizer, anon: list[int]) -> Term:
+def _parse(tok: _Tokenizer, anon: list[int], depth: int) -> Term:
+    if depth > MAX_TERM_DEPTH:
+        raise TermError(
+            f"term nested deeper than {MAX_TERM_DEPTH} at position {tok.pos}"
+        )
     c = tok.peek()
     if c == "?":
         tok.take("?")
@@ -272,10 +288,10 @@ def _parse(tok: _Tokenizer, anon: list[int]) -> Term:
     name = tok.name().lower()
     if tok.pos < len(tok.text) and tok.text[tok.pos] == "(":
         tok.take("(")
-        args = [_parse(tok, anon)]
+        args = [_parse(tok, anon, depth + 1)]
         while tok.peek() == ",":
             tok.take(",")
-            args.append(_parse(tok, anon))
+            args.append(_parse(tok, anon, depth + 1))
         tok.take(")")
         return Compound(name, tuple(args))
     return Atom(name)

@@ -219,27 +219,86 @@ class TestCompleteFrom:
     ]
 
     def test_one_action_completion(self):
-        c = complete_from(t("seen(item)"), t("held(item)"), self.OPS, 3, {t("seen(item)")})
+        (c,) = complete_from(t("seen(item)"), (t("held(item)"),), self.OPS, 3, {t("seen(item)")})
         assert c is not None
         assert [a.name for a in c.actions] == ["grab"]
         assert c.achieved_goal == t("held(item)")
 
     def test_first_action_must_enter_from_state(self):
         ambient = {t("seen(item)"), t("held(item)")}
-        c = complete_from(t("missing(thing)"), t("stored(item)"), self.OPS, 3, ambient)
+        (c,) = complete_from(t("missing(thing)"), (t("stored(item)"),), self.OPS, 3, ambient)
         assert c is None
 
     def test_minimal_length(self):
-        c = complete_from(t("seen(item)"), t("stored(item)"), self.OPS, 4, {t("seen(item)")})
+        (c,) = complete_from(t("seen(item)"), (t("stored(item)"),), self.OPS, 4, {t("seen(item)")})
         assert [a.name for a in c.actions] == ["grab", "stow"]
 
     def test_unreachable_within_bound(self):
-        c = complete_from(t("seen(item)"), t("eaten(item)"), self.OPS, 4, {t("seen(item)")})
+        (c,) = complete_from(t("seen(item)"), (t("eaten(item)"),), self.OPS, 4, {t("seen(item)")})
         assert c is None
 
     def test_lifted_goal_instantiated(self):
-        c = complete_from(t("seen(item)"), t("held(?x)"), self.OPS, 3, {t("seen(item)")})
+        (c,) = complete_from(t("seen(item)"), (t("held(?x)"),), self.OPS, 3, {t("seen(item)")})
         assert c.achieved_goal == t("held(item)")
+
+    def test_one_search_answers_every_goal_in_order(self):
+        goals = (t("stored(item)"), t("eaten(item)"), t("held(item)"))
+        stored, eaten, held = complete_from(
+            t("seen(item)"), goals, self.OPS, 4, {t("seen(item)")}
+        )
+        assert [a.name for a in stored.actions] == ["grab", "stow"]
+        assert eaten is None
+        assert [a.name for a in held.actions] == ["grab"]
+        assert complete_from(t("seen(item)"), (), self.OPS, 4, {t("seen(item)")}) == ()
+
+    def test_ambient_goal_met_by_first_entry_action(self):
+        ops = [op("e", pre=["s"], add=["x"])]
+        (c,) = complete_from(t("s"), (t("g"),), ops, 2, {t("s"), t("g")})
+        assert [a.name for a in c.actions] == ["e"]
+        assert c.achieved_goal == t("g")
+
+    def test_action_deleting_ambient_goal_does_not_complete_it(self):
+        deleting = op("d", pre=["s"], add=["x"], delete=["g"])
+        keeping = op("k", pre=["s"], add=["y"])
+        ambient = {t("s"), t("g")}
+        (c,) = complete_from(t("s"), (t("g"),), [deleting], 3, ambient)
+        assert c is None
+        (c,) = complete_from(t("s"), (t("g"),), [deleting, keeping], 3, ambient)
+        assert [a.name for a in c.actions] == ["k"]
+
+    def test_lifted_goal_takes_least_fact_of_ambient_and_add_effects(self):
+        goal = (t("held(?x)"),)
+        grab_a = op("grab", pre=["seen(b)"], add=["held(a)"])
+        (c,) = complete_from(t("seen(b)"), goal, [grab_a], 2, {t("seen(b)"), t("held(c)")})
+        assert c.achieved_goal == t("held(a)")
+        grab_c = op("grab", pre=["seen(b)"], add=["held(c)"])
+        (c,) = complete_from(t("seen(b)"), goal, [grab_c], 2, {t("seen(b)"), t("held(a)")})
+        assert c.achieved_goal == t("held(a)")
+
+    def test_batch_equals_one_goal_searches(self):
+        rng = random.Random(20261018)
+        found = unreached = 0
+        for _ in range(300):
+            initial, _, ops = random_ground_domain(rng)
+            atoms = sorted(
+                {a for o in ops for a in o.preconditions + o.add + o.delete} | set(initial),
+                key=render,
+            )
+            entry = rng.choice(atoms)
+            goals = atoms + [t("never"), var("x"), rng.choice(atoms)]
+            rng.shuffle(goals)
+            bound = rng.randint(1, 4)
+            batch = complete_from(entry, goals, ops, bound, set(initial))
+            assert len(batch) == len(goals)
+            for goal, c in zip(goals, batch):
+                assert c == complete_from(entry, (goal,), ops, bound, set(initial))[0]
+                if c is None:
+                    unreached += 1
+                    continue
+                found += 1
+                assert entry in c.actions[0].preconditions
+                assert c.achieved_goal in simulate(initial, list(c.actions))
+        assert found > 100 and unreached > 100
 
     def test_completions_are_nonempty(self):
         with pytest.raises(PlannerError):
@@ -255,7 +314,7 @@ class TestDotExport:
     def test_completion_renders_dashed(self):
         ops = [op("a", add=["x"]), op("b", pre=["x"], add=["g"])]
         p = plan([], t("g"), ops, bound=3)
-        c = complete_from(t("x"), t("extra"), [op("e", pre=["x"], add=["extra"])], 2, {t("x"), t("g")})
+        (c,) = complete_from(t("x"), (t("extra"),), [op("e", pre=["x"], add=["extra"])], 2, {t("x"), t("g")})
         dot = to_dot(p, c)
         assert "style=dashed" in dot
         assert dot.count("digraph") == 1

@@ -19,7 +19,7 @@ from implicature.scenario import (
     run,
     run_detailed,
 )
-from implicature.terms import parse_term, render
+from implicature.terms import MAX_TERM_DEPTH, parse_term, render
 from implicature.trace import Trace
 
 t = parse_term
@@ -32,6 +32,11 @@ def scenario_text(name):
 
 
 MINIMAL = "(agents a b)\n(turn inform(b, a, fact(one)))\n"
+
+
+def nested(depth):
+    """A term of the given nesting depth: f(f(...f(a)...))."""
+    return "f(" * (depth - 1) + "a" + ")" * (depth - 1)
 
 
 class TestParsing:
@@ -97,6 +102,28 @@ class TestParsing:
                 "(agents system expert)\n"
                 "(turn question(system, expert, permission(system, ?x)))"
             )
+
+    def test_operator_with_unbound_variable_rejected(self):
+        with pytest.raises(ScenarioError, match=r"bad operator f\(\?x\): .*\?y"):
+            load_scenario("(agents a b)\n(operator f(?x) (pre g(?x)) (add h(?y)))")
+
+    def test_term_nested_past_limit_rejected(self):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_TERM_DEPTH}") as err:
+            load_scenario(f"(agents a b)\n(believes (a) bel({nested(1200)}))")
+        assert err.value.line == 2
+
+    def test_term_at_nesting_limit_loads_and_runs(self):
+        deepest = nested(MAX_TERM_DEPTH - 1)
+        s = load_scenario(
+            f"(agents a b)\n(believes (a) bel({deepest}))\n(turn inform(a, b, {deepest}))"
+        )
+        assert s.initial[0][1].content == t(deepest)
+        run(s)
+
+    def test_lists_nested_past_limit_rejected(self):
+        depth = MAX_TERM_DEPTH + 1
+        with pytest.raises(ParseError, match="lists nested deeper"):
+            load_scenario("(agents a b)\n" + "(" * depth + ")" * depth)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError, match="unknown section"):
@@ -281,6 +308,22 @@ class TestCli:
         )
         assert cli_main(["run", str(bad)]) == 1
         assert "turn content must be ground" in capsys.readouterr().err
+
+    def test_bad_operator_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "op.vgs"
+        bad.write_text("(agents a b)\n(operator f(?x) (pre g(?x)) (add h(?y)))\n")
+        assert cli_main(["run", str(bad)]) == 1
+        assert "bad operator f(?x): operator f: variable ?y not among parameters" in (
+            capsys.readouterr().err
+        )
+
+    def test_deeply_nested_term_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "deep.vgs"
+        bad.write_text(f"(agents a b)\n(believes (a) bel({nested(1200)}))\n")
+        assert cli_main(["run", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"nested deeper than {MAX_TERM_DEPTH}" in err
+        assert "(line 2, column 15)" in err
 
     def test_bound_override(self, tmp_path, capsys):
         code = cli_main(["run", "computer_off", "--bound", "4", "--trace", str(tmp_path / "t.json")])

@@ -7,6 +7,7 @@ from implicature.terms import (
     Atom,
     Compound,
     EMPTY_SUBST,
+    MAX_TERM_DEPTH,
     Substitution,
     TermError,
     Var,
@@ -66,6 +67,17 @@ class TestParse:
         assert isinstance(parsed.args[0], Var)
         assert isinstance(parsed.args[1], Var)
         assert parsed.args[0] != parsed.args[1]
+
+    def test_nesting_limit(self):
+        def nested(depth):
+            return "f(" * (depth - 1) + "?x" + ")" * (depth - 1)
+
+        deepest = t(nested(MAX_TERM_DEPTH))
+        for _ in range(MAX_TERM_DEPTH - 1):
+            deepest = deepest.args[0]
+        assert deepest == Var("x")
+        with pytest.raises(TermError, match=f"nested deeper than {MAX_TERM_DEPTH}"):
+            t(nested(MAX_TERM_DEPTH + 1))
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(TermError):
