@@ -25,7 +25,6 @@ from .scenario import (
     setup,
 )
 from .terms import TermError, parse_term, render
-from .trace import Trace
 
 EXIT_OK = 0
 EXIT_SCENARIO_ERROR = 1
@@ -117,14 +116,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_repl(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(_read_scenario(args.scenario), args)
-    trace = Trace()
-    store, domain = setup(scenario, trace=trace)
-    outcomes: list[InferenceOutcome] = []
-    for turn in scenario.turns:
-        outcome = infer(store, turn, domain, trace=trace)
-        outcomes.append(outcome)
-        store = outcome.store
-        print(f"{turn}: {_summary(outcome)}")
+    trace, store, outcomes = run_detailed(scenario)
+    _, domain = setup(scenario)
+    for outcome in outcomes:
+        print(_summary(outcome))
     print("enter acts as act(speaker, hearer, content); :quit to exit")
     while True:
         try:

@@ -4,11 +4,16 @@ States are sets of ground terms; negation is explicit not(...) plus delete
 effects.  The search is systematic: open conditions are closed by causal
 links from existing or freshly instantiated steps, and any step whose add
 or delete effect matches a protected condition is a threat, resolved by
-promotion or demotion only (threats are forced when the match is necessary
-under the current bindings, with a final sweep once bindings settle).
-Iterative deepening on step count makes the returned plan cost-minimal;
-among equal-cost plans the lexicographically least operator-name sequence
-wins, so identical inputs yield identical plans.
+promotion or demotion only.  A threat is forced when the match is
+necessary under the current bindings.  As in SNLP/UCPOP, a refinement
+checks only the pairs it creates: a new link against every step, and a
+new step against the links already there.  A later binding can make an
+older pair a threat, so a final sweep over all pairs runs once the agenda
+is empty.  Iterative deepening on step count makes the returned plan
+cost-minimal; among equal-cost plans the least under ``_plan_key``
+(operator names in linearized order first) wins.  Every complete plan of
+the cheapest depth is compared, with no cap, so identical inputs yield
+identical plans and the tie-break is exact.
 
 Besides plan construction this module provides the plan-comparison
 machinery the goal-ascription rules need: simulation, asserted states,
@@ -23,7 +28,7 @@ completion search ground operators with one matcher over an indexed state.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .terms import (
     Atom,
@@ -35,7 +40,6 @@ from .terms import (
     apply,
     is_ground,
     render,
-    rename_apart,
     unify,
     variables,
 )
@@ -47,9 +51,6 @@ FIRST_STEP_ID = 2
 
 #: Default search bound on plan steps; CLI-overridable.
 DEFAULT_BOUND = 8
-
-#: Cap on complete plans collected per depth before tie-breaking.
-_MAX_COLLECTED = 512
 
 
 class PlannerError(ValueError):
@@ -85,6 +86,8 @@ class Operator:
     term must equal the proposition's root functor, looking through not().
     ``positive_constraints`` are terms that may not instantiate to a
     negation (dialogue acts carry positive content; denial is its own act).
+    The constructor does not check these rules: :func:`validate_operator`
+    does, once, where operators come in from scenario text.
     """
 
     name: str
@@ -95,21 +98,6 @@ class Operator:
     actor: Term | None = None
     topic_constraints: tuple[tuple[Term, Term], ...] = ()
     positive_constraints: tuple[Term, ...] = ()
-
-    def __post_init__(self) -> None:
-        allowed = variables(self.head())
-        for _, t in self.topic_constraints:
-            allowed |= variables(t)
-        for group in (self.preconditions, self.add, self.delete):
-            for t in group:
-                for v in variables(t):
-                    if v not in allowed and not v.startswith("_a"):
-                        raise PlannerError(
-                            f"operator {self.name}: variable ?{v} not among parameters"
-                        )
-        overlap = {render(t) for t in self.add} & {render(t) for t in self.delete}
-        if overlap:
-            raise PlannerError(f"operator {self.name}: add/delete overlap {overlap}")
 
     def head(self) -> Term:
         if self.args:
@@ -133,53 +121,65 @@ class Operator:
         )
 
 
+def validate_operator(op: Operator) -> None:
+    """Raise PlannerError unless every variable of op's preconditions and
+    effects is among its args, bound by a topic constraint, or anonymous,
+    and no term is both added and deleted."""
+    allowed = variables(op.head())
+    for _, t in op.topic_constraints:
+        allowed |= variables(t)
+    for group in (op.preconditions, op.add, op.delete):
+        for t in group:
+            for v in variables(t):
+                if v not in allowed and not v.startswith("_a"):
+                    raise PlannerError(
+                        f"operator {op.name}: variable ?{v} not among parameters"
+                    )
+    overlap = {render(t) for t in op.add} & {render(t) for t in op.delete}
+    if overlap:
+        raise PlannerError(f"operator {op.name}: add/delete overlap {overlap}")
+
+
 def rename_operator(op: Operator, counter: int) -> tuple[Operator, int]:
-    """Fresh-variable copy of an operator schema."""
-    packed: Term = Compound(
-        "op",
-        (
-            op.head(),
-            _pack(op.preconditions),
-            _pack(op.add),
-            _pack(op.delete),
-            op.actor if op.actor is not None else Atom("nil"),
-            _pack(tuple(Compound("c", (p, t)) for p, t in op.topic_constraints)),
-            _pack(op.positive_constraints),
-        ),
+    """Fresh-variable copy of an operator schema.
+
+    Variables are named ``?v<N>`` from ``counter`` on, in order of first
+    occurrence across args, preconditions, add, delete, actor, topic
+    constraints and positive constraints; returns the copy and the next
+    unused counter.  Each old name maps straight to its new one, so a
+    schema that already names a variable ``?v1`` is renamed without
+    capture.  A ground operator comes back unchanged.
+    """
+    mapping: dict[str, Var] = {}
+
+    def fresh(t: Term) -> Term:
+        nonlocal counter
+        if isinstance(t, Var):
+            new = mapping.get(t.name)
+            if new is None:
+                new = mapping[t.name] = Var(f"v{counter}")
+                counter += 1
+            return new
+        if isinstance(t, Compound):
+            args = tuple(fresh(a) for a in t.args)
+            if any(a is not b for a, b in zip(args, t.args)):
+                return Compound(t.functor, args)
+        return t
+
+    def each(ts: tuple[Term, ...]) -> tuple[Term, ...]:
+        return tuple(fresh(x) for x in ts)
+
+    renamed = Operator(
+        name=op.name,
+        args=each(op.args),
+        preconditions=each(op.preconditions),
+        add=each(op.add),
+        delete=each(op.delete),
+        actor=None if op.actor is None else fresh(op.actor),
+        topic_constraints=tuple((fresh(p), fresh(t)) for p, t in op.topic_constraints),
+        positive_constraints=each(op.positive_constraints),
     )
-    renamed, counter = rename_apart(packed, counter)
-    assert isinstance(renamed, Compound)
-    head, pre, add, dele, actor, cons, positive = renamed.args
-    args = head.args if isinstance(head, Compound) else ()
-    constraints = tuple(
-        (c.args[0], c.args[1]) for c in _unpack(cons) if isinstance(c, Compound)
-    )
-    return (
-        Operator(
-            name=op.name,
-            args=tuple(args),
-            preconditions=_unpack(pre),
-            add=_unpack(add),
-            delete=_unpack(dele),
-            actor=None if op.actor is None else actor,
-            topic_constraints=constraints,
-            positive_constraints=_unpack(positive),
-        ),
-        counter,
-    )
-
-
-def _pack(ts: tuple[Term, ...]) -> Term:
-    if not ts:
-        return Atom("nil")
-    return Compound("l", ts)
-
-
-def _unpack(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, Atom) and t.name == "nil":
-        return ()
-    assert isinstance(t, Compound)
-    return t.args
+    return (renamed if mapping else op), counter
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,7 @@ class _Node:
     orderings: frozenset[tuple[int, int]]
     links: tuple[CausalLink, ...]
     subst: Substitution
-    threats: tuple[tuple[CausalLink, int], ...]
+    threats: tuple[tuple[CausalLink, int, Operator], ...]
     constraints: tuple["Constraint", ...]
     counter: int
 
@@ -346,21 +346,7 @@ class _Problem:
     goal: tuple[Term, ...]
     ops: tuple[Operator, ...]
     limit: int
-    hit_limit: bool = field(default=False)
-
-    def add_effects(self, node: _Node, sid: int) -> tuple[Term, ...]:
-        if sid == INIT_ID:
-            return self.initial
-        for i, op in node.steps:
-            if i == sid:
-                return op.add
-        return ()
-
-    def step_op(self, node: _Node, sid: int) -> Operator | None:
-        for i, op in node.steps:
-            if i == sid:
-                return op
-        return None
+    hit_limit: bool = False
 
 
 def _strip_not(t: Term, s: Substitution) -> Term:
@@ -413,39 +399,35 @@ def _propagate_constraints(
     return subst, tuple(pending)
 
 
-def _is_threat(
-    prob: _Problem, node: _Node, link: CausalLink, sid: int
-) -> bool:
-    """Necessary threat: the step's effect equals the protected condition
-    under the current bindings and the step could come between.
+def _is_threat(node: _Node, link: CausalLink, sid: int, op: Operator) -> bool:
+    """Necessary threat: an effect of step ``sid`` (operator ``op``) equals
+    the protected condition under the current bindings and the step could
+    come between.
 
     Possibly-unifying pairs are left alone (promotion/demotion without
     separation would over-commit); they are re-checked by the final sweep
     once bindings are settled.
     """
-    if sid in (link.producer, link.consumer, INIT_ID, GOAL_ID):
+    if sid in (link.producer, link.consumer):
         return False
-    if _ordered_before(node.orderings, sid, link.producer):
+    # unify returns the substitution itself exactly when the terms are
+    # already equal under it
+    s = node.subst
+    if all(unify(e, link.condition, s) is not s for e in op.add + op.delete):
         return False
-    if _ordered_before(node.orderings, link.consumer, sid):
-        return False
-    op = prob.step_op(node, sid)
-    if op is None:
-        return False
-    cond = apply(node.subst, link.condition)
-    for e in op.add + op.delete:
-        if apply(node.subst, e) == cond:
-            return True
-    return False
+    return not (
+        _ordered_before(node.orderings, sid, link.producer)
+        or _ordered_before(node.orderings, link.consumer, sid)
+    )
 
 
-def _new_threats(prob: _Problem, node: _Node) -> tuple[tuple[CausalLink, int], ...]:
-    found: list[tuple[CausalLink, int]] = []
-    for link in node.links:
-        for sid, _ in node.steps:
-            if _is_threat(prob, node, link, sid):
-                found.append((link, sid))
-    return tuple(found)
+def _all_threats(node: _Node) -> tuple[tuple[CausalLink, int, Operator], ...]:
+    return tuple(
+        (link, sid, op)
+        for link in node.links
+        for sid, op in node.steps
+        if _is_threat(node, link, sid, op)
+    )
 
 
 def _add_ordering(
@@ -461,8 +443,21 @@ def _add_ordering(
 
 
 def _with_link(
-    prob: _Problem, node: _Node, producer: int, cond: Term, consumer: int, subst: Substitution
+    node: _Node,
+    producer: int,
+    cond: Term,
+    consumer: int,
+    subst: Substitution,
+    new_step: Operator | None = None,
 ) -> _Node | None:
+    """The node plus a causal link, or None when its bindings or ordering clash.
+
+    Queues only the threats this refinement creates: the new link against
+    every step and, when the producer is ``new_step`` (just added), that
+    step against the links already there.  A binding can also turn an older
+    pair into a threat; the final sweep in :func:`_expand` catches those.
+    Queued entries that stop being threats are dropped when popped.
+    """
     propagated = _propagate_constraints(subst, node.constraints)
     if propagated is None:
         return None
@@ -481,25 +476,26 @@ def _with_link(
         subst=subst,
         constraints=constraints,
     )
-    threats = candidate.threats + _new_threats(prob, candidate)
-    # queued plus freshly detected, deduped; stale entries drop at pop time
-    seen: set[tuple[int, str, int, int]] = set()
-    unique: list[tuple[CausalLink, int]] = []
-    for t_link, t_sid in threats:
-        key = (t_link.producer, render(t_link.condition), t_link.consumer, t_sid)
-        if key not in seen:
-            seen.add(key)
-            unique.append((t_link, t_sid))
-    return replace(candidate, threats=tuple(unique))
+    found: list[tuple[CausalLink, int, Operator]] = []
+    if new_step is not None:
+        found.extend(
+            (old, producer, new_step)
+            for old in node.links
+            if _is_threat(candidate, old, producer, new_step)
+        )
+    found.extend(
+        (link, sid, op) for sid, op in node.steps if _is_threat(candidate, link, sid, op)
+    )
+    return replace(candidate, threats=node.threats + tuple(found))
 
 
 def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
     """Children of a search node; None when the node is complete."""
     # resolve threats first
     while node.threats:
-        (link, sid), rest = node.threats[0], node.threats[1:]
+        (link, sid, op), rest = node.threats[0], node.threats[1:]
         node = replace(node, threats=rest)
-        if not _is_threat(prob, node, link, sid):
+        if not _is_threat(node, link, sid, op):
             continue
         children = []
         promoted = _add_ordering(node.orderings, sid, link.producer)
@@ -512,24 +508,24 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
     if not node.agenda:
         # final sweep: with bindings settled, catch threats that were only
         # possible (not necessary) when their link or step appeared
-        swept = _new_threats(prob, node)
+        swept = _all_threats(node)
         if swept:
             return [replace(node, threats=swept)]
         return None
     (consumer, cond), agenda = node.agenda[0], node.agenda[1:]
     node = replace(node, agenda=agenda)
     children: list[_Node] = []
-    producers = [INIT_ID] + [sid for sid, _ in node.steps]
-    for pid in producers:
+    producers = [(INIT_ID, prob.initial)] + [(sid, op.add) for sid, op in node.steps]
+    for pid, effects in producers:
         if pid == consumer:
             continue
         if _ordered_before(node.orderings, consumer, pid):
             continue
-        for e in prob.add_effects(node, pid):
+        for e in effects:
             u = unify(e, cond, node.subst)
             if u is None:
                 continue
-            child = _with_link(prob, node, pid, cond, consumer, u)
+            child = _with_link(node, pid, cond, consumer, u)
             if child is not None:
                 children.append(child)
     if len(node.steps) < prob.limit:
@@ -549,7 +545,7 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
                     constraints=node.constraints + _constraints_of(renamed),
                     counter=counter,
                 )
-                child = _with_link(prob, base, sid, cond, consumer, u)
+                child = _with_link(base, sid, cond, consumer, u, renamed)
                 if child is not None:
                     children.append(child)
     else:
@@ -585,10 +581,13 @@ def _finish(prob: _Problem, node: _Node) -> Plan | None:
 
 def _search_depth(
     prob: _Problem, root: _Node, required: int | None, require_connected: bool
-) -> list[Plan]:
-    plans: list[Plan] = []
+) -> Plan | None:
+    """The least complete plan within ``prob.limit`` steps under
+    :func:`_plan_key`, or None."""
+    best: Plan | None = None
+    best_key: tuple | None = None
     stack = [root]
-    while stack and len(plans) < _MAX_COLLECTED:
+    while stack:
         node = stack.pop()
         children = _expand(prob, node)
         if children is None:
@@ -598,10 +597,12 @@ def _search_depth(
             if require_connected and required is not None:
                 if not _supports_goal(plan, required):
                     continue
-            plans.append(plan)
+            key = _plan_key(plan)
+            if best_key is None or key < best_key:
+                best, best_key = plan, key
             continue
         stack.extend(reversed(children))
-    return plans
+    return best
 
 
 def _supports_goal(plan: Plan, sid: int) -> bool:
@@ -647,7 +648,9 @@ def plan(
     ``required_step`` pre-seeds a mandatory (ground) step; with
     ``require_connected`` the plan must also route a causal-link path from
     that step to the goal.  Iterative deepening on step count guarantees
-    minimality; ties break lexicographically on the operator name sequence.
+    minimality.  Ties break on the linearized operator name sequence, then
+    on step heads, links and orderings, over every complete plan of that
+    cost: the result is the lexicographically least one.
     """
     if bound < 1:
         raise PlannerError("bound must be >= 1")
@@ -685,14 +688,13 @@ def plan(
     for limit in range(start, bound + 1):
         prob.limit = limit
         prob.hit_limit = False
-        plans = _search_depth(
+        best = _search_depth(
             prob,
             root,
             FIRST_STEP_ID if required_step is not None else None,
             require_connected,
         )
-        if plans:
-            best = min(plans, key=_plan_key)
+        if best is not None:
             if trace:
                 trace.emit(
                     "planner",

@@ -31,7 +31,7 @@ from .beliefs import (
     assert_attitude,
 )
 from .inference import Domain, build_operators, infer
-from .planner import DEFAULT_BOUND, Operator, PlannerError
+from .planner import DEFAULT_BOUND, Operator, PlannerError, validate_operator
 from .planner import to_dot as emit_dot  # re-exported: DOT is part of the trace surface
 from .terms import (
     MAX_TERM_DEPTH,
@@ -290,17 +290,19 @@ def _parse_operator(form: list) -> Operator:
             dele.extend(terms)
         else:
             raise ScenarioError(f"unknown operator clause {kind!r} in {name}")
+    op = Operator(
+        name=name,
+        args=tuple(args),
+        preconditions=tuple(pre),
+        add=tuple(add),
+        delete=tuple(dele),
+        actor=actor,
+    )
     try:
-        return Operator(
-            name=name,
-            args=tuple(args),
-            preconditions=tuple(pre),
-            add=tuple(add),
-            delete=tuple(dele),
-            actor=actor,
-        )
+        validate_operator(op)
     except PlannerError as exc:
         raise ScenarioError(f"bad operator {render(head)}: {exc}") from exc
+    return op
 
 
 _TRUTHY = {"true", "on", "yes", "1"}

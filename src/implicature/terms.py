@@ -166,6 +166,7 @@ def unify(a: Term, b: Term, s: Substitution = EMPTY_SUBST) -> Substitution | Non
     """Most general unifier of a and b extending s, or None.
 
     Failure is a normal outcome (functor/arity clash or occurs check).
+    Returns ``s`` itself exactly when a and b are already equal under s.
     """
     a = s.walk(a)
     b = s.walk(b)

@@ -81,6 +81,31 @@ class TestBasics:
         p = plan([], t("g"), ops, bound=2)
         assert [p.steps[i].name for i in linearize(p)] == ["alpha"]
 
+    def test_tie_break_exact_past_many_equal_plans(self):
+        # 4**5 = 1024 equal-cost plans at depth 5; the least name sequence
+        # comes from the last operator listed for every goal
+        ops = [
+            op(f"{prefix}{i}", add=[f"g{i}"]) for i in range(5) for prefix in "zyxa"
+        ]
+        p = plan([], [t(f"g{i}") for i in range(5)], ops, bound=5)
+        assert [p.steps[i].name for i in linearize(p)] == ["a0", "a1", "a2", "a3", "a4"]
+
+    def test_schema_variables_named_like_fresh_ones(self):
+        # renaming maps ?v1 -> ?v0 and ?v2 -> ?v1 at once; chaining the two
+        # would collapse both parameters into one variable
+        initial = [t("at(a)"), t("conn(a, b)")]
+        for x, y in (("?v1", "?v2"), ("?x", "?y")):
+            move = Operator(
+                name="move",
+                args=(t(x), t(y)),
+                preconditions=(t(f"at({x})"), t(f"conn({x}, {y})")),
+                add=(t(f"at({y})"),),
+                delete=(t(f"at({x})"),),
+            )
+            p = plan(initial, t("at(b)"), [move], bound=2)
+            assert p is not None
+            assert [render(p.steps[i].head()) for i in linearize(p)] == ["move(a, b)"]
+
     def test_determinism(self):
         ops = [op("b", add=["x", "g"]), op("a", pre=["x"], add=["g"]), op("c", add=["x"])]
         plans = [plan([], t("g"), ops, bound=4) for _ in range(3)]
@@ -126,6 +151,27 @@ class TestThreats:
         assert p is not None
         state = simulate([], [p.steps[i] for i in linearize(p)])
         assert t("p") in state and t("q") in state
+
+    def test_threat_made_by_a_later_binding(self):
+        # spoil(?x) may delete f(a) only once the k(a) link binds ?x, after
+        # the f(a) link and the spoil step are both in place
+        ops = [
+            op("p1", add=["f(a)"]),
+            Operator(
+                name="spoil",
+                args=(var("x"),),
+                preconditions=(t("k(?x)"),),
+                add=(t("h"),),
+                delete=(t("f(?x)"),),
+            ),
+        ]
+        initial = [t("k(a)")]
+        p = plan(initial, [t("f(a)"), t("h")], ops, bound=3)
+        assert p is not None
+        seq = [p.steps[i] for i in linearize(p)]
+        assert [s.name for s in seq] == ["spoil", "p1"]
+        state = simulate(initial, seq)
+        assert t("f(a)") in state and t("h") in state
 
 
 class TestLinearizeSimulate:
@@ -401,7 +447,7 @@ class TestAgainstOracle:
 
     def test_random_domains_match_bfs(self):
         rng = random.Random(20260809)
-        for _ in range(30):
+        for _ in range(100):
             initial, goal, ops = random_ground_domain(rng)
             found = plan(initial, goal, ops, bound=5)
             expected = bfs_min_cost(initial, [goal], ops, bound=5)

@@ -33,6 +33,8 @@ def scenario_text(name):
 
 MINIMAL = "(agents a b)\n(turn inform(b, a, fact(one)))\n"
 
+OVERLAP_OPERATOR = "(agents a b)\n(operator f(?x) (pre g(?x)) (add h(?x)) (del h(?x)))\n"
+
 
 def nested(depth):
     """A term of the given nesting depth: f(f(...f(a)...))."""
@@ -106,6 +108,10 @@ class TestParsing:
     def test_operator_with_unbound_variable_rejected(self):
         with pytest.raises(ScenarioError, match=r"bad operator f\(\?x\): .*\?y"):
             load_scenario("(agents a b)\n(operator f(?x) (pre g(?x)) (add h(?y)))")
+
+    def test_operator_adding_and_deleting_a_term_rejected(self):
+        with pytest.raises(ScenarioError, match=r"bad operator f\(\?x\): .*overlap"):
+            load_scenario(OVERLAP_OPERATOR)
 
     def test_term_nested_past_limit_rejected(self):
         with pytest.raises(ParseError, match=f"nested deeper than {MAX_TERM_DEPTH}") as err:
@@ -317,6 +323,14 @@ class TestCli:
             capsys.readouterr().err
         )
 
+    def test_operator_overlap_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "overlap.vgs"
+        bad.write_text(OVERLAP_OPERATOR)
+        assert cli_main(["run", str(bad)]) == 1
+        assert "bad operator f(?x): operator f: add/delete overlap" in (
+            capsys.readouterr().err
+        )
+
     def test_deeply_nested_term_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "deep.vgs"
         bad.write_text(f"(agents a b)\n(believes (a) bel({nested(1200)}))\n")
@@ -357,3 +371,32 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "parse error" in proc.stdout
+
+    def test_repl_replays_turns_like_run(self, tmp_path):
+        # the first turn answers a question nobody asked: run traces the
+        # error and goes on, and so must the REPL's replay
+        text = (
+            "(agents a b)\n"
+            "(turn no_answer(a, b, raining))\n"
+            "(turn inform(b, a, sunny))\n"
+        )
+        f = tmp_path / "unasked.vgs"
+        f.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "implicature.cli", "repl", str(f)],
+            input=":trace\n:quit\n",
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "enter acts as" in proc.stdout
+        (line,) = [ln for ln in proc.stdout.splitlines() if '"schema":"vgtrace/1"' in ln]
+        shown = line.removeprefix("> ") + "\n"
+        assert shown == emit_json(run(load_scenario(text)))
+        errors = [e for e in json.loads(shown)["events"] if e["kind"] == "error"]
+        assert errors[0]["module"] == "scenario-cli"
+        assert errors[0]["payload"] == {
+            "cause": "no pending question licenses no_answer(a, b, raining)",
+            "turn": 0,
+        }
