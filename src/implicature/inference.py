@@ -48,7 +48,7 @@ from .planner import (
     exclusive_states,
     linearize,
     plan,
-    relevance_gate,
+    relevance_depth,
     simulate,
 )
 from .terms import (
@@ -311,17 +311,21 @@ def recognize(
     must route a causal-link path from the utterance step to the goal, not
     merely contain it.
 
-    Before planning, a relevance gate (:func:`planner.relevance_gate`)
+    Before planning, a relevance gate (:func:`planner.relevance_depth`)
     checks over ground facts whether the utterance can feed the candidate
     at all: a delete-relaxed forward fixpoint over the ground operator
     instances from the candidate's initial state plus the utterance's
-    add-effects, then backward relevance from the reachable facts that
-    unify with the goal content.  A candidate none of whose relevant facts
-    the utterance adds is skipped with cause ``irrelevant-utterance``;
-    the planner would find no connected plan for it.  When the gate cannot
-    decide (an operator variable only the planner could bind, or a derived
-    fact nested past the limit a plan within the bound allows) it answers
-    "relevant" and traces a ``relevance-fallback`` event with the cause.
+    add-effects, then the shortest chain of those instances from the
+    utterance's add-effects to a fact that unifies with the goal content.
+    A candidate with no such chain is skipped with cause
+    ``irrelevant-utterance``; the planner would find no connected plan for
+    it.  A connected plan runs through such a chain, so it has at least
+    one step more than the chain has actions, and planning starts at that
+    cost (the result is the same, the depths below hold no plan).  When
+    the gate cannot decide (an operator variable only the planner could
+    bind, or a derived fact nested past the limit a plan within the bound
+    allows) it answers "relevant", traces a ``relevance-fallback`` event
+    with the cause, and planning starts with no bound.
     """
     bound = bound if bound is not None else domain.bound
     if snapshot is None:
@@ -334,7 +338,7 @@ def recognize(
             continue
         _, content = parts
         initial = _dedupe(list(base) + _seeds_for(g))
-        relevant, fallback = relevance_gate(
+        depth, fallback = relevance_depth(
             initial, content, domain.operators, u_op, bound
         )
         if fallback is not None and trace:
@@ -342,7 +346,7 @@ def recognize(
             trace.emit(
                 _MODULE, "relevance-fallback", goal=render(g), cause=cause, detail=detail
             )
-        if not relevant:
+        if depth is None and fallback is None:
             if trace:
                 trace.emit(
                     _MODULE, "candidate-skipped", goal=render(g), cause="irrelevant-utterance"
@@ -355,6 +359,7 @@ def recognize(
             bound=bound,
             required_step=u_op,
             require_connected=True,
+            min_cost=0 if depth is None else 1 + depth,
         )
         if p is not None:
             if trace:
@@ -456,14 +461,14 @@ def ascribe_conjunctive(
         assert g2_parts is not None
         contents.append(g2_parts[1])
     ambient = _terminal_state(r.initial, pr)
-    po_states = [t for _, t in asserted_states(po)]
+    po_states = {t for _, t in asserted_states(po)}
     winner: AscriptionReport | None = None
     for s_state in exclusive_states(pr, po):
         comps = complete_from(s_state, contents, domain.operators, bound, ambient)
         for g2, comp in zip(library, comps):
             if comp is None:
                 continue
-            exclusive_ok = all(unify(s_state, t) is None for t in po_states)
+            exclusive_ok = s_state not in po_states
             joint_initial = _dedupe(
                 list(r.initial)
                 + _seeds_for(struct("goal", Atom(speaker), comp.achieved_goal))
@@ -564,7 +569,7 @@ def ascribe_avoidance(
     if not domain.avoid_goals:
         return store, None
     ambient = _terminal_state(r.initial, po)
-    pr_states = [t for _, t in asserted_states(pr)]
+    pr_states = {t for _, t in asserted_states(pr)}
     for s_state in exclusive_states(po, pr):
         comps = complete_from(
             s_state, domain.avoid_goals, domain.operators, bound, ambient
@@ -576,7 +581,7 @@ def ascribe_avoidance(
                 isinstance(a.actor, Atom) and a.actor.name != speaker
                 for a in comp.actions
             )
-            exclusive_ok = all(unify(s_state, t) is None for t in pr_states)
+            exclusive_ok = s_state not in pr_states
             if not (causality_ok and exclusive_ok):
                 if trace:
                     trace.emit(

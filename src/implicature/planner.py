@@ -13,22 +13,30 @@ is empty.  Iterative deepening on step count makes the returned plan
 cost-minimal; among equal-cost plans the least under ``_plan_key``
 (operator names in linearized order first) wins.  Every complete plan of
 the cheapest depth is compared, with no cap, so identical inputs yield
-identical plans and the tie-break is exact.
+identical plans and the tie-break is exact.  A caller that has proved no
+acceptable plan is cheaper than some cost may start the deepening there
+(``plan(..., min_cost=...)``): the depths it skips hold no plan, so the
+result is the same.  An open condition is closed by a new step only from
+the schemas with an add-effect whose root (functor, arity) can match the
+condition's; each schema is renamed at most once per plan call and
+counter.
 
 Besides plan construction this module provides the plan-comparison
 machinery the goal-ascription rules need: simulation, asserted states,
 exclusive states, and completion search (for each of several goals, a
 shortest ordered action sequence entered from a designated state, found by
 one breadth-first search shared by all the goals); and the relevance gate
-recognition runs before planning (delete-relaxed reachability, then
-backward relevance, over ground operator instances).  The gate and
-completion search ground operators with one matcher over an indexed state.
+recognition runs before planning (delete-relaxed reachability over ground
+operator instances, then the shortest chain of those instances from the
+utterance's add-effects to the goal, which also bounds the plan's cost
+from below).  The gate and completion search ground operators with one
+matcher over an indexed state.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .terms import (
     Atom,
@@ -299,15 +307,15 @@ def asserted_states(p: Plan) -> list[tuple[int, Term]]:
 
 
 def exclusive_states(a: Plan, b: Plan) -> list[Term]:
-    """States asserted in a that unify with no state asserted in b."""
-    b_states = [t for _, t in asserted_states(b)]
-    out: list[Term] = []
-    for _, t in asserted_states(a):
-        if any(unify(t, bt) is not None for bt in b_states):
-            continue
-        if t not in out:
-            out.append(t)
-    return out
+    """States asserted in a that unify with no state asserted in b, in a's
+    order.
+
+    A complete plan's asserted states are ground (:func:`plan` takes ground
+    initial facts and :func:`_finish` grounds every step), so "unifies with
+    no state of b" is "is not a state of b".
+    """
+    b_states = {t for _, t in asserted_states(b)}
+    return [t for _, t in asserted_states(a) if t not in b_states]
 
 
 @dataclass(frozen=True)
@@ -347,6 +355,16 @@ class _Problem:
     ops: tuple[Operator, ...]
     limit: int
     hit_limit: bool = False
+    #: per schema of ``ops``, the root keys of its add-effects; None when
+    #: an add-effect is a variable, which can match any condition
+    add_keys: tuple[frozenset[tuple[str, int]] | None, ...] = ()
+    #: (schema index, counter) -> rename_operator's result, for this call
+    renamed: dict[tuple[int, int], tuple[Operator, int]] = field(default_factory=dict)
+
+
+def _add_keys(op: Operator) -> frozenset[tuple[str, int]] | None:
+    keys = frozenset(_key(e) for e in op.add)
+    return None if None in keys else keys
 
 
 def _strip_not(t: Term, s: Substitution) -> Term:
@@ -529,8 +547,17 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
             if child is not None:
                 children.append(child)
     if len(node.steps) < prob.limit:
-        for op in prob.ops:
-            renamed, counter = rename_operator(op, node.counter)
+        # a schema whose add-effects all have a root (functor, arity) other
+        # than the condition's cannot close it; a variable root matches any
+        cond_key = _key(node.subst.walk(cond))
+        for i, op in enumerate(prob.ops):
+            keys = prob.add_keys[i]
+            if cond_key is not None and keys is not None and cond_key not in keys:
+                continue
+            memo = (i, node.counter)
+            if memo not in prob.renamed:
+                prob.renamed[memo] = rename_operator(op, node.counter)
+            renamed, counter = prob.renamed[memo]
             for e in renamed.add:
                 u = unify(e, cond, node.subst)
                 if u is None:
@@ -642,6 +669,8 @@ def plan(
     required_step: Operator | None = None,
     require_connected: bool = False,
     trace: Trace | None = None,
+    *,
+    min_cost: int = 0,
 ) -> Plan | None:
     """Minimal-cost complete plan within the step bound, or None.
 
@@ -651,6 +680,13 @@ def plan(
     minimality.  Ties break on the linearized operator name sequence, then
     on step heads, links and orderings, over every complete plan of that
     cost: the result is the lexicographically least one.
+
+    ``min_cost`` is a lower bound the caller has proved on the cost of
+    every plan this call accepts; deepening starts there instead of at the
+    seeded step count.  Each depth is searched on its own, and the depths
+    skipped hold no acceptable plan, so the result is the one a search
+    from the seeded step count returns.  The bound must be proved, not
+    guessed: a plan cheaper than ``min_cost`` is never found.
     """
     if bound < 1:
         raise PlannerError("bound must be >= 1")
@@ -683,8 +719,14 @@ def plan(
         constraints=constraints,
         counter=0,
     )
-    start = len(steps)
-    prob = _Problem(initial=initial, goal=goals, ops=ops, limit=start)
+    start = max(len(steps), min_cost)
+    prob = _Problem(
+        initial=initial,
+        goal=goals,
+        ops=ops,
+        limit=start,
+        add_keys=tuple(_add_keys(op) for op in ops),
+    )
     for limit in range(start, bound + 1):
         prob.limit = limit
         prob.hit_limit = False
@@ -760,7 +802,11 @@ class _FactIndex:
 
 def _ground_instances(op: Operator, index: _FactIndex) -> list[Operator]:
     """All ground instantiations of op whose preconditions hold in the
-    indexed state, in precondition-match order."""
+    indexed state, in precondition-match order.
+
+    Callers pass each schema renamed once (``rename_operator(op, 0)``), so
+    its variables are apart from any the facts may hold.
+    """
     results: list[Operator] = []
 
     def match(i: int, s: Substitution, constraints: tuple[Constraint, ...]) -> None:
@@ -783,8 +829,6 @@ def _ground_instances(op: Operator, index: _FactIndex) -> list[Operator]:
             if u is not None:
                 match(i + 1, u, constraints)
 
-    renamed, _ = rename_operator(op, 0)
-    op = renamed
     match(0, EMPTY_SUBST, _constraints_of(op))
     return results
 
@@ -826,39 +870,65 @@ def relevance_gate(
     """Whether the ground ``step`` can feed ``goal`` in a plan from ``initial``.
 
     Returns ``(relevant, fallback)``; ``fallback`` is a (cause, detail) pair
-    when the gate answered "relevant" without deciding.
+    when the gate answered "relevant" without deciding.  The verdict is
+    :func:`relevance_depth`'s: relevant when a chain exists.
+    """
+    depth, fallback = relevance_depth(initial, goal, ops, step, bound)
+    return depth is not None or fallback is not None, fallback
 
-    Forward pass: a delete-relaxed fixpoint over the ground instances of
-    ``ops`` from ``initial`` plus the step's add-effects.  Backward pass:
-    from the reachable facts that unify with the goal, add the preconditions
-    of every reachable action that adds a relevant fact, until nothing
-    changes.  The step is irrelevant when none of its add-effects is
-    relevant.  Every step of a complete plan is a ground instance whose
-    preconditions are relaxed-reachable, and a connected plan links the
-    step to the goal through such steps, so an irrelevant verdict means
-    ``plan(initial, goal, ops, bound, required_step=step,
-    require_connected=True)`` returns None.
 
-    Two cases answer "relevant" undecided.  Cause ``"unbound-variable"``:
-    an operator has an arg or add-effect variable that only the planner
-    could bind (from the goal), so forward grounding misses its instances.
-    Cause ``"nesting-limit"``: a derived fact nests deeper than any fact of
-    a plan within ``bound`` steps can, which also keeps the fixpoint finite.
+def relevance_depth(
+    initial: list[Term] | tuple[Term, ...],
+    goal: Term,
+    ops: list[Operator] | tuple[Operator, ...],
+    step: Operator,
+    bound: int,
+) -> tuple[int | None, tuple[str, str] | None]:
+    """The fewest actions a chain from the ground ``step`` to ``goal`` needs.
+
+    Returns ``(depth, fallback)``.  ``depth`` is None when no chain exists:
+    then ``plan(initial, goal, ops, bound, required_step=step,
+    require_connected=True)`` returns None.  Otherwise every plan that call
+    accepts has at least ``1 + depth`` steps.  ``fallback`` is a (cause,
+    detail) pair, with ``depth`` None, when the gate cannot decide.
+
+    Reachability: a delete-relaxed fixpoint over the ground instances of
+    ``ops`` from ``initial`` plus the step's add-effects.  Every step of a
+    complete plan is a ground instance whose preconditions are
+    relaxed-reachable, so it is among the instances the fixpoint finds.
+
+    Chain: layer 0 is the step's add-effects, and layer d+1 holds the
+    add-effects of every found instance with a precondition in layer d
+    that no earlier layer holds.  ``depth`` is the first layer with a fact
+    that unifies with the goal.  A connected plan's causal-link path from
+    the step to the goal is such a chain, one action per link past the
+    step, so the plan has at least ``1 + depth`` steps, and none when no
+    layer reaches the goal.  This verdict is that of backward relevance
+    (from the goal facts, add the preconditions of every instance adding a
+    relevant fact; the step is relevant when it adds one): both ask whether
+    a chain ``step.add -> a1 -> ... -> goal fact`` of found instances exists.
+
+    Two cases fall back.  Cause ``"unbound-variable"``: an operator has an
+    arg or add-effect variable that only the planner could bind (from the
+    goal), so forward grounding misses its instances.  Cause
+    ``"nesting-limit"``: a derived fact nests deeper than any fact of a plan
+    within ``bound`` steps can, which also keeps the fixpoint finite.
     """
     for op in ops:
         name = _unbound_variable(op)
         if name is not None:
-            return True, ("unbound-variable", f"{op.name} ?{name}")
+            return None, ("unbound-variable", f"{op.name} ?{name}")
     facts = set(initial) | set(step.add)
     # each step nests its add-effects at most (template depth - 1) deeper
     # than the facts it consumes
     growth = max((_depth(e) - 1 for op in ops for e in op.add), default=0)
     limit = max(_depth(f) for f in facts) + bound * growth
+    schemas = [rename_operator(op, 0)[0] for op in ops]
     actions: dict[Operator, None] = {}
     while True:
         index = _FactIndex(facts)
         new: set[Term] = set()
-        for op in ops:
+        for op in schemas:
             for inst in _ground_instances(op, index):
                 actions.setdefault(inst)
                 new.update(e for e in inst.add if e not in facts)
@@ -866,22 +936,27 @@ def relevance_gate(
             break
         deepest = max(new, key=_depth)
         if _depth(deepest) > limit:
-            return True, ("nesting-limit", render(deepest))
+            return None, ("nesting-limit", render(deepest))
         facts |= new
-    relevant = {f for f in facts if unify(goal, f) is not None}
+    layer = set(step.add)
+    seen = set(layer)
     pending = list(actions)
-    changed = True
-    while changed:
-        changed = False
+    depth = 0
+    while layer:
+        if any(unify(goal, f) is not None for f in layer):
+            return depth, None
+        nxt: set[Term] = set()
         rest: list[Operator] = []
         for a in pending:
-            if any(e in relevant for e in a.add):
-                relevant.update(a.preconditions)
-                changed = True
+            if any(p in layer for p in a.preconditions):
+                nxt.update(e for e in a.add if e not in seen)
             else:
                 rest.append(a)
         pending = rest
-    return any(e in relevant for e in step.add), None
+        seen |= nxt
+        layer = nxt
+        depth += 1
+    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -926,13 +1001,14 @@ def complete_from(
     at_start: list[list[Term]] = []  # the ambient facts each goal unifies with
     frontier: list[tuple[frozenset[Term], tuple[Operator, ...]]] = [(start, ())]
     visited: set[frozenset[Term]] = {start}
+    schemas = [rename_operator(op, 0)[0] for op in ops]
     for _ in range(bound):
         if not frontier or not pending:
             break
         nxt: list[tuple[frozenset[Term], tuple[Operator, ...]]] = []
         for current, seq in frontier:
             index = _FactIndex(current)
-            for op in ops:
+            for op in schemas:
                 for inst in _ground_instances(op, index):
                     if not seq:
                         if all(unify(pre, state) is None for pre in inst.preconditions):

@@ -200,29 +200,6 @@ def apply(s: Substitution, t: Term) -> Term:
     return t
 
 
-def rename_apart(t: Term, counter: int) -> tuple[Term, int]:
-    """Rename all variables in t to fresh ?v<N> names.
-
-    Names are assigned in left-to-right first-occurrence order starting at
-    ``counter``; shared variables stay shared.  Returns the renamed term and
-    the next unused counter.
-    """
-    mapping: dict[str, Var] = {}
-
-    def walk(u: Term) -> Term:
-        nonlocal counter
-        if isinstance(u, Var):
-            if u.name not in mapping:
-                mapping[u.name] = Var(f"v{counter}")
-                counter += 1
-            return mapping[u.name]
-        if isinstance(u, Compound):
-            return Compound(u.functor, tuple(walk(a) for a in u.args))
-        return u
-
-    return walk(t), counter
-
-
 def render(t: Term) -> str:
     """Canonical text form: functor(a, b), lowercase atoms, ?name vars."""
     return str(t)

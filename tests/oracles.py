@@ -28,34 +28,52 @@ def bfs_min_cost(
     ground_ops: list[Operator],
     bound: int,
     require_used: str | None = None,
+    connected: bool = False,
 ) -> int | None:
     """Length of the shortest ground action sequence reaching all goals.
 
     None if no sequence of length <= bound works.  With ``require_used``
-    only sequences containing an action of that name count.
+    only sequences containing an action of that name count.  With
+    ``connected`` as well, that action must start a chain: each later
+    chain action has a precondition an earlier chain action added, and a
+    chain action adds a goal.  The linearization of a plan whose causal
+    links route the action to the goal is such a sequence.
     """
 
-    def satisfied(state: frozenset[Term], used: bool) -> bool:
+    def satisfied(node) -> bool:
+        state, used, _, reached = node
+        if connected:
+            used = reached
         return all(g in state for g in goals) and (require_used is None or used)
 
-    start = (frozenset(initial), require_used is None)
-    if satisfied(*start):
+    def advance(node, op: Operator):
+        state, used, carried, reached = node
+        on_chain = connected and (
+            op.name == require_used or any(p in carried for p in op.preconditions)
+        )
+        if on_chain:
+            carried = carried | frozenset(op.add)
+            reached = reached or any(g in op.add for g in goals)
+        return (step(op, state), used or op.name == require_used, carried, reached)
+
+    start = (frozenset(initial), require_used is None, frozenset(), False)
+    if satisfied(start):
         return 0
     frontier = [start]
     visited = {start}
     for depth in range(1, bound + 1):
         nxt = []
-        for state, used in frontier:
+        for node in frontier:
             for op in ground_ops:
-                if not applicable(op, state):
+                if not applicable(op, node[0]):
                     continue
-                node = (step(op, state), used or op.name == require_used)
-                if node in visited:
+                child = advance(node, op)
+                if child in visited:
                     continue
-                if satisfied(*node):
+                if satisfied(child):
                     return depth
-                visited.add(node)
-                nxt.append(node)
+                visited.add(child)
+                nxt.append(child)
         frontier = nxt
         if not frontier:
             return None

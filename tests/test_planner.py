@@ -21,7 +21,7 @@ from implicature.planner import (
     simulate,
     to_dot,
 )
-from implicature.terms import parse_term, render, var
+from implicature.terms import Atom, parse_term, render, unify, var
 
 from oracles import bfs_min_cost, random_ground_domain
 
@@ -111,6 +111,45 @@ class TestBasics:
         plans = [plan([], t("g"), ops, bound=4) for _ in range(3)]
         keys = [[render(p.steps[i].head()) for i in linearize(p)] for p in plans]
         assert keys[0] == keys[1] == keys[2]
+
+
+class TestSchemaFilter:
+    """Schemas are skipped for a condition only on a root (functor, arity)
+    clash; a variable root on either side may match anything."""
+
+    def test_variable_rooted_add_effect_closes_a_condition(self):
+        # make(?p) adds ?p itself, its topic fixing the root: the only
+        # producer of warm(x) has no compound add-effect to compare with
+        make = Operator(
+            name="make",
+            args=(var("p"),),
+            add=(var("p"),),
+            topic_constraints=((var("p"), Atom("warm")),),
+        )
+        p = plan([], t("warm(x)"), [op("other", add=["cold(x)"]), make], bound=2)
+        assert p is not None
+        assert [render(p.steps[i].head()) for i in linearize(p)] == ["make(warm(x))"]
+
+    def test_condition_walking_to_a_variable_is_closed(self):
+        # use(?q) needs ?q, which nothing binds before a producer is chosen
+        use = Operator(
+            name="use", args=(var("q"),), preconditions=(var("q"),), add=(t("done"),)
+        )
+        p = plan([], t("done"), [use, op("light", add=["lit"])], bound=3)
+        assert p is not None
+        assert [render(p.steps[i].head()) for i in linearize(p)] == ["light", "use(lit)"]
+
+    def test_condition_walking_to_a_bound_compound_is_closed(self):
+        use = Operator(
+            name="use", args=(var("q"),), preconditions=(var("q"),),
+            add=(t("done(?q)"),),
+        )
+        heat = Operator(name="heat", args=(var("y"),), add=(t("warm(?y)"),))
+        p = plan([], t("done(warm(x))"), [use, op("light", add=["lit"]), heat], bound=3)
+        assert p is not None
+        assert [render(p.steps[i].head()) for i in linearize(p)] == [
+            "heat(x)", "use(warm(x))"
+        ]
 
 
 class TestThreats:
@@ -256,6 +295,37 @@ class TestStateComparisons:
         a = plan([], t("x"), [op("a", add=["x"])], bound=2)
         b = plan([], t("y"), [op("b", add=["y"])], bound=2)
         assert exclusive_states(a, b) == [t("x")]
+
+
+    def test_exclusive_states_equal_the_unify_definition(self):
+        # the definition before complete plans' ground states made it a set
+        # difference: states of a that unify with no state of b, deduped
+        def by_unify(a, b):
+            b_states = [x for _, x in asserted_states(b)]
+            out = []
+            for _, x in asserted_states(a):
+                if any(unify(x, y) is not None for y in b_states):
+                    continue
+                if x not in out:
+                    out.append(x)
+            return out
+
+        rng = random.Random(61)
+        compared = nonempty = 0
+        for _ in range(300):
+            initial, goal, ops = random_ground_domain(rng)
+            u = rng.choice(ops)
+            initial = list(dict.fromkeys(initial + list(u.preconditions)))
+            pr = plan(initial, goal, ops, bound=4, required_step=u)
+            po = plan(initial, goal, ops, bound=4)
+            if pr is None or po is None:
+                continue
+            for a, b in ((pr, po), (po, pr)):
+                assert exclusive_states(a, b) == by_unify(a, b)
+                compared += 1
+                nonempty += bool(by_unify(a, b))
+        assert compared >= 200
+        assert nonempty >= 50
 
 
 class TestCompleteFrom:

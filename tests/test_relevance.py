@@ -1,7 +1,10 @@
 """Soundness of the relevance gate that recognition runs before planning.
 
 Whenever the gate calls an utterance irrelevant to a goal, the planner must
-find no plan that contains the utterance and routes it to the goal.
+find no plan that contains the utterance and routes it to the goal.  When
+it calls the utterance relevant, its chain depth ``d`` bounds such a plan's
+cost from below by ``1 + d``, so planning from that cost on finds the same
+plan.
 """
 
 import random
@@ -9,11 +12,11 @@ from importlib import resources
 
 import pytest
 
-from implicature.planner import Operator, plan, relevance_gate
+from implicature.planner import Operator, cost, plan, relevance_depth, relevance_gate
 from implicature.scenario import load_scenario, run, run_detailed
 from implicature.terms import Atom, Substitution, parse_term, render, struct, var
 
-from oracles import random_ground_domain
+from oracles import bfs_min_cost, random_ground_domain
 
 t = parse_term
 BOUND = 4
@@ -97,6 +100,76 @@ class TestGateSoundness:
             actor=t("spk"),
         )
         assert relevance_gate([], t("h(?any)"), [u, lift], u, BOUND) == (True, None)
+
+
+def _start_depth_is_sound(initial, goal, ops, u, bound=BOUND):
+    """The gate's chain depth, or None; asserts that planning from
+    ``1 + depth`` finds the plan a search from the utterance alone finds."""
+    initial = list(dict.fromkeys(list(initial) + list(u.preconditions)))
+    depth, fallback = relevance_depth(initial, goal, ops, u, bound)
+    assert fallback is None
+    if depth is None:
+        return None, None
+    full = plan(initial, goal, ops, bound=bound, required_step=u, require_connected=True)
+    bounded = plan(
+        initial, goal, ops, bound=bound, required_step=u, require_connected=True,
+        min_cost=1 + depth,
+    )
+    assert bounded == full
+    if full is not None:
+        assert cost(full) >= 1 + depth
+    return depth, full
+
+
+class TestStartDepth:
+    def test_random_ground_domains(self):
+        rng = random.Random(20261018)
+        depths = []
+        for _ in range(300):
+            initial, goal, ops = random_ground_domain(rng)
+            u = rng.choice(ops)
+            depth, found = _start_depth_is_sound(initial, goal, ops, u)
+            if depth is None:
+                continue
+            depths.append(depth)
+            if found is not None:
+                # the oracle's shortest sequence in which the utterance
+                # starts a chain of actions to the goal: every connected
+                # plan linearizes to one, and every one holds a chain
+                shortest = bfs_min_cost(
+                    initial + list(u.preconditions), [goal], ops, BOUND,
+                    require_used=u.name, connected=True,
+                )
+                assert 1 + depth <= shortest <= cost(found)
+        assert len(depths) >= 100
+        # a bound of 1 is the search's own start, which proves nothing
+        assert sum(d > 0 for d in depths) >= 25
+
+    def test_random_lifted_domains(self):
+        rng = random.Random(1018)
+        depths = []
+        for _ in range(400):
+            initial, goal, ops, u = random_lifted_domain(rng)
+            depth, _ = _start_depth_is_sound(initial, goal, ops, u)
+            if depth is not None:
+                depths.append(depth)
+        assert len(depths) >= 100
+        assert sum(d > 0 for d in depths) >= 25
+
+    def test_depth_counts_the_actions_of_the_shortest_chain(self):
+        u = Operator("u", add=(t("a"),), actor=t("spk"))
+        ops = [
+            u,
+            Operator("ab", preconditions=(t("a"),), add=(t("b"),), actor=t("spk")),
+            Operator("bg", preconditions=(t("b"),), add=(t("g"),), actor=t("spk")),
+            Operator("ag", preconditions=(t("a"), t("x")), add=(t("g"),), actor=t("spk")),
+            Operator("x", add=(t("x"),), actor=t("spk")),
+        ]
+        assert relevance_depth([], t("g"), ops, u, BOUND) == (1, None)
+        # the goal already holds, yet a connected plan still needs a chain
+        assert relevance_depth([t("g")], t("g"), ops, u, BOUND) == (1, None)
+        assert relevance_depth([], t("a"), ops, u, BOUND) == (0, None)
+        assert relevance_depth([], t("x"), ops, u, BOUND) == (None, None)
 
 
 class TestGateFallback:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from implicature.planner import Operator, rename_operator
 from implicature.terms import (
     Atom,
     Compound,
@@ -15,11 +16,11 @@ from implicature.terms import (
     atom,
     is_ground,
     parse_term,
-    rename_apart,
     render,
     struct,
     unify,
     var,
+    variables,
 )
 
 
@@ -133,23 +134,6 @@ class TestApply:
         assert apply(s, t("f(?x, ?z)")) == t("f(a, ?z)")
 
 
-class TestRenameApart:
-    def test_sequential_fresh_names(self):
-        renamed, counter = rename_apart(t("bel(?h, ?p)"), 0)
-        assert renamed == t("bel(?v0, ?v1)")
-        assert counter == 2
-
-    def test_no_vars_unchanged(self):
-        renamed, counter = rename_apart(t("atom_only"), 5)
-        assert renamed == atom("atom_only")
-        assert counter == 5
-
-    def test_shared_var_stays_shared(self):
-        renamed, counter = rename_apart(t("f(?x, ?x)"), 0)
-        assert renamed == t("f(?v0, ?v0)")
-        assert counter == 1
-
-
 # -- property tests ----------------------------------------------------------
 
 _names = st.sampled_from(["a", "b", "c", "f", "g", "p"])
@@ -200,16 +184,14 @@ def test_apply_idempotent(a, b, target):
 
 
 @given(terms)
-def test_rename_apart_disjoint_from_lower_counters(term):
-    first, counter = rename_apart(term, 0)
-    second, _ = rename_apart(term, counter)
-    from implicature.terms import variables
-
-    assert not (variables(first) & variables(second)) or not variables(term)
-
-
-@given(terms)
 def test_rename_preserves_structure(term):
-    renamed, _ = rename_apart(term, 0)
+    # operator schemas are renamed apart term by term: a renamed copy keeps
+    # its shape, and a copy renamed from the returned counter on shares no
+    # variable with the first
+    op = Operator("op", args=(term,))
+    first, counter = rename_operator(op, 0)
+    second, _ = rename_operator(op, counter)
+    renamed = first.args[0]
     assert is_ground(term) == is_ground(renamed)
-    assert (unify(term, renamed) is not None) == (unify(term, term) is not None)
+    assert unify(term, renamed) is not None
+    assert not (variables(renamed) & variables(second.args[0]))
