@@ -149,7 +149,8 @@ def builtin_schemas() -> dict[str, ActSchema]:
     return {s.name: s for s in (inform, question, yes_answer, no_answer)}
 
 
-def _role_subst(act: ActInstance) -> Substitution:
+def role_subst(act: ActInstance) -> Substitution:
+    """The act's speaker, hearer and content bound to the schema roles."""
     return Substitution(
         {
             SPEAKER.name: Atom(act.speaker),
@@ -174,13 +175,13 @@ def instantiated_preconditions(
     Each is an attitude of the speaker; the stored form omits the speaker.
     """
     schema = _schema_for(act, schemas)
-    s = _role_subst(act)
+    s = role_subst(act)
     return tuple(Attitude(c.kind, apply(s, c.content)) for c in schema.preconditions)
 
 
 def instantiated_effects(act: ActInstance, schemas: dict[str, ActSchema]) -> tuple[Term, ...]:
     schema = _schema_for(act, schemas)
-    s = _role_subst(act)
+    s = role_subst(act)
     return tuple(apply(s, e) for e in schema.effects)
 
 

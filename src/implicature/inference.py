@@ -30,6 +30,7 @@ from .acts import (
     apply_hearer_update,
     apply_speaker_update,
     check_expectation,
+    role_subst,
 )
 from .beliefs import (
     Attitude,
@@ -42,7 +43,6 @@ from .planner import (
     Completion,
     Operator,
     Plan,
-    asserted_states,
     complete_from,
     cost,
     exclusive_states,
@@ -54,7 +54,6 @@ from .planner import (
 from .terms import (
     Atom,
     Compound,
-    Substitution,
     Term,
     is_ground,
     render,
@@ -120,15 +119,7 @@ def utterance_operator(act: ActInstance, schemas: dict[str, ActSchema]) -> Opera
     """Ground planner step for one performed act."""
     if act.schema not in schemas:
         raise InferenceError(f"unknown act schema {act.schema!r}")
-    template = act_operator(schemas[act.schema])
-    s = Substitution(
-        {
-            SPEAKER.name: Atom(act.speaker),
-            HEARER.name: Atom(act.hearer),
-            CONTENT.name: act.content,
-        }
-    )
-    return template.substituted(s)
+    return act_operator(schemas[act.schema]).substituted(role_subst(act))
 
 
 def build_operators(
@@ -297,19 +288,21 @@ def _dedupe(terms: list[Term]) -> tuple[Term, ...]:
 
 
 def recognize(
-    store: BeliefStore,
+    snapshot: tuple[Term, ...],
     utterance: ActInstance,
     candidates: list[Term],
     domain: Domain,
-    bound: int | None = None,
-    snapshot: tuple[Term, ...] | None = None,
     trace: Trace | None = None,
 ) -> RecognitionResult | None:
     """Cheapest plan containing the utterance that reaches a candidate goal.
 
-    Candidates are tried in order; the first reachable one wins.  The plan
-    must route a causal-link path from the utterance step to the goal, not
-    merely contain it.
+    ``snapshot`` holds the facts of the store before the utterance (as
+    :func:`beliefs.render_store` renders them); each candidate is planned
+    from those facts, the utterance's preconditions and the candidate's
+    seeds, within ``domain.bound`` steps.  Candidates are tried in order;
+    the first reachable one wins.  The plan is complete and must route a
+    causal-link path from the utterance step to the goal, not merely
+    contain it.
 
     Before planning, a relevance gate (:func:`planner.relevance_depth`)
     checks over ground facts whether the utterance can feed the candidate
@@ -327,9 +320,6 @@ def recognize(
     allows) it answers "relevant", traces a ``relevance-fallback`` event
     with the cause, and planning starts with no bound.
     """
-    bound = bound if bound is not None else domain.bound
-    if snapshot is None:
-        snapshot = tuple(render_store(store))
     u_op = utterance_operator(utterance, domain.schemas)
     base = _dedupe(list(snapshot) + list(u_op.preconditions))
     for rank, g in enumerate(candidates):
@@ -339,7 +329,7 @@ def recognize(
         _, content = parts
         initial = _dedupe(list(base) + _seeds_for(g))
         depth, fallback = relevance_depth(
-            initial, content, domain.operators, u_op, bound
+            initial, content, domain.operators, u_op, domain.bound
         )
         if fallback is not None and trace:
             cause, detail = fallback
@@ -356,7 +346,7 @@ def recognize(
             initial,
             content,
             domain.operators,
-            bound=bound,
+            bound=domain.bound,
             required_step=u_op,
             require_connected=True,
             min_cost=0 if depth is None else 1 + depth,
@@ -384,14 +374,13 @@ def recognize(
 
 
 def efficiency_audit(
-    r: RecognitionResult, domain: Domain, bound: int | None = None, trace: Trace | None = None
+    r: RecognitionResult, domain: Domain, trace: Trace | None = None
 ) -> EfficiencyVerdict:
     """Re-plan the recognized goal without requiring the utterance."""
-    bound = bound if bound is not None else domain.bound
     parts = _goal_parts(r.ascribed_goal)
     assert parts is not None
     _, content = parts
-    po = plan(r.initial, content, domain.operators, bound=bound)
+    po = plan(r.initial, content, domain.operators, bound=domain.bound)
     cr = cost(r.plan_r)
     if po is None or cost(po) >= cr:
         verdict = EfficiencyVerdict(
@@ -426,24 +415,25 @@ def ascribe_conjunctive(
     r: RecognitionResult,
     verdict: EfficiencyVerdict,
     domain: Domain,
-    bound: int | None = None,
     trace: Trace | None = None,
 ) -> tuple[BeliefStore, AscriptionReport | None]:
     """Try to explain the inefficiency as an extra goal served en route.
 
     Searches (exclusive state of the recognized plan) x (goal library) for a
     completion: one completion search per exclusive state serves every
-    template of the library.  Each (state, template) pair with a completion
-    is then checked in library order: exclusiveness by recomputation and
-    the efficiency condition by planning the goal conjunction.  On success
-    the goal and the completion's actions (as intentions) are ascribed into
-    the hearer's view of the speaker.  Later candidates that also pass are
-    traced as alternatives.
+    template of the library.  Each entry state comes from
+    :func:`planner.exclusive_states` of the two complete plans, so it is
+    asserted by the recognized plan and not by the optimal one:
+    exclusiveness holds by construction.  Each (state, template) pair with
+    a completion is then checked in library order for the efficiency
+    condition, by planning the goal conjunction.  On success the goal and
+    the completion's actions (as intentions) are ascribed into the hearer's
+    view of the speaker.  Later candidates that also pass are traced as
+    alternatives.
     """
     if verdict.kind != "inefficient":
         raise InferenceError("conjunctive ascription needs an inefficient verdict")
     assert verdict.plan_o is not None
-    bound = bound if bound is not None else domain.bound
     speaker, hearer = r.utterance.speaker, r.utterance.hearer
     pr, po = r.plan_r, verdict.plan_o
     library = [
@@ -461,14 +451,12 @@ def ascribe_conjunctive(
         assert g2_parts is not None
         contents.append(g2_parts[1])
     ambient = _terminal_state(r.initial, pr)
-    po_states = {t for _, t in asserted_states(po)}
     winner: AscriptionReport | None = None
     for s_state in exclusive_states(pr, po):
-        comps = complete_from(s_state, contents, domain.operators, bound, ambient)
+        comps = complete_from(s_state, contents, domain.operators, domain.bound, ambient)
         for g2, comp in zip(library, comps):
             if comp is None:
                 continue
-            exclusive_ok = s_state not in po_states
             joint_initial = _dedupe(
                 list(r.initial)
                 + _seeds_for(struct("goal", Atom(speaker), comp.achieved_goal))
@@ -477,7 +465,7 @@ def ascribe_conjunctive(
                 joint_initial,
                 (g1_content, comp.achieved_goal),
                 domain.operators,
-                bound=bound,
+                bound=domain.bound,
             )
             extended_cost = cost(pr) + len(comp.actions)
             efficiency_ok = joint is not None and cost(joint) == extended_cost
@@ -493,16 +481,14 @@ def ascribe_conjunctive(
                     recognized_plus_completion=extended_cost,
                     passed=efficiency_ok,
                 )
-            if not (exclusive_ok and efficiency_ok):
+            if not efficiency_ok:
                 if trace:
                     trace.emit(
                         _MODULE,
                         "candidate-skipped",
                         goal=render(g2),
                         exclusive_state=render(s_state),
-                        cause="efficiency-condition"
-                        if exclusive_ok
-                        else "exclusiveness-condition",
+                        cause="efficiency-condition",
                     )
                 continue
             g2_inst = struct("goal", Atom(speaker), comp.achieved_goal)
@@ -549,30 +535,31 @@ def ascribe_avoidance(
     r: RecognitionResult,
     verdict: EfficiencyVerdict,
     domain: Domain,
-    bound: int | None = None,
     trace: Trace | None = None,
 ) -> tuple[BeliefStore, AscriptionReport | None]:
     """Try to explain the inefficiency as a state the speaker is avoiding.
 
     Searches (exclusive state of the optimal plan) x (avoidance library) for
-    a completion in which the speaker is never the actor: one completion
-    search per exclusive state serves every avoid-goal, and the pairs are
-    then checked in library order.  The first pair that passes wins, and
-    the negated goal is ascribed into the hearer's view of the speaker.
+    a completion: one completion search per exclusive state serves every
+    avoid-goal.  Each entry state comes from :func:`planner.exclusive_states`
+    of the two complete plans, so it is asserted by the optimal plan and
+    not by the recognized one: exclusiveness holds by construction.  The
+    pairs are then checked in library order for the causality condition
+    (the speaker is never the completion's actor).  The first pair that
+    passes wins, and the negated goal is ascribed into the hearer's view of
+    the speaker.
     """
     if verdict.kind != "inefficient":
         raise InferenceError("avoidance ascription needs an inefficient verdict")
     assert verdict.plan_o is not None
-    bound = bound if bound is not None else domain.bound
     speaker, hearer = r.utterance.speaker, r.utterance.hearer
     pr, po = r.plan_r, verdict.plan_o
     if not domain.avoid_goals:
         return store, None
     ambient = _terminal_state(r.initial, po)
-    pr_states = {t for _, t in asserted_states(pr)}
     for s_state in exclusive_states(po, pr):
         comps = complete_from(
-            s_state, domain.avoid_goals, domain.operators, bound, ambient
+            s_state, domain.avoid_goals, domain.operators, domain.bound, ambient
         )
         for ag, comp in zip(domain.avoid_goals, comps):
             if comp is None:
@@ -581,17 +568,14 @@ def ascribe_avoidance(
                 isinstance(a.actor, Atom) and a.actor.name != speaker
                 for a in comp.actions
             )
-            exclusive_ok = s_state not in pr_states
-            if not (causality_ok and exclusive_ok):
+            if not causality_ok:
                 if trace:
                     trace.emit(
                         _MODULE,
                         "candidate-skipped",
                         goal=render(ag),
                         exclusive_state=render(s_state),
-                        cause="causality-condition"
-                        if exclusive_ok
-                        else "exclusiveness-condition",
+                        cause="causality-condition",
                     )
                 continue
             avoided = struct("not", comp.achieved_goal)
@@ -638,9 +622,7 @@ def infer(
     store = accommodate_preconditions(store, utterance, domain.schemas, trace=trace)
     store = apply_speaker_update(store, utterance, domain.schemas, trace=trace)
     store = apply_hearer_update(store, utterance, domain.schemas, trace=trace)
-    recognition = recognize(
-        store, utterance, candidates, domain, snapshot=snapshot, trace=trace
-    )
+    recognition = recognize(snapshot, utterance, candidates, domain, trace=trace)
     if recognition is None:
         if trace:
             trace.emit(

@@ -9,17 +9,19 @@ necessary under the current bindings.  As in SNLP/UCPOP, a refinement
 checks only the pairs it creates: a new link against every step, and a
 new step against the links already there.  A later binding can make an
 older pair a threat, so a final sweep over all pairs runs once the agenda
-is empty.  Iterative deepening on step count makes the returned plan
-cost-minimal; among equal-cost plans the least under ``_plan_key``
-(operator names in linearized order first) wins.  Every complete plan of
-the cheapest depth is compared, with no cap, so identical inputs yield
-identical plans and the tie-break is exact.  A caller that has proved no
-acceptable plan is cheaper than some cost may start the deepening there
-(``plan(..., min_cost=...)``): the depths it skips hold no plan, so the
-result is the same.  An open condition is closed by a new step only from
-the schemas with an add-effect whose root (functor, arity) can match the
-condition's; each schema is renamed at most once per plan call and
-counter.
+is empty.  A plan is built only from a node with no open condition and
+only when every step grounds, so every :class:`Plan` is complete and
+ground; the functions that take a plan rely on that.  Iterative deepening
+on step count makes the returned plan cost-minimal; among equal-cost
+plans the least under ``_plan_key`` (operator names in linearized order
+first) wins.  Every complete plan of the cheapest depth is compared, with
+no cap, so identical inputs yield identical plans and the tie-break is
+exact.  A caller that has proved no acceptable plan is cheaper than some
+cost may start the deepening there (``plan(..., min_cost=...)``): the
+depths it skips hold no plan, so the result is the same.  An open
+condition is closed by a new step only from the schemas with an
+add-effect whose root (functor, arity) can match the condition's; each
+schema is renamed at most once per plan call and counter.
 
 Besides plan construction this module provides the plan-comparison
 machinery the goal-ascription rules need: simulation, asserted states,
@@ -63,10 +65,6 @@ DEFAULT_BOUND = 8
 
 class PlannerError(ValueError):
     pass
-
-
-class IncompletePlanError(PlannerError):
-    """Operation requires a complete plan."""
 
 
 class CycleError(RuntimeError):
@@ -199,26 +197,18 @@ class CausalLink:
 
 @dataclass(frozen=True)
 class Plan:
-    """A complete partial-order plan. Steps exclude the init/goal pseudo-steps."""
+    """A complete partial-order plan: every condition has a causal link and
+    every step is ground.  Steps exclude the init/goal pseudo-steps."""
 
     steps: dict[int, Operator]
     initial: tuple[Term, ...]
     goal_conditions: tuple[Term, ...]
     orderings: frozenset[tuple[int, int]]
     links: frozenset[CausalLink]
-    open: tuple[tuple[int, Term], ...] = ()
-
-    def is_complete(self) -> bool:
-        return not self.open
-
-    def step_ids(self) -> list[int]:
-        return sorted(self.steps)
 
 
 def cost(p: Plan) -> int:
     """Number of plan steps, pseudo-steps excluded."""
-    if not p.is_complete():
-        raise IncompletePlanError("cost is defined for complete plans only")
     return len(p.steps)
 
 
@@ -246,8 +236,6 @@ def linearize(p: Plan) -> list[int]:
 
     Deterministic: among ready steps the smallest id goes first.
     """
-    if not p.is_complete():
-        raise IncompletePlanError("linearize is defined for complete plans only")
     ids = set(p.steps)
     indeg: dict[int, int] = {i: 0 for i in ids}
     succ: dict[int, list[int]] = {i: [] for i in ids}
@@ -290,8 +278,6 @@ def asserted_states(p: Plan) -> list[tuple[int, Term]]:
     Order: init facts first, then steps in linearization order; the first
     producer of a repeated term wins.
     """
-    if not p.is_complete():
-        raise IncompletePlanError("asserted_states is defined for complete plans only")
     out: list[tuple[int, Term]] = []
     seen: set[Term] = set()
     for f in p.initial:
@@ -606,11 +592,10 @@ def _finish(prob: _Problem, node: _Node) -> Plan | None:
     )
 
 
-def _search_depth(
-    prob: _Problem, root: _Node, required: int | None, require_connected: bool
-) -> Plan | None:
+def _search_depth(prob: _Problem, root: _Node, connected_from: int | None) -> Plan | None:
     """The least complete plan within ``prob.limit`` steps under
-    :func:`_plan_key`, or None."""
+    :func:`_plan_key`, or None.  With ``connected_from``, only plans whose
+    causal links route that step to the goal count."""
     best: Plan | None = None
     best_key: tuple | None = None
     stack = [root]
@@ -621,32 +606,16 @@ def _search_depth(
             plan = _finish(prob, node)
             if plan is None:
                 continue
-            if require_connected and required is not None:
-                if not _supports_goal(plan, required):
-                    continue
+            if connected_from is not None and not _ordered_before(
+                frozenset((l.producer, l.consumer) for l in plan.links), connected_from, GOAL_ID
+            ):
+                continue
             key = _plan_key(plan)
             if best_key is None or key < best_key:
                 best, best_key = plan, key
             continue
         stack.extend(reversed(children))
     return best
-
-
-def _supports_goal(plan: Plan, sid: int) -> bool:
-    succ: dict[int, list[int]] = {}
-    for link in plan.links:
-        succ.setdefault(link.producer, []).append(link.consumer)
-    seen: set[int] = set()
-    stack = [sid]
-    while stack:
-        node = stack.pop()
-        if node == GOAL_ID:
-            return True
-        for nxt in succ.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
 
 
 def _plan_key(p: Plan) -> tuple:
@@ -727,15 +696,11 @@ def plan(
         limit=start,
         add_keys=tuple(_add_keys(op) for op in ops),
     )
+    connected_from = FIRST_STEP_ID if required_step is not None and require_connected else None
     for limit in range(start, bound + 1):
         prob.limit = limit
         prob.hit_limit = False
-        best = _search_depth(
-            prob,
-            root,
-            FIRST_STEP_ID if required_step is not None else None,
-            require_connected,
-        )
+        best = _search_depth(prob, root, connected_from)
         if best is not None:
             if trace:
                 trace.emit(
@@ -858,23 +823,6 @@ def _unbound_variable(op: Operator) -> str | None:
         if free:
             return min(free)
     return None
-
-
-def relevance_gate(
-    initial: list[Term] | tuple[Term, ...],
-    goal: Term,
-    ops: list[Operator] | tuple[Operator, ...],
-    step: Operator,
-    bound: int,
-) -> tuple[bool, tuple[str, str] | None]:
-    """Whether the ground ``step`` can feed ``goal`` in a plan from ``initial``.
-
-    Returns ``(relevant, fallback)``; ``fallback`` is a (cause, detail) pair
-    when the gate answered "relevant" without deciding.  The verdict is
-    :func:`relevance_depth`'s: relevant when a chain exists.
-    """
-    depth, fallback = relevance_depth(initial, goal, ops, step, bound)
-    return depth is not None or fallback is not None, fallback
 
 
 def relevance_depth(
@@ -1057,8 +1005,6 @@ def to_dot(p: Plan, overlay: Completion | None = None) -> str:
     """DOT digraph of a plan: one node per step, solid edges for causal
     links labeled with the condition, dashed edges for pure ordering, and a
     dashed overlay for a completion."""
-    if not p.is_complete():
-        raise IncompletePlanError("to_dot is defined for complete plans only")
     lines = ["digraph plan {", "  rankdir=TB;", '  init [shape=box, label="init"];']
     goal_label = " & ".join(render(g) for g in p.goal_conditions)
     lines.append(f'  goal [shape=box, label="{_dot_escape(goal_label)}"];')

@@ -378,7 +378,12 @@ def load_scenario(text: str) -> Scenario:
             path = tuple(_as_name(a, "path agent") for a in form[1])
             if not path:
                 raise ScenarioError("belief path must name at least one agent")
-            initial.append((path, _as_attitude(form[2], "belief")))
+            att = _as_attitude(form[2], "belief")
+            if not is_ground(att.content):
+                raise ScenarioError(
+                    f"a believes attitude must be ground: {att.kind}({render(att.content)})"
+                )
+            initial.append((path, att))
         elif head == "reliable":
             if len(form) != 3:
                 raise ScenarioError("(reliable agent topic) is malformed")

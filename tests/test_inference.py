@@ -3,7 +3,7 @@
 import pytest
 
 from implicature.acts import ActInstance, builtin_schemas
-from implicature.beliefs import Attitude, BeliefStore, holds
+from implicature.beliefs import Attitude, holds, render_store
 from implicature.inference import (
     Domain,
     build_operators,
@@ -104,7 +104,7 @@ class TestRecognize:
         store, domain = setup(s)
         utterance = ActInstance("inform", "b", "a", t("fact(one)"))
         candidates = candidate_goals(store, "a", "b", domain)
-        r = recognize(store, utterance, candidates, domain)
+        r = recognize(tuple(render_store(store)), utterance, candidates, domain)
         assert r is not None
         assert r.candidate_rank == 0
         assert cost(r.plan_r) == 1
@@ -125,15 +125,8 @@ class TestRecognize:
             declared_goals=(t("goal(b, win)"),),
             bound=4,
         )
-        store = BeliefStore()
         utterance = ActInstance("inform", "b", "a", t("topic_x"))
-        r = recognize(
-            store,
-            utterance,
-            [t("goal(b, win)")],
-            domain,
-            snapshot=(t("start"),),
-        )
+        r = recognize((t("start"),), utterance, [t("goal(b, win)")], domain)
         assert r is not None
         names = [r.plan_r.steps[i].name for i in linearize(r.plan_r)]
         assert "zzz_follow" in names and "aaa_direct" not in names
@@ -142,7 +135,7 @@ class TestRecognize:
         s = load_scenario("(agents a b)")
         store, domain = setup(s)
         utterance = ActInstance("inform", "b", "a", t("fact(one)"))
-        assert recognize(store, utterance, [], domain) is None
+        assert recognize(tuple(render_store(store)), utterance, [], domain) is None
 
 
 class TestEfficiencyAudit:

@@ -7,7 +7,6 @@ import pytest
 from implicature.planner import (
     Completion,
     CycleError,
-    IncompletePlanError,
     Operator,
     Plan,
     PlannerError,
@@ -240,14 +239,6 @@ class TestLinearizeSimulate:
             simulate([], [op("a", add=["x"]), op("b", pre=["y"], add=["g"])])
         assert err.value.index == 1
         assert err.value.condition == t("y")
-
-    def test_cost_requires_complete_plan(self):
-        partial = Plan(
-            steps={}, initial=(), goal_conditions=(t("g"),),
-            orderings=frozenset(), links=frozenset(), open=((1, t("g")),),
-        )
-        with pytest.raises(IncompletePlanError):
-            cost(partial)
 
     def test_cycle_detected(self):
         broken = Plan(

@@ -12,7 +12,7 @@ from importlib import resources
 
 import pytest
 
-from implicature.planner import Operator, cost, plan, relevance_depth, relevance_gate
+from implicature.planner import Operator, cost, plan, relevance_depth
 from implicature.scenario import load_scenario, run, run_detailed
 from implicature.terms import Atom, Substitution, parse_term, render, struct, var
 
@@ -25,12 +25,12 @@ BOUND = 4
 def _irrelevant_is_sound(initial, goal, ops, u, bound=BOUND):
     """The gate's verdict; asserts that "irrelevant" agrees with the planner."""
     initial = list(dict.fromkeys(list(initial) + list(u.preconditions)))
-    relevant, fallback = relevance_gate(initial, goal, ops, u, bound)
+    depth, fallback = relevance_depth(initial, goal, ops, u, bound)
     assert fallback is None
-    if not relevant:
+    if depth is None:
         p = plan(initial, goal, ops, bound=bound, required_step=u, require_connected=True)
         assert p is None, f"gate said irrelevant, planner found {p}"
-    return relevant
+    return depth is not None
 
 
 def random_lifted_domain(rng: random.Random):
@@ -91,7 +91,7 @@ class TestGateSoundness:
     def test_irrelevant_when_effects_feed_nothing(self):
         u = Operator("u", preconditions=(t("p"),), add=(t("q"),), actor=t("spk"))
         other = Operator("o", preconditions=(t("p"),), add=(t("r"),), actor=t("spk"))
-        assert relevance_gate([t("p")], t("r"), [u, other], u, BOUND) == (False, None)
+        assert relevance_depth([t("p")], t("r"), [u, other], u, BOUND) == (None, None)
 
     def test_relevant_through_a_lifted_chain(self):
         u = Operator("u", add=(t("f(a)"),), actor=t("spk"))
@@ -99,7 +99,7 @@ class TestGateSoundness:
             "lift", args=(var("x"),), preconditions=(t("f(?x)"),), add=(t("h(?x)"),),
             actor=t("spk"),
         )
-        assert relevance_gate([], t("h(?any)"), [u, lift], u, BOUND) == (True, None)
+        assert relevance_depth([], t("h(?any)"), [u, lift], u, BOUND) == (1, None)
 
 
 def _start_depth_is_sound(initial, goal, ops, u, bound=BOUND):
@@ -182,8 +182,8 @@ class TestGateFallback:
             actor=t("spk"),
         )
         goal = t("known(c)")
-        assert relevance_gate([], goal, [u, tell], u, BOUND) == (
-            True, ("unbound-variable", "tell ?x")
+        assert relevance_depth([], goal, [u, tell], u, BOUND) == (
+            None, ("unbound-variable", "tell ?x")
         )
         assert plan([], goal, [u, tell], bound=BOUND, required_step=u,
                     require_connected=True) is not None
@@ -194,8 +194,8 @@ class TestGateFallback:
             "echo", args=(var("x"),), preconditions=(t("bel(a, ?x)"),),
             add=(t("bel(a, bel(a, ?x))"),), actor=t("spk"),
         )
-        relevant, fallback = relevance_gate([], t("q"), [u, echo], u, BOUND)
-        assert relevant
+        depth, fallback = relevance_depth([], t("q"), [u, echo], u, BOUND)
+        assert depth is None
         assert fallback[0] == "nesting-limit"
 
     def test_recognition_traces_the_fallback(self):

@@ -1,8 +1,10 @@
 """Tests for scenario parsing, the run loop, trace JSON and the CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,16 @@ def scenario_text(name):
     from importlib import resources
 
     return resources.files("implicature").joinpath(f"scenarios/{name}.vgs").read_text()
+
+
+def cli_env():
+    """Environment for a CLI subprocess that imports the package under test."""
+    import implicature
+
+    src = str(Path(implicature.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 MINIMAL = "(agents a b)\n(turn inform(b, a, fact(one)))\n"
@@ -104,6 +116,13 @@ class TestParsing:
                 "(agents system expert)\n"
                 "(turn question(system, expert, permission(system, ?x)))"
             )
+
+    @pytest.mark.parametrize("attitude", ["bel", "goal", "int"])
+    def test_non_ground_believes_rejected(self, attitude):
+        with pytest.raises(
+            ScenarioError, match=rf"believes attitude must be ground: {attitude}\(likes\(\?y\)\)"
+        ):
+            load_scenario(f"(agents system expert)\n(believes (system) {attitude}(likes(?y)))")
 
     def test_operator_with_unbound_variable_rejected(self):
         with pytest.raises(ScenarioError, match=r"bad operator f\(\?x\): .*\?y"):
@@ -256,11 +275,10 @@ class TestTraceJson:
 
 
 class TestGoldenTrace:
-    def test_computer_off_matches_frozen_trace(self):
-        from pathlib import Path
-
-        golden = Path(__file__).parent / "golden" / "computer_off.trace.json"
-        s = load_scenario(scenario_text("computer_off"))
+    @pytest.mark.parametrize("name", ["computer_off", "swim_waves", "burnt_cakes"])
+    def test_matches_frozen_trace(self, name):
+        golden = Path(__file__).parent / "golden" / f"{name}.trace.json"
+        s = load_scenario(scenario_text(name))
         assert emit_json(run(s)) == golden.read_text()
 
 
@@ -315,6 +333,17 @@ class TestCli:
         assert cli_main(["run", str(bad)]) == 1
         assert "turn content must be ground" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("attitude", ["bel", "goal", "int"])
+    def test_non_ground_believes_is_exit_1(self, tmp_path, capsys, attitude):
+        bad = tmp_path / "open.vgs"
+        bad.write_text(
+            scenario_text("computer_off") + f"(believes (system) {attitude}(likes(?y)))\n"
+        )
+        assert cli_main(["run", str(bad)]) == 1
+        assert f"believes attitude must be ground: {attitude}(likes(?y))" in (
+            capsys.readouterr().err
+        )
+
     def test_bad_operator_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "op.vgs"
         bad.write_text("(agents a b)\n(operator f(?x) (pre g(?x)) (add h(?y)))\n")
@@ -354,6 +383,7 @@ class TestCli:
             capture_output=True,
             text=True,
             timeout=120,
+            env=cli_env(),
         )
         assert proc.returncode == 0
         assert "conjunctive goal ascribed" in proc.stdout
@@ -368,6 +398,7 @@ class TestCli:
             capture_output=True,
             text=True,
             timeout=120,
+            env=cli_env(),
         )
         assert proc.returncode == 0
         assert "parse error" in proc.stdout
@@ -388,6 +419,7 @@ class TestCli:
             capture_output=True,
             text=True,
             timeout=120,
+            env=cli_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "enter acts as" in proc.stdout
