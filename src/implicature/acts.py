@@ -7,13 +7,15 @@ belief environments:
 * speaker side: for every precondition C, the speaker's view of the hearer
   gains bel(C) (the speaker assumes the act communicated its preconditions);
 * hearer side: for every precondition C, the hearer's view of the speaker
-  gains C itself, and the schema's listed hearer-environment effects are
-  asserted.
+  gains C itself (Perrault's default reading of the hearer update).
 
+The preconditions are an act's only definition: its planner operator adds
+exactly the hearer-side facts, bel(hearer, C(speaker, ...)) for each C.
 Both updates use default-ascription semantics: attitudes blocked by
-contrary evidence are skipped and traced.  accept_belief moves a
-communicated proposition into the hearer's own space when there is no
-contrary evidence and the speaker is a reliable source for its topic.
+contrary evidence or the nesting cap are skipped and traced.
+accept_belief moves a communicated proposition into the hearer's own space
+when there is no contrary evidence and the speaker is a reliable source
+for its topic.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from .beliefs import (
     BeliefStore,
     Expectation,
     assert_attitude,
-    attitude_from_term,
     contrary_evidence,
     default_ascribe,
     holds,
-    normalize,
     topic_of,
 )
 from .terms import Atom, Compound, Substitution, Term, apply, render, struct, unify, var
@@ -46,14 +46,12 @@ class ActError(ValueError):
 
 @dataclass(frozen=True)
 class ActSchema:
-    """A speech-act operator: preconditions over roles, hearer-side effects."""
+    """A speech-act operator: the speaker's preconditions over the roles."""
 
     name: str
     preconditions: tuple[Attitude, ...]
-    effects: tuple[Term, ...]
     registers_expectation: bool = False
     needs_expectation: bool = False
-    content_arity: int = 1
 
 
 @dataclass(frozen=True)
@@ -80,10 +78,6 @@ def _bel(agent: Term, p: Term) -> Term:
     return struct("bel", agent, p)
 
 
-def _goal(agent: Term, p: Term) -> Term:
-    return struct("goal", agent, p)
-
-
 def _or_not(p: Term) -> Term:
     return struct("or", p, struct("not", p))
 
@@ -104,20 +98,12 @@ def builtin_schemas() -> dict[str, ActSchema]:
             Attitude("goal", _bel(HEARER, p)),
             Attitude("bel", p),
         ),
-        effects=(
-            _bel(HEARER, _bel(SPEAKER, p)),
-            _bel(HEARER, _goal(SPEAKER, _bel(HEARER, p))),
-        ),
     )
     question = ActSchema(
         name="question",
         preconditions=(
             Attitude("goal", _bel(SPEAKER, _or_not(p))),
             Attitude("bel", _bel(HEARER, _or_not(p))),
-        ),
-        effects=(
-            _bel(HEARER, _bel(SPEAKER, _bel(HEARER, _or_not(p)))),
-            _bel(HEARER, _goal(SPEAKER, _bel(SPEAKER, _or_not(p)))),
         ),
         registers_expectation=True,
     )
@@ -127,10 +113,6 @@ def builtin_schemas() -> dict[str, ActSchema]:
             Attitude("goal", _bel(HEARER, p)),
             Attitude("bel", p),
         ),
-        effects=(
-            _bel(HEARER, _bel(SPEAKER, p)),
-            _bel(HEARER, _goal(SPEAKER, _bel(HEARER, p))),
-        ),
         needs_expectation=True,
     )
     not_p = struct("not", p)
@@ -139,10 +121,6 @@ def builtin_schemas() -> dict[str, ActSchema]:
         preconditions=(
             Attitude("goal", _bel(HEARER, not_p)),
             Attitude("bel", not_p),
-        ),
-        effects=(
-            _bel(HEARER, _bel(SPEAKER, not_p)),
-            _bel(HEARER, _goal(SPEAKER, _bel(HEARER, not_p))),
         ),
         needs_expectation=True,
     )
@@ -177,12 +155,6 @@ def instantiated_preconditions(
     schema = _schema_for(act, schemas)
     s = role_subst(act)
     return tuple(Attitude(c.kind, apply(s, c.content)) for c in schema.preconditions)
-
-
-def instantiated_effects(act: ActInstance, schemas: dict[str, ActSchema]) -> tuple[Term, ...]:
-    schema = _schema_for(act, schemas)
-    s = role_subst(act)
-    return tuple(apply(s, e) for e in schema.effects)
 
 
 def _expectation_for(act: ActInstance, store: BeliefStore) -> Expectation | None:
@@ -244,8 +216,8 @@ def apply_hearer_update(
     schemas: dict[str, ActSchema],
     trace: Trace | None = None,
 ) -> BeliefStore:
-    """Ascribe each precondition into the hearer's view of the speaker and
-    assert the schema's effects in the hearer's environment."""
+    """Ascribe each precondition into the hearer's view of the speaker, then
+    register or discharge the act's discourse expectation."""
     schema = _schema_for(act, schemas)
     for c in instantiated_preconditions(act, schemas):
         result = default_ascribe(
@@ -257,22 +229,6 @@ def apply_hearer_update(
             cause=f"hearer-update:{act.schema}",
         )
         store = result.store
-    for effect in instantiated_effects(act, schemas):
-        agent, att = attitude_from_term(effect)
-        path, norm = normalize((agent,), att)
-        if norm.kind == "bel" and contrary_evidence(store, path, norm.content):
-            if trace:
-                trace.emit(
-                    "dialogue-acts",
-                    "block",
-                    path=list(path),
-                    attitude=str(norm),
-                    cause=f"effect:{act.schema}",
-                )
-            continue
-        store = assert_attitude(
-            store, (agent,), att, trace=trace, cause=f"effect:{act.schema}"
-        )
     if schema.registers_expectation:
         exp = Expectation(asker=act.speaker, answerer=act.hearer, content=act.content)
         store = store.with_expectation(exp)

@@ -267,47 +267,36 @@ class AscribeResult:
     blocked: bool
 
 
-def default_ascribe(
+def _ascribe(
     store: BeliefStore,
-    from_path: Path,
-    to_path: Path,
+    path: Path,
     att: Attitude,
-    trace: Trace | None = None,
-    cause: str = "default-ascription",
+    trace: Trace | None,
+    cause: str,
 ) -> AscribeResult:
-    """Push an attitude one nesting level inward unless blocked.
+    """Assert an attitude at a path unless blocked, tracing the outcome.
 
-    Blocked (contrary evidence at the target for the attitude's content) is
-    a normal outcome, reported in the trace.
+    Blocked (past the nesting cap, or a bel with contrary evidence at the
+    normalized path) is a normal outcome: the store is returned unchanged
+    and a ``block`` event names the reason.
     """
-    from_path = _validate_path(from_path)
-    to_path = _validate_path(to_path)
-    if to_path[: len(from_path)] != from_path or len(to_path) != len(from_path) + 1:
-        raise BeliefError(
-            f"ascription target {to_path} must extend {from_path} by one agent"
-        )
-    norm_path, norm_att = normalize(to_path, att)
+    norm_path, norm_att = normalize(path, att)
+    reason = None
     if len(norm_path) > MAX_NESTING:
+        reason = "nesting-depth-cap"
+    elif norm_att.kind == "bel" and contrary_evidence(store, norm_path, norm_att.content):
+        reason = "contrary-evidence"
+    if reason is not None:
         if trace:
             trace.emit(
                 "belief-spaces",
                 "block",
                 path=list(norm_path),
                 attitude=str(norm_att),
-                cause="nesting-depth-cap",
+                cause=reason,
             )
         return AscribeResult(store, blocked=True)
-    if norm_att.kind == "bel" and contrary_evidence(store, norm_path, norm_att.content):
-        if trace:
-            trace.emit(
-                "belief-spaces",
-                "block",
-                path=list(norm_path),
-                attitude=str(norm_att),
-                cause="contrary-evidence",
-            )
-        return AscribeResult(store, blocked=True)
-    updated = assert_attitude(store, to_path, att, cause=cause)
+    updated = assert_attitude(store, path, att, cause=cause)
     if trace and updated is not store:
         trace.emit(
             "belief-spaces",
@@ -319,6 +308,28 @@ def default_ascribe(
     return AscribeResult(updated, blocked=False)
 
 
+def default_ascribe(
+    store: BeliefStore,
+    from_path: Path,
+    to_path: Path,
+    att: Attitude,
+    trace: Trace | None = None,
+    cause: str = "default-ascription",
+) -> AscribeResult:
+    """Push an attitude one nesting level inward unless blocked.
+
+    Blocked (contrary evidence at the target for the attitude's content, or
+    the nesting cap) is a normal outcome, reported in the trace.
+    """
+    from_path = _validate_path(from_path)
+    to_path = _validate_path(to_path)
+    if to_path[: len(from_path)] != from_path or len(to_path) != len(from_path) + 1:
+        raise BeliefError(
+            f"ascription target {to_path} must extend {from_path} by one agent"
+        )
+    return _ascribe(store, to_path, att, trace, cause)
+
+
 def stereotype_ascribe(
     store: BeliefStore,
     path: Path,
@@ -328,32 +339,13 @@ def stereotype_ascribe(
 ) -> BeliefStore:
     """Assert every instantiated template attitude at the path.
 
-    Templates blocked by contrary evidence are skipped and traced; the
-    trigger check belongs to the caller.
+    Templates blocked by contrary evidence or the nesting cap are skipped
+    and traced; the trigger check belongs to the caller.
     """
+    path = _validate_path(path)
     for template in st.attitudes:
         att = Attitude(template.kind, apply(bindings, template.content))
-        norm_path, norm_att = normalize(_validate_path(path), att)
-        if norm_att.kind == "bel" and contrary_evidence(store, norm_path, norm_att.content):
-            if trace:
-                trace.emit(
-                    "belief-spaces",
-                    "block",
-                    path=list(norm_path),
-                    attitude=str(norm_att),
-                    cause=f"stereotype:{st.name}",
-                )
-            continue
-        updated = assert_attitude(store, path, att, cause=f"stereotype:{st.name}")
-        if trace and updated is not store:
-            trace.emit(
-                "belief-spaces",
-                "ascribe",
-                path=list(norm_path),
-                attitude=str(norm_att),
-                cause=f"stereotype:{st.name}",
-            )
-        store = updated
+        store = _ascribe(store, path, att, trace, f"stereotype:{st.name}").store
     return store
 
 

@@ -78,13 +78,16 @@ class InferenceError(ValueError):
 def act_operator(schema: ActSchema) -> Operator:
     """Planner operator for a speech act.
 
-    Preconditions are the speaker's attitudes (plus the pending-question
-    fact for answer acts); add-effects are the hearer-side belief updates.
+    Preconditions are the speaker's attitudes C(speaker, ...) (plus the
+    pending-question fact for answer acts).  Add-effects are derived from
+    them: the hearer update bel(hearer, C(speaker, ...)) for each
+    precondition, last precondition first (plus the expectation fact a
+    question registers).
     """
     pre: list[Term] = [
         Compound(c.kind, (SPEAKER, c.content)) for c in schema.preconditions
     ]
-    add: list[Term] = list(schema.effects)
+    add: list[Term] = [struct("bel", HEARER, c) for c in reversed(pre)]
     if schema.needs_expectation:
         pre.append(struct("answer_expected", SPEAKER, HEARER, CONTENT))
     if schema.registers_expectation:
@@ -348,7 +351,6 @@ def recognize(
             domain.operators,
             bound=domain.bound,
             required_step=u_op,
-            require_connected=True,
             min_cost=0 if depth is None else 1 + depth,
         )
         if p is not None:

@@ -85,9 +85,10 @@ class Operator:
     """An action schema or instance.
 
     ``args`` may contain variables (schema) or be ground (instance); every
-    variable in preconditions and effects must appear in the args, be bound
-    by a topic constraint, or be anonymous.  ``actor`` names the agent that
-    performs the action (used by the causality side-condition).
+    variable in the effects must appear in the args or be bound by a topic
+    constraint, and every precondition variable must too or be anonymous.
+    ``actor`` names the agent that performs the action (used by the
+    causality side-condition).
     ``topic_constraints`` are (proposition, topic) pairs where the topic
     term must equal the proposition's root functor, looking through not().
     ``positive_constraints`` are terms that may not instantiate to a
@@ -128,16 +129,20 @@ class Operator:
 
 
 def validate_operator(op: Operator) -> None:
-    """Raise PlannerError unless every variable of op's preconditions and
-    effects is among its args, bound by a topic constraint, or anonymous,
-    and no term is both added and deleted."""
+    """Raise PlannerError unless every variable of op's effects is among its
+    args or bound by a topic constraint, every precondition variable is too
+    or is anonymous, and no term is both added and deleted.
+
+    So every ground instance adds and deletes only ground facts, and the
+    states that matching builds from ground facts stay ground.
+    """
     allowed = variables(op.head())
     for _, t in op.topic_constraints:
         allowed |= variables(t)
-    for group in (op.preconditions, op.add, op.delete):
+    for group, anonymous_ok in ((op.preconditions, True), (op.add + op.delete, False)):
         for t in group:
             for v in variables(t):
-                if v not in allowed and not v.startswith("_a"):
+                if v not in allowed and not (anonymous_ok and v.startswith("_a")):
                     raise PlannerError(
                         f"operator {op.name}: variable ?{v} not among parameters"
                     )
@@ -630,23 +635,27 @@ def _plan_key(p: Plan) -> tuple:
     return (names, heads, links, tuple(sorted(p.orderings)))
 
 
+def _check_ground(facts: tuple[Term, ...], what: str) -> None:
+    for f in facts:
+        if not is_ground(f):
+            raise PlannerError(f"{what} must be ground, got {render(f)}")
+
+
 def plan(
     initial: list[Term] | tuple[Term, ...],
     goal: Term | list[Term] | tuple[Term, ...],
     ops: list[Operator] | tuple[Operator, ...],
     bound: int = DEFAULT_BOUND,
     required_step: Operator | None = None,
-    require_connected: bool = False,
     trace: Trace | None = None,
     *,
     min_cost: int = 0,
 ) -> Plan | None:
     """Minimal-cost complete plan within the step bound, or None.
 
-    ``required_step`` pre-seeds a mandatory (ground) step; with
-    ``require_connected`` the plan must also route a causal-link path from
-    that step to the goal.  Iterative deepening on step count guarantees
-    minimality.  Ties break on the linearized operator name sequence, then
+    ``required_step`` pre-seeds a mandatory (ground) step, and the plan
+    must route a causal-link path from that step to the goal.  Iterative
+    deepening on step count guarantees minimality.  Ties break on the linearized operator name sequence, then
     on step heads, links and orderings, over every complete plan of that
     cost: the result is the lexicographically least one.
 
@@ -660,9 +669,7 @@ def plan(
     if bound < 1:
         raise PlannerError("bound must be >= 1")
     initial = tuple(initial)
-    for f in initial:
-        if not is_ground(f):
-            raise PlannerError(f"initial facts must be ground, got {render(f)}")
+    _check_ground(initial, "initial facts")
     goals = tuple(goal) if isinstance(goal, (list, tuple)) else (goal,)
     ops = tuple(ops)
 
@@ -696,7 +703,7 @@ def plan(
         limit=start,
         add_keys=tuple(_add_keys(op) for op in ops),
     )
-    connected_from = FIRST_STEP_ID if required_step is not None and require_connected else None
+    connected_from = FIRST_STEP_ID if required_step is not None else None
     for limit in range(start, bound + 1):
         prob.limit = limit
         prob.hit_limit = False
@@ -734,13 +741,14 @@ def _key(t: Term) -> tuple[str, int] | None:
 
 
 class _FactIndex:
-    """The facts of one state in render order, bucketed by (functor, arity).
+    """The facts of one ground state in render order, bucketed by (functor,
+    arity).
 
     A bucket keeps the render order, so matching a pattern against its
     bucket visits the facts that can unify with it in the same order as
-    scanning the whole sorted state would.  A state with a non-ground fact
-    is not bucketed: such a fact may unify with patterns of other keys, and
-    with ground patterns other than itself.
+    scanning the whole sorted state would.  The states are ground because
+    the callers check their input facts and :func:`validate_operator` keeps
+    every instance's effects ground.
     """
 
     __slots__ = ("facts", "members", "buckets")
@@ -748,16 +756,14 @@ class _FactIndex:
     def __init__(self, state: set[Term] | frozenset[Term]) -> None:
         self.facts = sorted(state, key=render)
         self.members = frozenset(state)
-        self.buckets: dict[tuple[str, int] | None, list[Term]] | None = None
-        if all(is_ground(f) for f in self.facts):
-            self.buckets = {}
-            for f in self.facts:
-                self.buckets.setdefault(_key(f), []).append(f)
+        self.buckets: dict[tuple[str, int] | None, list[Term]] = {}
+        for f in self.facts:
+            self.buckets.setdefault(_key(f), []).append(f)
 
     def matching(self, pattern: Term) -> list[Term]:
         """Facts that may unify with pattern, in render order."""
         key = _key(pattern)
-        if key is None or self.buckets is None:
+        if key is None:
             return self.facts
         if is_ground(pattern):
             # only the pattern itself unifies with a ground pattern
@@ -767,11 +773,7 @@ class _FactIndex:
 
 def _ground_instances(op: Operator, index: _FactIndex) -> list[Operator]:
     """All ground instantiations of op whose preconditions hold in the
-    indexed state, in precondition-match order.
-
-    Callers pass each schema renamed once (``rename_operator(op, 0)``), so
-    its variables are apart from any the facts may hold.
-    """
+    indexed (ground) state, in precondition-match order."""
     results: list[Operator] = []
 
     def match(i: int, s: Substitution, constraints: tuple[Constraint, ...]) -> None:
@@ -834,9 +836,9 @@ def relevance_depth(
 ) -> tuple[int | None, tuple[str, str] | None]:
     """The fewest actions a chain from the ground ``step`` to ``goal`` needs.
 
-    Returns ``(depth, fallback)``.  ``depth`` is None when no chain exists:
-    then ``plan(initial, goal, ops, bound, required_step=step,
-    require_connected=True)`` returns None.  Otherwise every plan that call
+    ``initial`` must be ground.  Returns ``(depth, fallback)``.  ``depth``
+    is None when no chain exists: then ``plan(initial, goal, ops, bound,
+    required_step=step)`` returns None.  Otherwise every plan that call
     accepts has at least ``1 + depth`` steps.  ``fallback`` is a (cause,
     detail) pair, with ``depth`` None, when the gate cannot decide.
 
@@ -862,6 +864,7 @@ def relevance_depth(
     ``"nesting-limit"``: a derived fact nests deeper than any fact of a plan
     within ``bound`` steps can, which also keeps the fixpoint finite.
     """
+    _check_ground(tuple(initial) + step.add, "initial facts and step effects")
     for op in ops:
         name = _unbound_variable(op)
         if name is not None:
@@ -871,12 +874,11 @@ def relevance_depth(
     # than the facts it consumes
     growth = max((_depth(e) - 1 for op in ops for e in op.add), default=0)
     limit = max(_depth(f) for f in facts) + bound * growth
-    schemas = [rename_operator(op, 0)[0] for op in ops]
     actions: dict[Operator, None] = {}
     while True:
         index = _FactIndex(facts)
         new: set[Term] = set()
-        for op in schemas:
+        for op in ops:
             for inst in _ground_instances(op, index):
                 actions.setdefault(inst)
                 new.update(e for e in inst.add if e not in facts)
@@ -922,7 +924,8 @@ def complete_from(
     """Shortest nonempty action sequence from `state` to each of `goals`.
 
     Returns one entry per goal, in goal order: the completion, or None when
-    no sequence within `bound` actions reaches the goal.  The first action
+    no sequence within `bound` actions reaches the goal.  `state` and
+    `ambient` must be ground; the goals need not be.  The first action
     must have a precondition unifying with `state`; every action executes
     in the ambient context.  A goal may contain variables; it is reached
     when it unifies with a fact of a generated state (the least such fact
@@ -943,20 +946,20 @@ def complete_from(
     """
     if bound < 1:
         raise PlannerError("bound must be >= 1")
+    _check_ground((state, *ambient), "entry state and ambient facts")
     found: list[Completion | None] = [None] * len(goals)
     pending = list(range(len(goals)))
     start = frozenset(ambient)
     at_start: list[list[Term]] = []  # the ambient facts each goal unifies with
     frontier: list[tuple[frozenset[Term], tuple[Operator, ...]]] = [(start, ())]
     visited: set[frozenset[Term]] = {start}
-    schemas = [rename_operator(op, 0)[0] for op in ops]
     for _ in range(bound):
         if not frontier or not pending:
             break
         nxt: list[tuple[frozenset[Term], tuple[Operator, ...]]] = []
         for current, seq in frontier:
             index = _FactIndex(current)
-            for op in schemas:
+            for op in ops:
                 for inst in _ground_instances(op, index):
                     if not seq:
                         if all(unify(pre, state) is None for pre in inst.preconditions):

@@ -138,26 +138,10 @@ class TestInformTurn:
         )
         out = apply_hearer_update(store, INFORM, SCHEMAS, trace=trace)
         assert not holds(out, ("system", "expert"), bel(Q))
-        assert any(ev.kind == "block" for ev in trace.events)
-
-
-class TestCustomSchemaEffects:
-    def test_effects_beyond_precondition_ascriptions_land(self):
-        # for the builtins the hearer-side effects coincide with the
-        # precondition ascriptions; a custom act pins the effects pathway
-        from implicature.acts import ActSchema, CONTENT, HEARER, SPEAKER
-
-        greet = ActSchema(
-            name="greet",
-            preconditions=(Attitude("goal", struct("bel", HEARER, CONTENT)),),
-            effects=(
-                struct("bel", HEARER, struct("greeted", SPEAKER, HEARER)),
-            ),
-        )
-        schemas = dict(SCHEMAS, greet=greet)
-        act = ActInstance("greet", "b", "a", t("hello"))
-        store = apply_hearer_update(BeliefStore(), act, schemas)
-        assert holds(store, ("a",), bel(t("greeted(b, a)")))
+        # one event for the one blocked precondition
+        assert [(ev.module, ev.payload["cause"]) for ev in trace.find("block")] == [
+            ("belief-spaces", "contrary-evidence")
+        ]
 
 
 class TestAnswerActs:

@@ -202,6 +202,19 @@ class TestStereotypeAscribe:
         out = stereotype_ascribe(store, ("a",), st_tpl, EMPTY_SUBST, trace=trace)
         assert out == store
         assert trace.events[-1].kind == "block"
+        assert trace.events[-1].payload["cause"] == "contrary-evidence"
+
+    def test_template_past_nesting_cap_blocked_and_traced(self):
+        trace = Trace()
+        st_deep = Stereotype(
+            name="gossip", members=frozenset(), attitudes=(bel(t("bel(e, p)")),)
+        )
+        out = stereotype_ascribe(
+            BeliefStore(), ("a", "b", "c", "d"), st_deep, EMPTY_SUBST, trace=trace
+        )
+        assert out.spaces == {}
+        assert trace.kinds() == ["block"]
+        assert trace.events[0].payload["cause"] == "nesting-depth-cap"
 
 
 class TestRenderStore:

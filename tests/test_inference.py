@@ -457,3 +457,69 @@ class TestUtteranceOperator:
     def test_unknown_schema(self):
         with pytest.raises(InferenceError):
             utterance_operator(ActInstance("inform", "a", "b", t("p")), {})
+
+
+class TestActOperators:
+    """The compiled operators, written out by hand: each act's add-effects
+    are the hearer update bel(hearer, C(speaker, ...)) of its preconditions,
+    last first, plus the expectation fact a question registers."""
+
+    @staticmethod
+    def act(name, pre, add):
+        speaker, hearer, content = t("?speaker"), t("?hearer"), t("?content")
+        return Operator(
+            name=name,
+            args=(speaker, hearer, content),
+            preconditions=tuple(t(x) for x in pre),
+            add=tuple(t(x) for x in add),
+            actor=speaker,
+            positive_constraints=(content,),
+        )
+
+    def test_builtin_operators_written_out(self):
+        inform_pre = ["goal(?speaker, bel(?hearer, ?content))", "bel(?speaker, ?content)"]
+        inform_add = [
+            "bel(?hearer, bel(?speaker, ?content))",
+            "bel(?hearer, goal(?speaker, bel(?hearer, ?content)))",
+        ]
+        expected = (
+            Operator(
+                name="accept_belief",
+                args=(t("?h"), t("?s"), t("?p")),
+                preconditions=(t("bel(?h, bel(?s, ?p))"), t("reliable(?s, ?t)")),
+                add=(t("bel(?h, ?p)"),),
+                actor=t("?h"),
+                topic_constraints=((t("?p"), t("?t")),),
+            ),
+            self.act("inform", inform_pre, inform_add),
+            self.act(
+                "no_answer",
+                [
+                    "goal(?speaker, bel(?hearer, not(?content)))",
+                    "bel(?speaker, not(?content))",
+                    "answer_expected(?speaker, ?hearer, ?content)",
+                ],
+                [
+                    "bel(?hearer, bel(?speaker, not(?content)))",
+                    "bel(?hearer, goal(?speaker, bel(?hearer, not(?content))))",
+                ],
+            ),
+            self.act(
+                "question",
+                [
+                    "goal(?speaker, bel(?speaker, or(?content, not(?content))))",
+                    "bel(?speaker, bel(?hearer, or(?content, not(?content))))",
+                ],
+                [
+                    "bel(?hearer, bel(?speaker, bel(?hearer, or(?content, not(?content)))))",
+                    "bel(?hearer, goal(?speaker, bel(?speaker, or(?content, not(?content)))))",
+                    "answer_expected(?hearer, ?speaker, ?content)",
+                ],
+            ),
+            self.act(
+                "yes_answer",
+                inform_pre + ["answer_expected(?speaker, ?hearer, ?content)"],
+                inform_add,
+            ),
+        )
+        assert build_operators(SCHEMAS) == expected

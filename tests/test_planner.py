@@ -303,7 +303,7 @@ class TestStateComparisons:
 
         rng = random.Random(61)
         compared = nonempty = 0
-        for _ in range(300):
+        for _ in range(600):
             initial, goal, ops = random_ground_domain(rng)
             u = rng.choice(ops)
             initial = list(dict.fromkeys(initial + list(u.preconditions)))

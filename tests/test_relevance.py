@@ -28,7 +28,7 @@ def _irrelevant_is_sound(initial, goal, ops, u, bound=BOUND):
     depth, fallback = relevance_depth(initial, goal, ops, u, bound)
     assert fallback is None
     if depth is None:
-        p = plan(initial, goal, ops, bound=bound, required_step=u, require_connected=True)
+        p = plan(initial, goal, ops, bound=bound, required_step=u)
         assert p is None, f"gate said irrelevant, planner found {p}"
     return depth is not None
 
@@ -110,11 +110,8 @@ def _start_depth_is_sound(initial, goal, ops, u, bound=BOUND):
     assert fallback is None
     if depth is None:
         return None, None
-    full = plan(initial, goal, ops, bound=bound, required_step=u, require_connected=True)
-    bounded = plan(
-        initial, goal, ops, bound=bound, required_step=u, require_connected=True,
-        min_cost=1 + depth,
-    )
+    full = plan(initial, goal, ops, bound=bound, required_step=u)
+    bounded = plan(initial, goal, ops, bound=bound, required_step=u, min_cost=1 + depth)
     assert bounded == full
     if full is not None:
         assert cost(full) >= 1 + depth
@@ -185,8 +182,7 @@ class TestGateFallback:
         assert relevance_depth([], goal, [u, tell], u, BOUND) == (
             None, ("unbound-variable", "tell ?x")
         )
-        assert plan([], goal, [u, tell], bound=BOUND, required_step=u,
-                    require_connected=True) is not None
+        assert plan([], goal, [u, tell], bound=BOUND, required_step=u) is not None
 
     def test_nesting_limit_falls_back_to_relevant(self):
         u = Operator("u", add=(t("bel(a, p)"),), actor=t("spk"))

@@ -128,6 +128,21 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"bad operator f\(\?x\): .*\?y"):
             load_scenario("(agents a b)\n(operator f(?x) (pre g(?x)) (add h(?y)))")
 
+    @pytest.mark.parametrize(
+        "clause, name",
+        [("(add h(?))", "_a1"), ("(add h(?_any))", "_any"), ("(del g(?, ?x))", "_a1")],
+    )
+    def test_operator_effect_variable_outside_head_rejected(self, clause, name):
+        # an effect variable the head does not bind would make a non-ground fact
+        with pytest.raises(
+            ScenarioError, match=rf"bad operator f\(\?x\): operator f: variable \?{name} "
+        ):
+            load_scenario(f"(agents a b)\n(operator f(?x) (pre g(?, ?x)) {clause})")
+
+    def test_operator_anonymous_precondition_variable_loads(self):
+        s = load_scenario("(agents a b)\n(operator f(?x) (pre g(?, ?x)) (add h(?x)))")
+        assert render(s.operators[0].preconditions[0]) == "g(?_a1, ?x)"
+
     def test_operator_adding_and_deleting_a_term_rejected(self):
         with pytest.raises(ScenarioError, match=r"bad operator f\(\?x\): .*overlap"):
             load_scenario(OVERLAP_OPERATOR)
@@ -281,6 +296,16 @@ class TestGoldenTrace:
         s = load_scenario(scenario_text(name))
         assert emit_json(run(s)) == golden.read_text()
 
+    @pytest.mark.parametrize("name", ["computer_off", "swim_waves", "burnt_cakes"])
+    def test_dot_matches_frozen_export(self, name, tmp_path, capsys):
+        golden = Path(__file__).parent / "golden" / f"{name}.dot"
+        dot_file = tmp_path / f"{name}.dot"
+        code = cli_main(
+            ["run", name, "--trace", str(tmp_path / "t.json"), "--dot", str(dot_file)]
+        )
+        assert code == 0
+        assert dot_file.read_bytes() == golden.read_bytes()
+
 
 class TestCli:
     def test_run_writes_trace_and_dot(self, tmp_path, capsys):
@@ -349,6 +374,17 @@ class TestCli:
         bad.write_text("(agents a b)\n(operator f(?x) (pre g(?x)) (add h(?y)))\n")
         assert cli_main(["run", str(bad)]) == 1
         assert "bad operator f(?x): operator f: variable ?y not among parameters" in (
+            capsys.readouterr().err
+        )
+
+    def test_operator_anonymous_effect_variable_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "anon.vgs"
+        bad.write_text(
+            scenario_text("computer_off")
+            + "(operator warn(?x) (pre seen(?x)) (add told(?x, ?)))\n"
+        )
+        assert cli_main(["run", str(bad)]) == 1
+        assert "bad operator warn(?x): operator warn: variable ?_a1 not among parameters" in (
             capsys.readouterr().err
         )
 
