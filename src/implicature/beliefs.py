@@ -125,16 +125,6 @@ def render_attitude(path: Path, att: Attitude) -> Term:
     return t
 
 
-def attitude_from_term(t: Term) -> tuple[str, Attitude]:
-    """Split an agentified attitude term into (outer agent, stored form)."""
-    if not _is_agent_chain(t):
-        raise BeliefError(f"not an attitude term: {render(t)}")
-    assert isinstance(t, Compound)
-    agent = t.args[0]
-    assert isinstance(agent, Atom)
-    return agent.name, Attitude(t.functor, t.args[1])
-
-
 @dataclass(frozen=True)
 class BeliefStore:
     """Immutable map from viewpoint paths to attitude sets.

@@ -31,14 +31,16 @@ one breadth-first search shared by all the goals); and the relevance gate
 recognition runs before planning (delete-relaxed reachability over ground
 operator instances, then the shortest chain of those instances from the
 utterance's add-effects to the goal, which also bounds the plan's cost
-from below).  The gate and completion search ground operators with one
-matcher over an indexed state.
+from below).  The gate builds one relaxed closure per turn, semi-naively,
+and extends it with each candidate goal's seeds.  The gate and completion
+search ground operators with one matcher over an indexed state.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from typing import Collection, Iterable
 
 from .terms import (
     Atom,
@@ -742,26 +744,42 @@ def _key(t: Term) -> tuple[str, int] | None:
 
 class _FactIndex:
     """The facts of one ground state in render order, bucketed by (functor,
-    arity).
+    arity), plus any facts added later.
 
     A bucket keeps the render order, so matching a pattern against its
     bucket visits the facts that can unify with it in the same order as
-    scanning the whole sorted state would.  The states are ground because
-    the callers check their input facts and :func:`validate_operator` keeps
-    every instance's effects ground.
+    scanning the whole sorted state would.  Added facts go after the
+    others, in the order given.  The state and each batch of added facts
+    hold distinct facts.  The states are ground because the callers
+    check their input facts and :func:`validate_operator` keeps every
+    instance's effects ground.
     """
 
     __slots__ = ("facts", "members", "buckets")
 
-    def __init__(self, state: set[Term] | frozenset[Term]) -> None:
+    def __init__(self, state: Collection[Term] = ()) -> None:
         self.facts = sorted(state, key=render)
-        self.members = frozenset(state)
+        self.members = set(state)
         self.buckets: dict[tuple[str, int] | None, list[Term]] = {}
         for f in self.facts:
             self.buckets.setdefault(_key(f), []).append(f)
 
+    def add(self, facts: Collection[Term]) -> None:
+        """Index ``facts``, distinct and none indexed yet, after the others."""
+        for f in facts:
+            self.facts.append(f)
+            self.buckets.setdefault(_key(f), []).append(f)
+        self.members.update(facts)
+
+    def copy(self) -> _FactIndex:
+        twin = _FactIndex()
+        twin.facts = list(self.facts)
+        twin.members = set(self.members)
+        twin.buckets = {k: list(v) for k, v in self.buckets.items()}
+        return twin
+
     def matching(self, pattern: Term) -> list[Term]:
-        """Facts that may unify with pattern, in render order."""
+        """Facts that may unify with pattern, in index order."""
         key = _key(pattern)
         if key is None:
             return self.facts
@@ -771,32 +789,63 @@ class _FactIndex:
         return self.buckets.get(key, [])
 
 
-def _ground_instances(op: Operator, index: _FactIndex) -> list[Operator]:
+def _ground_instances(
+    op: Operator, index: _FactIndex, delta: _FactIndex | None = None
+) -> list[Operator]:
     """All ground instantiations of op whose preconditions hold in the
-    indexed (ground) state, in precondition-match order."""
-    results: list[Operator] = []
+    indexed (ground) state, in precondition-match order.
 
-    def match(i: int, s: Substitution, constraints: tuple[Constraint, ...]) -> None:
+    With ``delta``, which holds some of the indexed facts (those new in the
+    last round of a fixpoint), only the instances with a precondition in
+    ``delta``, each found once: its first precondition that ``delta`` holds
+    (the pivot) is matched first, against ``delta``; the preconditions
+    before the pivot then match the other indexed facts, and those after
+    it match every indexed fact.  An operator without preconditions has no
+    such instance.
+    """
+    results: list[Operator] = []
+    pre = op.preconditions
+
+    def match(
+        order: tuple[tuple[int, _FactIndex, _FactIndex | None], ...],
+        k: int,
+        s: Substitution,
+        constraints: tuple[Constraint, ...],
+    ) -> None:
         # constraints resolve as bindings land, pruning early and binding
         # topics before the preconditions that mention them are matched
         propagated = _propagate_constraints(s, constraints)
         if propagated is None:
             return
         s, constraints = propagated
-        if i == len(op.preconditions):
+        if k == len(order):
             if constraints:
                 return
             inst = op.substituted(s)
             if is_ground(inst.head()) and inst not in results:
                 results.append(inst)
             return
-        pre = op.preconditions[i]
-        for f in index.matching(apply(s, pre)):
-            u = unify(pre, f, s)
+        i, source, excluded = order[k]
+        for f in source.matching(apply(s, pre[i])):
+            if excluded is not None and f in excluded.members:
+                continue
+            u = unify(pre[i], f, s)
             if u is not None:
-                match(i + 1, u, constraints)
+                match(order, k + 1, u, constraints)
 
-    match(0, EMPTY_SUBST, _constraints_of(op))
+    if delta is None:
+        match(tuple((i, index, None) for i in range(len(pre))), 0, EMPTY_SUBST, _constraints_of(op))
+        return results
+    for pivot in range(len(pre)):
+        key = _key(pre[pivot])
+        if key is not None and key not in delta.buckets:
+            continue
+        order = (
+            (pivot, delta, None),
+            *((i, index, delta) for i in range(pivot)),
+            *((i, index, None) for i in range(pivot + 1, len(pre))),
+        )
+        match(order, 0, EMPTY_SUBST, _constraints_of(op))
     return results
 
 
@@ -827,25 +876,89 @@ def _unbound_variable(op: Operator) -> str | None:
     return None
 
 
-def relevance_depth(
-    initial: list[Term] | tuple[Term, ...],
-    goal: Term,
-    ops: list[Operator] | tuple[Operator, ...],
-    step: Operator,
-    bound: int,
-) -> tuple[int | None, tuple[str, str] | None]:
-    """The fewest actions a chain from the ground ``step`` to ``goal`` needs.
+def _close(
+    index: _FactIndex,
+    delta: _FactIndex | None,
+    ops: tuple[Operator, ...],
+    actions: list[Operator],
+    limit: int,
+) -> Term | None:
+    """Extend the delete-relaxed closure of the facts in ``index`` to its
+    fixpoint, semi-naively.
 
-    ``initial`` must be ground.  Returns ``(depth, fallback)``.  ``depth``
-    is None when no chain exists: then ``plan(initial, goal, ops, bound,
-    required_step=step)`` returns None.  Otherwise every plan that call
-    accepts has at least ``1 + depth`` steps.  ``fallback`` is a (cause,
-    detail) pair, with ``depth`` None, when the gate cannot decide.
+    ``delta`` holds the indexed facts no round has matched yet (None: all
+    of them, and the first round is one plain pass).  Each round grounds
+    only the instances with a precondition in the last round's delta, so
+    no instance is found twice; it appends them to ``actions`` and indexes
+    their new add-effects.  A round that derives a fact nested deeper than
+    ``limit`` stops the fixpoint before its facts are indexed.  Returns the
+    deepest fact derived (of that round, if one stopped it), or None when
+    no fact was derived.
+    """
+    deepest: Term | None = None
+    while True:
+        new: dict[Term, None] = {}
+        for op in ops:
+            for inst in _ground_instances(op, index, delta):
+                actions.append(inst)
+                new.update((e, None) for e in inst.add if e not in index.members)
+        if not new:
+            return deepest
+        top = max(new, key=_depth)
+        if deepest is None or _depth(top) > _depth(deepest):
+            deepest = top
+        if _depth(top) > limit:
+            return top
+        index.add(new)
+        delta = _FactIndex(new)
 
-    Reachability: a delete-relaxed fixpoint over the ground instances of
-    ``ops`` from ``initial`` plus the step's add-effects.  Every step of a
-    complete plan is a ground instance whose preconditions are
-    relaxed-reachable, so it is among the instances the fixpoint finds.
+
+def _chain_depth(goal: Term, start: tuple[Term, ...], actions: list[Operator]) -> int | None:
+    """The first layer of the chain from ``start`` over ``actions`` with a
+    fact that unifies with ``goal``, or None."""
+    layer = set(start)
+    seen = set(layer)
+    pending = actions
+    depth = 0
+    while layer:
+        if any(unify(goal, f) is not None for f in layer):
+            return depth
+        nxt: set[Term] = set()
+        rest: list[Operator] = []
+        for a in pending:
+            if any(p in layer for p in a.preconditions):
+                nxt.update(e for e in a.add if e not in seen)
+            else:
+                rest.append(a)
+        pending = rest
+        seen |= nxt
+        layer = nxt
+        depth += 1
+    return None
+
+
+class RelevanceGate:
+    """The relevance gate of one turn: for each candidate goal, the fewest
+    actions a chain from the ground utterance ``step`` to the goal needs.
+
+    ``initial`` (the facts every candidate plans from) must be ground.  A
+    candidate plans from ``initial`` plus its own ground seed facts, and
+    ``seed_sets`` lists the seeds of every candidate the gate will be asked
+    about.  :meth:`depth` answers ``(depth, fallback)`` for one candidate.
+    ``depth`` is None when no chain exists: then ``plan(initial + seeds,
+    goal, ops, bound, required_step=step)`` returns None.  Otherwise every
+    plan that call accepts has at least ``1 + depth`` steps.  ``fallback``
+    is a (cause, detail) pair, with ``depth`` None, when the gate cannot
+    decide.
+
+    Reachability: the delete-relaxed closure of a candidate's facts plus
+    the step's add-effects under the ground instances of ``ops``.  Every
+    step of a complete plan is a ground instance whose preconditions are
+    relaxed-reachable, so it is among the instances the closure finds.
+    The closure of ``initial`` plus the step's add-effects is built once,
+    semi-naively (:func:`_close`), and each candidate extends it with its
+    seeds as the first delta.  That is the closure a fixpoint from the
+    candidate's facts alone reaches, with the same instances.
 
     Chain: layer 0 is the step's add-effects, and layer d+1 holds the
     add-effects of every found instance with a precondition in layer d
@@ -860,53 +973,75 @@ def relevance_depth(
 
     Two cases fall back.  Cause ``"unbound-variable"``: an operator has an
     arg or add-effect variable that only the planner could bind (from the
-    goal), so forward grounding misses its instances.  Cause
-    ``"nesting-limit"``: a derived fact nests deeper than any fact of a plan
-    within ``bound`` steps can, which also keeps the fixpoint finite.
+    goal), so forward grounding misses its instances; it depends on the
+    operators alone, so it holds for every candidate.  Cause
+    ``"nesting-limit"``: the candidate's closure holds a fact nested deeper
+    than any fact of a plan within ``bound`` steps can be: deeper than its
+    deepest initial fact, seed or step effect by ``bound`` times the most
+    any operator nests an add-effect past the facts it consumes.  Seeds
+    can raise a candidate's limit, so the shared closure stops only past
+    the largest limit of ``seed_sets``, which keeps it finite; the detail
+    names a fact past the candidate's own limit.
     """
-    _check_ground(tuple(initial) + step.add, "initial facts and step effects")
-    for op in ops:
-        name = _unbound_variable(op)
-        if name is not None:
-            return None, ("unbound-variable", f"{op.name} ?{name}")
-    facts = set(initial) | set(step.add)
-    # each step nests its add-effects at most (template depth - 1) deeper
-    # than the facts it consumes
-    growth = max((_depth(e) - 1 for op in ops for e in op.add), default=0)
-    limit = max(_depth(f) for f in facts) + bound * growth
-    actions: dict[Operator, None] = {}
-    while True:
-        index = _FactIndex(facts)
-        new: set[Term] = set()
-        for op in ops:
-            for inst in _ground_instances(op, index):
-                actions.setdefault(inst)
-                new.update(e for e in inst.add if e not in facts)
-        if not new:
-            break
-        deepest = max(new, key=_depth)
-        if _depth(deepest) > limit:
-            return None, ("nesting-limit", render(deepest))
-        facts |= new
-    layer = set(step.add)
-    seen = set(layer)
-    pending = list(actions)
-    depth = 0
-    while layer:
-        if any(unify(goal, f) is not None for f in layer):
-            return depth, None
-        nxt: set[Term] = set()
-        rest: list[Operator] = []
-        for a in pending:
-            if any(p in layer for p in a.preconditions):
-                nxt.update(e for e in a.add if e not in seen)
-            else:
-                rest.append(a)
-        pending = rest
-        seen |= nxt
-        layer = nxt
-        depth += 1
-    return None, None
+
+    def __init__(
+        self,
+        initial: list[Term] | tuple[Term, ...],
+        ops: list[Operator] | tuple[Operator, ...],
+        step: Operator,
+        bound: int,
+        seed_sets: Iterable[Iterable[Term]] = ((),),
+    ) -> None:
+        facts = tuple(initial) + step.add
+        _check_ground(facts, "initial facts and step effects")
+        self.step = step
+        self.ops = tuple(ops)
+        self.fallback: tuple[str, str] | None = None
+        for op in self.ops:
+            name = _unbound_variable(op)
+            if name is not None:
+                self.fallback = ("unbound-variable", f"{op.name} ?{name}")
+                return
+        #: the deepest fact of the shared closure: past ``cap`` when the
+        #: closure stopped there, else the deepest of all its facts
+        self.deepest = max(facts, key=_depth, default=None)
+        self.base_depth = 0 if self.deepest is None else _depth(self.deepest)
+        # each step nests its add-effects at most (template depth - 1)
+        # deeper than the facts it consumes
+        self.margin = bound * max((_depth(e) - 1 for op in self.ops for e in op.add), default=0)
+        self.cap = max(self._limit(tuple(seeds)) for seeds in seed_sets)
+        self.index = _FactIndex(set(facts))
+        self.actions: list[Operator] = []
+        derived = _close(self.index, None, self.ops, self.actions, self.cap)
+        if derived is not None and _depth(derived) > self.base_depth:
+            self.deepest = derived
+
+    def _limit(self, seeds: tuple[Term, ...]) -> int:
+        return max([self.base_depth] + [_depth(f) for f in seeds]) + self.margin
+
+    def depth(
+        self, goal: Term, seeds: Iterable[Term] = ()
+    ) -> tuple[int | None, tuple[str, str] | None]:
+        """``(depth, fallback)`` for the candidate with ``goal`` and ``seeds``."""
+        seeds = tuple(seeds)
+        _check_ground(seeds, "seed facts")
+        if self.fallback is not None:
+            return None, self.fallback
+        limit = self._limit(seeds)
+        if limit > self.cap:
+            raise PlannerError("seeds nest deeper than every seed set the gate was built for")
+        if self.deepest is not None and _depth(self.deepest) > limit:
+            return None, ("nesting-limit", render(self.deepest))
+        actions = self.actions
+        fresh = [f for f in dict.fromkeys(seeds) if f not in self.index.members]
+        if fresh:
+            index = self.index.copy()
+            index.add(fresh)
+            actions = list(actions)
+            derived = _close(index, _FactIndex(fresh), self.ops, actions, limit)
+            if derived is not None and _depth(derived) > limit:
+                return None, ("nesting-limit", render(derived))
+        return _chain_depth(goal, self.step.add, actions), None
 
 
 # ---------------------------------------------------------------------------

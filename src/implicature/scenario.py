@@ -227,6 +227,8 @@ def act_from_term(t: Term) -> ActInstance:
     speaker, hearer, content = t.args
     if not isinstance(speaker, Atom) or not isinstance(hearer, Atom):
         raise ScenarioError(f"turn roles must be agent atoms: {render(t)}")
+    if speaker == hearer:
+        raise ScenarioError(f"turn speaker and hearer must differ: {render(t)}")
     if not is_ground(content):
         raise ScenarioError(f"turn content must be ground: {render(t)}")
     return ActInstance(
@@ -399,6 +401,8 @@ def load_scenario(text: str) -> Scenario:
         elif head == "avoid-goal":
             avoid_goals.extend(_as_term(g, "avoid goal") for g in form[1:])
         elif head == "turn":
+            if len(form) != 2:
+                raise ScenarioError("(turn act(speaker, hearer, content)) takes exactly one act")
             turns.append(act_from_term(_as_term(form[1], "turn")))
         elif head == "config":
             config = _parse_config(form, config)

@@ -3,15 +3,24 @@
 Everything here deliberately avoids the planner's search machinery: plans
 are checked against exhaustive breadth-first search over ground action
 sequences, and random domains are generated from a seeded RNG so failures
-reproduce.
+reproduce.  The naive relevance fixpoint reuses the planner's plain
+matcher and term helpers, but neither the semi-naive rounds nor the
+per-turn closure of the gate it checks.
 """
 
 from __future__ import annotations
 
 import random
 
-from implicature.planner import Operator
-from implicature.terms import Atom, Term
+from implicature.planner import (
+    Operator,
+    _check_ground,
+    _depth,
+    _FactIndex,
+    _ground_instances,
+    _unbound_variable,
+)
+from implicature.terms import Atom, Term, render, unify
 
 
 def applicable(op: Operator, state: frozenset[Term]) -> bool:
@@ -104,3 +113,60 @@ def random_ground_domain(
     initial = rng.sample(atoms, rng.randint(0, 3))
     goal = rng.choice(atoms)
     return initial, goal, ops
+
+
+def naive_relevance_depth(
+    initial: list[Term],
+    goal: Term,
+    ops: list[Operator],
+    step: Operator,
+    bound: int,
+) -> tuple[int | None, tuple[str, str] | None]:
+    """The relevance gate's ``(depth, fallback)`` for one candidate, by a
+    naive fixpoint: every round grounds every operator over every fact.
+
+    ``initial`` holds the candidate's facts, seeds included.  The reference
+    for :class:`implicature.planner.RelevanceGate`, which shares one
+    semi-naive closure among the candidates of a turn.
+    """
+    _check_ground(tuple(initial) + step.add, "initial facts and step effects")
+    for op in ops:
+        name = _unbound_variable(op)
+        if name is not None:
+            return None, ("unbound-variable", f"{op.name} ?{name}")
+    facts = set(initial) | set(step.add)
+    growth = max((_depth(e) - 1 for op in ops for e in op.add), default=0)
+    limit = max(_depth(f) for f in facts) + bound * growth
+    actions: dict[Operator, None] = {}
+    while True:
+        index = _FactIndex(facts)
+        new: set[Term] = set()
+        for op in ops:
+            for inst in _ground_instances(op, index):
+                actions.setdefault(inst)
+                new.update(e for e in inst.add if e not in facts)
+        if not new:
+            break
+        deepest = max(new, key=_depth)
+        if _depth(deepest) > limit:
+            return None, ("nesting-limit", render(deepest))
+        facts |= new
+    layer = set(step.add)
+    seen = set(layer)
+    pending = list(actions)
+    depth = 0
+    while layer:
+        if any(unify(goal, f) is not None for f in layer):
+            return depth, None
+        nxt: set[Term] = set()
+        rest: list[Operator] = []
+        for a in pending:
+            if any(p in layer for p in a.preconditions):
+                nxt.update(e for e in a.add if e not in seen)
+            else:
+                rest.append(a)
+        pending = rest
+        seen |= nxt
+        layer = nxt
+        depth += 1
+    return None, None

@@ -10,7 +10,6 @@ from implicature.beliefs import (
     ContradictionError,
     Stereotype,
     assert_attitude,
-    attitude_from_term,
     contrary_evidence,
     default_ascribe,
     holds,
@@ -54,8 +53,8 @@ class TestNormalization:
 
     def test_render_inverts_normalize(self):
         term = t("bel(system, int(expert, not(switch(system, computer_off))))")
-        agent, att = attitude_from_term(term)
-        path, att = normalize((agent,), att)
+        outer = Attitude("bel", t("int(expert, not(switch(system, computer_off)))"))
+        path, att = normalize(("system",), outer)
         assert render_attitude(path, att) == term
 
 

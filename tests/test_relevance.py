@@ -12,11 +12,20 @@ from importlib import resources
 
 import pytest
 
-from implicature.planner import Operator, cost, plan, relevance_depth
+from implicature.acts import ActInstance, builtin_schemas
+from implicature.inference import (
+    Domain,
+    _seeds_for,
+    build_operators,
+    recognize,
+    utterance_operator,
+)
+from implicature.planner import Operator, PlannerError, RelevanceGate, _depth, cost, plan
 from implicature.scenario import load_scenario, run, run_detailed
 from implicature.terms import Atom, Substitution, parse_term, render, struct, var
+from implicature.trace import Trace
 
-from oracles import bfs_min_cost, random_ground_domain
+from oracles import bfs_min_cost, naive_relevance_depth, random_ground_domain
 
 t = parse_term
 BOUND = 4
@@ -25,7 +34,7 @@ BOUND = 4
 def _irrelevant_is_sound(initial, goal, ops, u, bound=BOUND):
     """The gate's verdict; asserts that "irrelevant" agrees with the planner."""
     initial = list(dict.fromkeys(list(initial) + list(u.preconditions)))
-    depth, fallback = relevance_depth(initial, goal, ops, u, bound)
+    depth, fallback = RelevanceGate(initial, ops, u, bound).depth(goal)
     assert fallback is None
     if depth is None:
         p = plan(initial, goal, ops, bound=bound, required_step=u)
@@ -91,7 +100,7 @@ class TestGateSoundness:
     def test_irrelevant_when_effects_feed_nothing(self):
         u = Operator("u", preconditions=(t("p"),), add=(t("q"),), actor=t("spk"))
         other = Operator("o", preconditions=(t("p"),), add=(t("r"),), actor=t("spk"))
-        assert relevance_depth([t("p")], t("r"), [u, other], u, BOUND) == (None, None)
+        assert RelevanceGate([t("p")], [u, other], u, BOUND).depth(t("r")) == (None, None)
 
     def test_relevant_through_a_lifted_chain(self):
         u = Operator("u", add=(t("f(a)"),), actor=t("spk"))
@@ -99,14 +108,14 @@ class TestGateSoundness:
             "lift", args=(var("x"),), preconditions=(t("f(?x)"),), add=(t("h(?x)"),),
             actor=t("spk"),
         )
-        assert relevance_depth([], t("h(?any)"), [u, lift], u, BOUND) == (1, None)
+        assert RelevanceGate([], [u, lift], u, BOUND).depth(t("h(?any)")) == (1, None)
 
 
 def _start_depth_is_sound(initial, goal, ops, u, bound=BOUND):
     """The gate's chain depth, or None; asserts that planning from
     ``1 + depth`` finds the plan a search from the utterance alone finds."""
     initial = list(dict.fromkeys(list(initial) + list(u.preconditions)))
-    depth, fallback = relevance_depth(initial, goal, ops, u, bound)
+    depth, fallback = RelevanceGate(initial, ops, u, bound).depth(goal)
     assert fallback is None
     if depth is None:
         return None, None
@@ -162,11 +171,11 @@ class TestStartDepth:
             Operator("ag", preconditions=(t("a"), t("x")), add=(t("g"),), actor=t("spk")),
             Operator("x", add=(t("x"),), actor=t("spk")),
         ]
-        assert relevance_depth([], t("g"), ops, u, BOUND) == (1, None)
+        assert RelevanceGate([], ops, u, BOUND).depth(t("g")) == (1, None)
         # the goal already holds, yet a connected plan still needs a chain
-        assert relevance_depth([t("g")], t("g"), ops, u, BOUND) == (1, None)
-        assert relevance_depth([], t("a"), ops, u, BOUND) == (0, None)
-        assert relevance_depth([], t("x"), ops, u, BOUND) == (None, None)
+        assert RelevanceGate([t("g")], ops, u, BOUND).depth(t("g")) == (1, None)
+        assert RelevanceGate([], ops, u, BOUND).depth(t("a")) == (0, None)
+        assert RelevanceGate([], ops, u, BOUND).depth(t("x")) == (None, None)
 
 
 class TestGateFallback:
@@ -179,7 +188,7 @@ class TestGateFallback:
             actor=t("spk"),
         )
         goal = t("known(c)")
-        assert relevance_depth([], goal, [u, tell], u, BOUND) == (
+        assert RelevanceGate([], [u, tell], u, BOUND).depth(goal) == (
             None, ("unbound-variable", "tell ?x")
         )
         assert plan([], goal, [u, tell], bound=BOUND, required_step=u) is not None
@@ -190,7 +199,7 @@ class TestGateFallback:
             "echo", args=(var("x"),), preconditions=(t("bel(a, ?x)"),),
             add=(t("bel(a, bel(a, ?x))"),), actor=t("spk"),
         )
-        depth, fallback = relevance_depth([], t("q"), [u, echo], u, BOUND)
+        depth, fallback = RelevanceGate([], [u, echo], u, BOUND).depth(t("q"))
         assert depth is None
         assert fallback[0] == "nesting-limit"
 
@@ -206,6 +215,42 @@ class TestGateFallback:
         assert [ev.payload for ev in events] == [
             {"goal": "goal(b, bel(a, q))", "cause": "unbound-variable", "detail": "tell ?x"}
         ]
+
+    def test_each_candidate_falls_back_on_its_own_limit(self):
+        # m0(c) -> m1 -> ... -> m4 nests two levels a step and ends at
+        # depth 10.  The question act's add-effect bel(?h, goal(?s, bel(?s,
+        # or(?c, not(?c))))) nests 5 levels past ?c, so at bound 1 a
+        # candidate's limit is its deepest fact plus 5.  The shallow
+        # candidate's deepest fact is the utterance's depth-4 effect (limit
+        # 9); the deep candidate's seed goal(b, bel(a, k(k(q)))) has depth 5
+        # (limit 10), so only the shallow candidate falls back.
+        x = var("x")
+        chain = tuple(
+            Operator(
+                f"m{i}", args=(x,), preconditions=(struct(f"m{i - 1}", x),),
+                add=(struct(f"m{i}", struct("w", struct("w", x))),), actor=t("b"),
+            )
+            for i in (1, 2, 3, 4)
+        )
+        domain = Domain(
+            schemas=builtin_schemas(),
+            operators=build_operators(builtin_schemas(), chain),
+            bound=1,
+        )
+        utterance = ActInstance("inform", "b", "a", t("q"))
+        shallow, deep = t("goal(b, bel(a, q))"), t("goal(b, bel(a, k(k(q))))")
+        trace = Trace()
+        assert recognize((t("m0(c)"),), utterance, [shallow, deep], domain, trace) is None
+        [fallback] = trace.find("relevance-fallback")
+        assert fallback.payload["goal"] == render(shallow)
+        assert fallback.payload["cause"] == "nesting-limit"
+        u = utterance_operator(utterance, domain.schemas)
+        own = (t("m0(c)"),) + u.preconditions + u.add + tuple(_seeds_for(shallow))
+        assert _depth(t(fallback.payload["detail"])) > _limit(own, domain.operators, 1)
+        skipped = [
+            (ev.payload["goal"], ev.payload["cause"]) for ev in trace.find("candidate-skipped")
+        ]
+        assert skipped == [(render(shallow), "unreachable"), (render(deep), "irrelevant-utterance")]
 
     @pytest.mark.parametrize("name", ["computer_off", "swim_waves", "burnt_cakes"])
     def test_bundled_scenarios_never_fall_back(self, name):
@@ -264,3 +309,154 @@ class TestDeepWarningChain:
         )
         assert answer.verdict.kind == "inefficient"
         assert (answer.verdict.cost_r, answer.verdict.cost_o) == (9, 2)
+
+
+def random_nesting_domain(rng: random.Random):
+    """Lifted one-precondition operators over unary p0..p5 that wrap the
+    bound variable one or two levels deeper.  Most pass a fact on to a
+    later predicate, so most closures are finite; some loop back and nest
+    without end.  Now and then an operator takes an arg no precondition
+    binds.  Returns the initial facts, the operators, a ground utterance
+    instance of one of them and a maker of random facts for seeds and
+    goals."""
+    x = var("x")
+
+    def nested(depth):
+        term = rng.choice([Atom("a"), Atom("b")])
+        for _ in range(depth - 1):
+            term = struct(rng.choice("fh"), term)
+        return term
+
+    def fact(depth):
+        return struct(f"p{rng.randrange(3)}", nested(depth))
+
+    ops: list[Operator] = []
+    for i in range(rng.randint(3, 6)):
+        src = rng.randrange(5)
+        if rng.random() < 0.9:
+            dst = rng.randrange(src + 1, 6)
+        else:
+            dst = rng.randrange(src + 1)
+        inner = x
+        for _ in range(rng.choice([1, 1, 2])):
+            inner = struct("f", inner)
+        args = (x,)
+        add = [struct(f"p{dst}", inner)]
+        if rng.random() < 0.02:
+            args = (x, var("y"))
+            add.append(struct("p5", var("y")))
+        ops.append(
+            Operator(
+                name=f"o{i}",
+                args=args,
+                preconditions=(struct(f"p{src}", x),),
+                add=tuple(add),
+                actor=Atom("spk"),
+            )
+        )
+    initial = [fact(rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    u_op = rng.choice(ops)
+    u = u_op.substituted(Substitution({v.name: nested(rng.randint(1, 3)) for v in u_op.args}))
+    return initial, ops, u, lambda: fact(rng.randint(1, 6))
+
+
+def _limit(facts, ops, bound):
+    """The nesting limit of a candidate with these facts: its deepest fact
+    plus ``bound`` times the most an operator nests an add-effect."""
+    growth = max((_depth(e) - 1 for op in ops for e in op.add), default=0)
+    return max(_depth(f) for f in facts) + bound * growth
+
+
+def _shared_equals_naive(initial, ops, u, candidates, bound=BOUND):
+    """Every candidate's (depth, fallback cause) from one shared gate equals
+    the naive per-candidate reference; returns the shared answers."""
+    base = list(dict.fromkeys(list(initial) + list(u.preconditions)))
+    gate = RelevanceGate(base, ops, u, bound, [seeds for _, seeds in candidates])
+    answers = []
+    for goal, seeds in candidates:
+        facts = list(dict.fromkeys(base + list(seeds)))
+        depth, fallback = gate.depth(goal, seeds)
+        naive_depth, naive_fallback = naive_relevance_depth(facts, goal, ops, u, bound)
+        assert depth == naive_depth
+        assert (fallback and fallback[0]) == (naive_fallback and naive_fallback[0])
+        if fallback is not None and fallback[0] == "nesting-limit":
+            assert _depth(t(fallback[1])) > _limit(facts + list(u.add), ops, bound)
+        answers.append((depth, fallback and fallback[0]))
+    return answers
+
+
+class TestSharedClosure:
+    """One semi-naive closure per turn answers every candidate as a naive
+    fixpoint from that candidate's facts alone does."""
+
+    def test_random_ground_domains(self):
+        rng = random.Random(20261019)
+        answers = []
+        for _ in range(300):
+            initial, _, ops = random_ground_domain(rng)
+            atoms = sorted(
+                {f for op in ops for f in op.preconditions + op.add} | set(initial),
+                key=render,
+            )
+            u = rng.choice(ops)
+            candidates = [
+                (rng.choice(atoms), rng.sample(atoms, rng.randint(0, min(3, len(atoms)))))
+                for _ in range(rng.randint(2, 3))
+            ]
+            answers += _shared_equals_naive(initial, ops, u, candidates)
+        depths = [d for d, _ in answers]
+        assert depths.count(None) >= 100
+        assert sum(d is not None and d > 0 for d in depths) >= 100
+
+    def test_random_lifted_domains(self):
+        rng = random.Random(1019)
+        consts = [Atom(c) for c in ("a", "b", "c")]
+
+        def fact():
+            shape = rng.choice(["f", "g", "h"])
+            if shape == "g":
+                return struct("g", rng.choice(consts), rng.choice(consts))
+            return struct(shape, rng.choice(consts))
+
+        answers = []
+        for _ in range(300):
+            initial, goal, ops, u = random_lifted_domain(rng)
+            candidates = [(goal, [])] + [
+                (fact(), [fact() for _ in range(rng.randint(1, 3))])
+                for _ in range(rng.randint(1, 2))
+            ]
+            answers += _shared_equals_naive(initial, ops, u, candidates)
+        depths = [d for d, _ in answers]
+        assert depths.count(None) >= 100
+        assert sum(d is not None and d > 0 for d in depths) >= 100
+
+    def test_random_nesting_domains(self):
+        rng = random.Random(91019)
+        causes = []
+        split = 0
+        for _ in range(200):
+            initial, ops, u, fact = random_nesting_domain(rng)
+            candidates = [
+                (fact(), [fact() for _ in range(rng.randint(0, 2))])
+                for _ in range(rng.randint(2, 3))
+            ]
+            answers = _shared_equals_naive(initial, ops, u, candidates, bound=1)
+            causes += [cause for _, cause in answers]
+            # candidates of one turn that disagree on falling back: their
+            # own limits, not the shared closure's cap, decided
+            split += len({cause for _, cause in answers}) > 1
+        assert causes.count("nesting-limit") >= 80
+        assert causes.count("unbound-variable") >= 20
+        assert causes.count(None) >= 150
+        assert split >= 12
+
+    def test_seeds_deeper_than_every_declared_set_are_rejected(self):
+        u = Operator("u", add=(t("p"),), actor=t("spk"))
+        lift = Operator(
+            "lift", args=(var("x"),), preconditions=(t("f(?x)"),), add=(t("f(f(?x))"),),
+            actor=t("spk"),
+        )
+        gate = RelevanceGate([], [u, lift], u, BOUND, [[t("f(a)")]])
+        assert gate.depth(t("q"), [t("f(a)")])[1][0] == "nesting-limit"
+        with pytest.raises(PlannerError):
+            gate.depth(t("q"), [t("f(f(f(a)))")])

@@ -1,12 +1,17 @@
 """Tests for scenario parsing, the run loop, trace JSON and the CLI."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from implicature.cli import main as cli_main
 from implicature.scenario import (
@@ -21,7 +26,7 @@ from implicature.scenario import (
     run,
     run_detailed,
 )
-from implicature.terms import MAX_TERM_DEPTH, parse_term, render
+from implicature.terms import MAX_TERM_DEPTH, TermError, parse_term, render
 from implicature.trace import Trace
 
 t = parse_term
@@ -168,6 +173,18 @@ class TestParsing:
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError, match="unknown section"):
             load_scenario("(agents a b)\n(wibble x)")
+
+    @pytest.mark.parametrize(
+        "turn, message",
+        [
+            ("(turn)", "takes exactly one act"),
+            ("(turn inform(a, b, p) inform(b, a, q))", "takes exactly one act"),
+            ("(turn inform(a, a, p))", "speaker and hearer must differ"),
+        ],
+    )
+    def test_malformed_turn_rejected(self, turn, message):
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(f"(agents a b)\n{turn}")
 
     def test_act_from_term_validates_shape(self):
         with pytest.raises(ScenarioError):
@@ -341,6 +358,12 @@ class TestCli:
         bad.write_text("(agents a b")
         assert cli_main(["check", str(bad)]) == 1
 
+    def test_turn_without_act_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "turn.vgs"
+        bad.write_text("(agents a b)\n(turn)\n")
+        assert cli_main(["run", str(bad)]) == 1
+        assert "takes exactly one act" in capsys.readouterr().err
+
     def test_bound_zero_is_exit_1(self, tmp_path, capsys):
         assert cli_main(["run", "computer_off", "--bound", "0"]) == 1
         assert "--bound: expected an integer >= 1, got 0" in capsys.readouterr().err
@@ -468,3 +491,53 @@ class TestCli:
             "cause": "no pending question licenses no_answer(a, b, raining)",
             "turn": 0,
         }
+
+
+BUNDLED = ("computer_off", "swim_waves", "burnt_cakes")
+#: parentheses, commas, runs of other non-space characters, and whitespace
+TOKEN = re.compile(r"[(),]|[^\s(),]+|\s+")
+
+
+@st.composite
+def mutated_scenario(draw):
+    """A bundled scenario text with one to four tokens deleted, duplicated,
+    swapped or replaced by another token of the same file."""
+    tokens = TOKEN.findall(scenario_text(draw(st.sampled_from(BUNDLED))))
+    pool = sorted(set(tokens))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "replace"]))
+        if kind == "delete":
+            del tokens[i]
+        elif kind == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens[i] = draw(st.sampled_from(pool))
+    return "".join(tokens)
+
+
+class TestMutatedScenarios:
+    """Any scenario text loads or fails with a located error, and running it
+    exits 0 or 1: exit 2 is kept for internal faults."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(mutated_scenario())
+    def test_loads_or_raises_scenario_error(self, text):
+        try:
+            load_scenario(text)
+        except (ScenarioError, TermError):
+            pass
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(mutated_scenario())
+    def test_run_never_exits_2(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.vgs"
+            path.write_text(text, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(["run", str(path)])
+        assert code in (0, 1), err.getvalue()
