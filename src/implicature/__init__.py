@@ -9,7 +9,6 @@ explains the speaker's choice.
 from .acts import (
     ActInstance,
     ActSchema,
-    accept_belief,
     apply_hearer_update,
     apply_speaker_update,
     builtin_schemas,
@@ -22,7 +21,6 @@ from .beliefs import (
     contrary_evidence,
     default_ascribe,
     holds,
-    stereotype_ascribe,
 )
 from .inference import (
     AscriptionReport,
@@ -79,7 +77,6 @@ __all__ = [
     "Term",
     "Trace",
     "Var",
-    "accept_belief",
     "apply",
     "apply_hearer_update",
     "apply_speaker_update",
@@ -108,7 +105,6 @@ __all__ = [
     "render",
     "run",
     "simulate",
-    "stereotype_ascribe",
     "to_dot",
     "unify",
 ]

@@ -12,27 +12,17 @@ belief environments:
 The preconditions are an act's only definition: its planner operator adds
 exactly the hearer-side facts, bel(hearer, C(speaker, ...)) for each C.
 Both updates use default-ascription semantics: attitudes blocked by
-contrary evidence or the nesting cap are skipped and traced.
-accept_belief moves a communicated proposition into the hearer's own space
-when there is no contrary evidence and the speaker is a reliable source
-for its topic.
+contrary evidence or the nesting cap are skipped and traced.  Hearer
+acceptance of a communicated proposition is not an update here: it is the
+planner operator ``inference.accept_belief_operator``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .beliefs import (
-    Attitude,
-    BeliefStore,
-    Expectation,
-    assert_attitude,
-    contrary_evidence,
-    default_ascribe,
-    holds,
-    topic_of,
-)
-from .terms import Atom, Compound, Substitution, Term, apply, render, struct, unify, var
+from .beliefs import Attitude, BeliefStore, Expectation, assert_attitude, default_ascribe
+from .terms import Atom, Compound, Substitution, Term, apply, render, struct, var
 from .trace import Trace
 
 SPEAKER = var("speaker")
@@ -158,11 +148,8 @@ def instantiated_preconditions(
 
 
 def _expectation_for(act: ActInstance, store: BeliefStore) -> Expectation | None:
-    for exp in store.expectations:
-        if exp.answerer == act.speaker and exp.asker == act.hearer:
-            if unify(exp.content, act.content) is not None:
-                return exp
-    return None
+    exp = Expectation(asker=act.hearer, answerer=act.speaker, content=act.content)
+    return exp if exp in store.expectations else None
 
 
 def check_expectation(store: BeliefStore, act: ActInstance, schemas: dict[str, ActSchema]) -> None:
@@ -245,51 +232,3 @@ def apply_hearer_update(
         if exp is not None:
             store = store.drop_expectation(exp)
     return store
-
-
-@dataclass(frozen=True)
-class AcceptResult:
-    store: BeliefStore
-    accepted: bool
-    reason: str | None = None
-
-
-def accept_belief(
-    store: BeliefStore,
-    hearer: str,
-    speaker: str,
-    p: Term,
-    trace: Trace | None = None,
-) -> AcceptResult:
-    """Move a communicated proposition into the hearer's own space.
-
-    Requires evidence bel(hearer, bel(speaker, p)), no contrary evidence in
-    the hearer's space, and a reliability declaration for p's topic.
-    Refusal is a normal, traced outcome.
-    """
-    reason = None
-    if not holds(store, (hearer, speaker), Attitude("bel", p)):
-        reason = "no_evidence"
-    elif contrary_evidence(store, (hearer,), p):
-        reason = "contrary_evidence"
-    elif (speaker, topic_of(p)) not in store.reliability:
-        reason = "unreliable_source"
-    if reason is not None:
-        if trace:
-            trace.emit(
-                "dialogue-acts",
-                "refuse",
-                hearer=hearer,
-                speaker=speaker,
-                content=render(p),
-                cause=reason,
-            )
-        return AcceptResult(store, accepted=False, reason=reason)
-    store = assert_attitude(
-        store, (hearer,), Attitude("bel", p), trace=trace, cause="accept_belief"
-    )
-    if trace:
-        trace.emit(
-            "dialogue-acts", "accept", hearer=hearer, speaker=speaker, content=render(p)
-        )
-    return AcceptResult(store, accepted=True)

@@ -1,4 +1,4 @@
-"""Nested belief environments with default and stereotypical ascription.
+"""Nested belief environments with default ascription.
 
 A :class:`BeliefStore` maps viewpoint paths (agent nesting sequences, e.g.
 ``(system, expert)`` for "system's view of expert") to sets of attitudes.
@@ -6,9 +6,10 @@ An attitude is stored without its outermost agent; the path supplies it.
 Chains of the form ``bel(a, bel(b, X))`` are normalized into the path, so
 the same fact has exactly one storage location.
 
-Default ascription copies an attitude one nesting level inward unless there
-is contrary evidence; stereotypical ascription instantiates a stereotype's
-attitude templates at a path, skipping blocked ones.
+The store is ground: both writes, :func:`assert_attitude` and
+:func:`default_ascribe`, reject content with variables, so :func:`holds` is
+a membership test.  Default ascription copies an attitude one nesting level
+inward unless there is contrary evidence or the nesting cap blocks it.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .terms import (
-    Atom,
-    Compound,
-    Substitution,
-    Term,
-    apply,
-    render,
-    unify,
-)
+from .terms import Atom, Compound, Term, is_ground, render
 from .trace import Trace
 
 ATTITUDE_KINDS = ("bel", "goal", "int")
@@ -73,11 +66,10 @@ class Expectation:
 
 @dataclass(frozen=True)
 class Stereotype:
-    """Attitudes and candidate goals attached to a class of agents."""
+    """Candidate goals attached to a class of agents."""
 
     name: str
     members: frozenset[str]
-    attitudes: tuple[Attitude, ...] = ()
     goal_library: tuple[Term, ...] = ()
 
 
@@ -164,17 +156,6 @@ class BeliefStore:
         )
 
 
-def topic_of(t: Term) -> str:
-    """Root functor of a proposition, looking through not(...)."""
-    while isinstance(t, Compound) and t.functor == "not" and len(t.args) == 1:
-        t = t.args[0]
-    if isinstance(t, Compound):
-        return t.functor
-    if isinstance(t, Atom):
-        return t.name
-    raise BeliefError(f"no topic for variable {t}")
-
-
 def _validate_path(path: Path) -> Path:
     path = tuple(path)
     if not path:
@@ -193,6 +174,23 @@ def _validate_intention(store: BeliefStore, att: Attitude) -> None:
         raise BeliefError(f"intention content {render(att.content)} is not a registered action")
 
 
+def _ground_normalized(path: Path, att: Attitude) -> tuple[Path, Attitude]:
+    if not is_ground(att.content):
+        raise BeliefError(f"attitude content must be ground: {att}")
+    return normalize(_validate_path(path), att)
+
+
+def _block(trace: Trace | None, path: Path, att: Attitude, cause: str) -> None:
+    if trace:
+        trace.emit("belief-spaces", "block", path=list(path), attitude=str(att), cause=cause)
+
+
+def _insert(store: BeliefStore, path: Path, att: Attitude) -> BeliefStore:
+    spaces = dict(store.spaces)
+    spaces[path] = store.attitudes_at(path) | {att}
+    return replace(store, spaces=spaces)
+
+
 def assert_attitude(
     store: BeliefStore,
     path: Path,
@@ -200,50 +198,34 @@ def assert_attitude(
     trace: Trace | None = None,
     cause: str = "assert",
 ) -> BeliefStore:
-    """Add an attitude at a path; value-semantics, idempotent.
+    """Add a ground attitude at a path; value-semantics, idempotent.
 
     Raises :class:`ContradictionError` when a bel would contradict an
     existing bel at the same path (explicit not(...) only, no entailment).
     Asserts past the nesting cap are skipped and traced, not fatal.
     """
-    path, att = normalize(_validate_path(path), att)
+    path, att = _ground_normalized(path, att)
     if len(path) > MAX_NESTING:
-        if trace:
-            trace.emit(
-                "belief-spaces",
-                "block",
-                path=list(path),
-                attitude=str(att),
-                cause="nesting-depth-cap",
-            )
+        _block(trace, path, att, "nesting-depth-cap")
         return store
     _validate_intention(store, att)
-    existing = store.attitudes_at(path)
-    if att in existing:
+    if att in store.attitudes_at(path):
         return store
     if att.kind == "bel" and contrary_evidence(store, path, att.content):
         raise ContradictionError(
             f"bel({render(att.content)}) contradicts evidence at {'/'.join(path)}"
         )
-    spaces = dict(store.spaces)
-    spaces[path] = existing | {att}
     if trace:
         trace.emit(
             "belief-spaces", "assert", path=list(path), attitude=str(att), cause=cause
         )
-    return replace(store, spaces=spaces)
+    return _insert(store, path, att)
 
 
 def holds(store: BeliefStore, path: Path, att: Attitude) -> bool:
-    """True iff the attitude is at the path, directly or via a stored template."""
+    """True iff the attitude, normalized, is stored at its path."""
     path, att = normalize(_validate_path(path), att)
-    stored = store.attitudes_at(path)
-    if att in stored:
-        return True
-    for other in stored:
-        if other.kind == att.kind and unify(other.content, att.content) is not None:
-            return True
-    return False
+    return att in store.attitudes_at(path)
 
 
 def contrary_evidence(store: BeliefStore, path: Path, content: Term) -> bool:
@@ -257,47 +239,6 @@ class AscribeResult:
     blocked: bool
 
 
-def _ascribe(
-    store: BeliefStore,
-    path: Path,
-    att: Attitude,
-    trace: Trace | None,
-    cause: str,
-) -> AscribeResult:
-    """Assert an attitude at a path unless blocked, tracing the outcome.
-
-    Blocked (past the nesting cap, or a bel with contrary evidence at the
-    normalized path) is a normal outcome: the store is returned unchanged
-    and a ``block`` event names the reason.
-    """
-    norm_path, norm_att = normalize(path, att)
-    reason = None
-    if len(norm_path) > MAX_NESTING:
-        reason = "nesting-depth-cap"
-    elif norm_att.kind == "bel" and contrary_evidence(store, norm_path, norm_att.content):
-        reason = "contrary-evidence"
-    if reason is not None:
-        if trace:
-            trace.emit(
-                "belief-spaces",
-                "block",
-                path=list(norm_path),
-                attitude=str(norm_att),
-                cause=reason,
-            )
-        return AscribeResult(store, blocked=True)
-    updated = assert_attitude(store, path, att, cause=cause)
-    if trace and updated is not store:
-        trace.emit(
-            "belief-spaces",
-            "ascribe",
-            path=list(norm_path),
-            attitude=str(norm_att),
-            cause=cause,
-        )
-    return AscribeResult(updated, blocked=False)
-
-
 def default_ascribe(
     store: BeliefStore,
     from_path: Path,
@@ -306,10 +247,11 @@ def default_ascribe(
     trace: Trace | None = None,
     cause: str = "default-ascription",
 ) -> AscribeResult:
-    """Push an attitude one nesting level inward unless blocked.
+    """Push a ground attitude one nesting level inward unless blocked.
 
-    Blocked (contrary evidence at the target for the attitude's content, or
-    the nesting cap) is a normal outcome, reported in the trace.
+    Blocked (past the nesting cap, or a bel with contrary evidence at the
+    normalized target) is a normal outcome: the store is returned unchanged
+    and a ``block`` event names the reason.
     """
     from_path = _validate_path(from_path)
     to_path = _validate_path(to_path)
@@ -317,26 +259,23 @@ def default_ascribe(
         raise BeliefError(
             f"ascription target {to_path} must extend {from_path} by one agent"
         )
-    return _ascribe(store, to_path, att, trace, cause)
-
-
-def stereotype_ascribe(
-    store: BeliefStore,
-    path: Path,
-    st: Stereotype,
-    bindings: Substitution,
-    trace: Trace | None = None,
-) -> BeliefStore:
-    """Assert every instantiated template attitude at the path.
-
-    Templates blocked by contrary evidence or the nesting cap are skipped
-    and traced; the trigger check belongs to the caller.
-    """
-    path = _validate_path(path)
-    for template in st.attitudes:
-        att = Attitude(template.kind, apply(bindings, template.content))
-        store = _ascribe(store, path, att, trace, f"stereotype:{st.name}").store
-    return store
+    path, att = _ground_normalized(to_path, att)
+    reason = None
+    if len(path) > MAX_NESTING:
+        reason = "nesting-depth-cap"
+    elif att.kind == "bel" and contrary_evidence(store, path, att.content):
+        reason = "contrary-evidence"
+    if reason is not None:
+        _block(trace, path, att, reason)
+        return AscribeResult(store, blocked=True)
+    _validate_intention(store, att)
+    if att not in store.attitudes_at(path):
+        store = _insert(store, path, att)
+        if trace:
+            trace.emit(
+                "belief-spaces", "ascribe", path=list(path), attitude=str(att), cause=cause
+            )
+    return AscribeResult(store, blocked=False)
 
 
 def render_store(store: BeliefStore) -> list[Term]:

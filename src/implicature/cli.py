@@ -19,6 +19,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     act_from_term,
+    check_act,
     emit_json,
     load_scenario,
     run_detailed,
@@ -148,7 +149,11 @@ def _cmd_repl(args: argparse.Namespace) -> int:
                 if plan is None:
                     print("no recognized plan yet")
                     continue
-                Path(parts[1]).write_text(to_dot(plan, completion), encoding="utf-8")
+                try:
+                    Path(parts[1]).write_text(to_dot(plan, completion), encoding="utf-8")
+                except OSError as exc:
+                    print(f"cannot write {parts[1]}: {exc}")
+                    continue
                 print(f"wrote {parts[1]}")
                 continue
             print(f"unknown command {cmd}; known: :store :trace :dot :quit")
@@ -159,8 +164,9 @@ def _cmd_repl(args: argparse.Namespace) -> int:
             print(f"parse error: {exc}")
             continue
         try:
+            check_act(scenario, act)
             outcome = infer(store, act, domain, trace=trace)
-        except (ActError, BeliefError) as exc:
+        except (ScenarioError, TermError, ActError, BeliefError) as exc:
             print(f"rejected: {exc}")
             continue
         outcomes.append(outcome)

@@ -43,11 +43,13 @@ from dataclasses import dataclass, field, replace
 from typing import Collection, Iterable
 
 from .terms import (
+    MAX_TERM_DEPTH,
     Atom,
     Compound,
     EMPTY_SUBST,
     Substitution,
     Term,
+    TermError,
     Var,
     apply,
     is_ground,
@@ -63,6 +65,14 @@ FIRST_STEP_ID = 2
 
 #: Default search bound on plan steps; CLI-overridable.
 DEFAULT_BOUND = 8
+
+#: Deepest fact the gate and completion search may derive: an input term
+#: (at most ``MAX_TERM_DEPTH``) plus half as many levels again for the
+#: belief paths and effects wrapped around it.  Rendering or comparing a
+#: term takes about four interpreter frames per level, so facts this deep
+#: stay well inside Python's recursion limit.  An operator instance that
+#: would add a deeper fact is an input error (:class:`TermError`).
+MAX_DERIVED_DEPTH = MAX_TERM_DEPTH + MAX_TERM_DEPTH // 2
 
 
 class PlannerError(ValueError):
@@ -801,7 +811,8 @@ def _ground_instances(
     (the pivot) is matched first, against ``delta``; the preconditions
     before the pivot then match the other indexed facts, and those after
     it match every indexed fact.  An operator without preconditions has no
-    such instance.
+    such instance.  Raises :class:`TermError` for an instance that would
+    add a fact nested deeper than ``MAX_DERIVED_DEPTH``.
     """
     results: list[Operator] = []
     pre = op.preconditions
@@ -822,6 +833,11 @@ def _ground_instances(
             if constraints:
                 return
             inst = op.substituted(s)
+            if any(_depth(e) > MAX_DERIVED_DEPTH for e in inst.add):
+                raise TermError(
+                    f"operator {op.name} derives a fact nested deeper than "
+                    f"{MAX_DERIVED_DEPTH} levels"
+                )
             if is_ground(inst.head()) and inst not in results:
                 results.append(inst)
             return
@@ -855,9 +871,13 @@ def _ground_instances(
 
 
 def _depth(t: Term) -> int:
-    if isinstance(t, Compound):
-        return 1 + max(_depth(a) for a in t.args)
-    return 1
+    """Nesting depth (an atom or variable is 1), level by level, so that a
+    fact past ``MAX_DERIVED_DEPTH`` is measured without recursion."""
+    depth, level = 0, [t]
+    while level:
+        depth += 1
+        level = [a for c in level if isinstance(c, Compound) for a in c.args]
+    return depth
 
 
 def _unbound_variable(op: Operator) -> str | None:

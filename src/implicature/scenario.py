@@ -241,7 +241,6 @@ def _parse_stereotype(form: list) -> Stereotype:
         raise ScenarioError("(stereotype name ...) needs a name")
     name = _as_name(form[1], "stereotype")
     members: list[str] = []
-    attitudes: list[Attitude] = []
     goals: list[Term] = []
     for clause in form[2:]:
         if not isinstance(clause, list) or not clause:
@@ -249,18 +248,11 @@ def _parse_stereotype(form: list) -> Stereotype:
         head = _as_name(clause[0], "clause")
         if head == "member":
             members.extend(_as_name(m, "member") for m in clause[1:])
-        elif head == "attitude":
-            attitudes.extend(_as_attitude(a, "stereotype attitude") for a in clause[1:])
         elif head == "goal-template":
             goals.extend(_as_term(g, "goal template") for g in clause[1:])
         else:
             raise ScenarioError(f"unknown stereotype clause {head!r} in {name}")
-    return Stereotype(
-        name=name,
-        members=frozenset(members),
-        attitudes=tuple(attitudes),
-        goal_library=tuple(goals),
-    )
+    return Stereotype(name=name, members=frozenset(members), goal_library=tuple(goals))
 
 
 def _parse_operator(form: list) -> Operator:
@@ -283,6 +275,8 @@ def _parse_operator(form: list) -> Operator:
         kind = _as_name(clause[0], "clause")
         terms = [_as_term(t, f"operator {kind}") for t in clause[1:]]
         if kind == "actor":
+            if actor is not None or len(terms) != 1:
+                raise ScenarioError(f"operator {name} takes one (actor ...) clause with one term")
             actor = terms[0]
         elif kind == "pre":
             pre.extend(terms)
@@ -428,28 +422,34 @@ def load_scenario(text: str) -> Scenario:
     return scenario
 
 
+_ACT_NAMES = frozenset(builtin_schemas())
+
+
+def _check_agent(s: Scenario, name: str, where: str) -> None:
+    if name not in s.agents:
+        raise UndeclaredAgentError(f"agent {name!r} in {where} is not declared")
+
+
+def check_act(s: Scenario, act: ActInstance) -> None:
+    """Raise unless the act's agents are declared and its act is built in."""
+    _check_agent(s, act.speaker, f"turn {act}")
+    _check_agent(s, act.hearer, f"turn {act}")
+    if act.schema not in _ACT_NAMES:
+        raise ScenarioError(f"turn {act} uses unknown act {act.schema!r}")
+
+
 def _validate(s: Scenario) -> None:
-    declared = set(s.agents)
-    schemas = builtin_schemas()
-
-    def check_agent(name: str, where: str) -> None:
-        if name not in declared:
-            raise UndeclaredAgentError(f"agent {name!r} in {where} is not declared")
-
     for st in s.stereotypes:
         for m in sorted(st.members):
-            check_agent(m, f"stereotype {st.name}")
+            _check_agent(s, m, f"stereotype {st.name}")
     for path, _ in s.initial:
         for a in path:
-            check_agent(a, "believes path")
+            _check_agent(s, a, "believes path")
     for agent, _ in s.reliability:
-        check_agent(agent, "reliable")
+        _check_agent(s, agent, "reliable")
     previous: str | None = None
     for turn in s.turns:
-        check_agent(turn.speaker, f"turn {turn}")
-        check_agent(turn.hearer, f"turn {turn}")
-        if turn.schema not in schemas:
-            raise ScenarioError(f"turn {turn} uses unknown act {turn.schema!r}")
+        check_act(s, turn)
         if s.config.check_alternation and previous is not None and turn.speaker == previous:
             raise ScenarioError(
                 f"turn {turn}: consecutive turns by {turn.speaker!r} "
@@ -465,8 +465,6 @@ def render_scenario(s: Scenario) -> str:
         parts = [f"(stereotype {st.name}"]
         for m in sorted(st.members):
             parts.append(f"  (member {m})")
-        for a in st.attitudes:
-            parts.append(f"  (attitude {a.kind}({render(a.content)}))")
         for g in st.goal_library:
             parts.append(f"  (goal-template {render(g)})")
         lines.append("\n".join(parts) + ")")

@@ -5,7 +5,6 @@ import pytest
 from implicature.acts import (
     ActError,
     ActInstance,
-    accept_belief,
     accommodate_preconditions,
     apply_hearer_update,
     apply_speaker_update,
@@ -165,40 +164,3 @@ class TestAnswerActs:
             ("system", "expert"),
             goal(struct("bel", t("system"), struct("not", P))),
         )
-
-
-class TestAcceptBelief:
-    def seeded(self):
-        store = BeliefStore().with_reliability([("expert", "permission")])
-        return assert_attitude(
-            store, ("system", "expert"), bel(struct("not", P))
-        )
-
-    def test_accepts_reliable_communicated_belief(self):
-        result = accept_belief(self.seeded(), "system", "expert", struct("not", P))
-        assert result.accepted
-        assert holds(result.store, ("system",), bel(struct("not", P)))
-
-    def test_refused_on_contrary_evidence(self):
-        store = assert_attitude(self.seeded(), ("system",), bel(P))
-        result = accept_belief(store, "system", "expert", struct("not", P))
-        assert not result.accepted
-        assert result.reason == "contrary_evidence"
-
-    def test_refused_when_source_unreliable(self):
-        store = BeliefStore()
-        store = assert_attitude(store, ("system", "expert"), bel(struct("not", P)))
-        result = accept_belief(store, "system", "expert", struct("not", P))
-        assert not result.accepted
-        assert result.reason == "unreliable_source"
-
-    def test_refused_without_evidence(self):
-        store = BeliefStore().with_reliability([("expert", "permission")])
-        result = accept_belief(store, "system", "expert", struct("not", P))
-        assert not result.accepted
-        assert result.reason == "no_evidence"
-
-    def test_refusals_traced(self):
-        trace = Trace()
-        accept_belief(BeliefStore(), "a", "b", t("p"), trace=trace)
-        assert trace.kinds() == ["refuse"]

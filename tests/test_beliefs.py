@@ -8,7 +8,6 @@ from implicature.beliefs import (
     BeliefError,
     BeliefStore,
     ContradictionError,
-    Stereotype,
     assert_attitude,
     contrary_evidence,
     default_ascribe,
@@ -16,9 +15,8 @@ from implicature.beliefs import (
     normalize,
     render_attitude,
     render_store,
-    stereotype_ascribe,
 )
-from implicature.terms import EMPTY_SUBST, Substitution, atom, parse_term, render
+from implicature.terms import parse_term, render
 from implicature.trace import Trace
 
 t = parse_term
@@ -68,6 +66,15 @@ class TestAssertAndHolds:
         again = assert_attitude(store, ("expert",), bel(CAUSE))
         assert again == store
 
+    def test_reassert_is_a_no_op_even_with_a_nested_contrary(self):
+        # not(bel(b, p)) at a is contradicted by p at (a, b), but that check
+        # runs only from the outer side: once both are stored, re-asserting
+        # the outer one must still be a no-op, not a ContradictionError
+        store = assert_attitude(BeliefStore(), ("a",), bel(t("not(bel(b, p))")))
+        store = default_ascribe(store, ("a",), ("a", "b"), bel(t("p"))).store
+        assert holds(store, ("a", "b"), bel(t("p")))
+        assert assert_attitude(store, ("a",), bel(t("not(bel(b, p))"))) is store
+
     def test_contradiction_rejected(self):
         store = assert_attitude(BeliefStore(), ("system",), bel(t("not(p)")))
         with pytest.raises(ContradictionError):
@@ -85,13 +92,6 @@ class TestAssertAndHolds:
 
     def test_holds_on_empty_store(self):
         assert not holds(BeliefStore(), ("system",), bel(t("p")))
-
-    def test_holds_unifies_stored_template(self):
-        from implicature.terms import unify
-
-        store = assert_attitude(BeliefStore(), ("system",), goal(t("bel(?h, p)")))
-        assert holds(store, ("system",), goal(t("bel(system, p)")))
-        assert unify(t("bel(?h, p)"), t("bel(system, p)")) is not None
 
     def test_depth_cap_skips_and_traces(self):
         trace = Trace()
@@ -115,6 +115,11 @@ class TestAssertAndHolds:
     def test_empty_path_rejected(self):
         with pytest.raises(BeliefError):
             assert_attitude(BeliefStore(), (), bel(t("p")))
+
+    @pytest.mark.parametrize("content", ["likes(?y)", "bel(expert, p(?x))", "?p"])
+    def test_non_ground_content_rejected(self, content):
+        with pytest.raises(BeliefError, match="must be ground"):
+            assert_attitude(BeliefStore(), ("system",), goal(t(content)))
 
 
 class TestContraryEvidence:
@@ -155,65 +160,40 @@ class TestDefaultAscribe:
         twice = default_ascribe(once, ("a",), ("a", "b"), bel(t("p"))).store
         assert once == twice
 
+    def test_contrary_evidence_block_traced(self):
+        trace = Trace()
+        store = assert_attitude(BeliefStore(), ("a", "b"), bel(t("not(fine(world))")))
+        out = default_ascribe(store, ("a",), ("a", "b"), bel(t("fine(world)")), trace=trace)
+        assert out.blocked and out.store == store
+        assert trace.kinds() == ["block"]
+        assert trace.events[0].payload == {
+            "path": ["a", "b"],
+            "attitude": "bel(fine(world))",
+            "cause": "contrary-evidence",
+        }
+
+    def test_nesting_cap_block_traced(self):
+        trace = Trace()
+        out = default_ascribe(
+            BeliefStore(), ("a", "b", "c"), ("a", "b", "c", "d"), bel(t("bel(e, p)")), trace=trace
+        )
+        assert out.blocked and out.store.spaces == {}
+        assert trace.kinds() == ["block"]
+        assert trace.events[0].payload == {
+            "path": ["a", "b", "c", "d", "e"],
+            "attitude": "bel(p)",
+            "cause": "nesting-depth-cap",
+        }
+
+    def test_non_ground_content_rejected(self):
+        with pytest.raises(BeliefError, match="must be ground"):
+            default_ascribe(BeliefStore(), ("a",), ("a", "b"), goal(t("educated(?h)")))
+
     def test_must_extend_by_one_level(self):
         with pytest.raises(BeliefError):
             default_ascribe(BeliefStore(), ("a",), ("a", "b", "c"), bel(t("p")))
         with pytest.raises(BeliefError):
             default_ascribe(BeliefStore(), ("a",), ("b", "c"), bel(t("p")))
-
-
-class TestStereotypeAscribe:
-    expert_stereotype = Stereotype(
-        name="computer_expert",
-        members=frozenset({"expert"}),
-        attitudes=(goal(t("not(damage(hard_drive))")),),
-        goal_library=(t("goal(expert, bel(?h, cause(switch(?h, computer_off), damage(hard_drive))))"),),
-    )
-
-    def test_templates_land(self):
-        store = stereotype_ascribe(
-            BeliefStore(), ("system", "expert"), self.expert_stereotype, EMPTY_SUBST
-        )
-        assert holds(store, ("system", "expert"), goal(t("not(damage(hard_drive))")))
-
-    def test_empty_stereotype_is_noop(self):
-        st_empty = Stereotype(name="nobody", members=frozenset())
-        store = BeliefStore()
-        assert stereotype_ascribe(store, ("a",), st_empty, EMPTY_SUBST) == store
-
-    def test_bindings_instantiate_templates(self):
-        st_tpl = Stereotype(
-            name="teacher",
-            members=frozenset({"expert"}),
-            attitudes=(goal(t("educated(?h)")),),
-        )
-        store = stereotype_ascribe(
-            BeliefStore(), ("expert",), st_tpl, Substitution({"h": atom("system")})
-        )
-        assert holds(store, ("expert",), goal(t("educated(system)")))
-
-    def test_blocked_template_skipped_not_fatal(self):
-        trace = Trace()
-        st_tpl = Stereotype(
-            name="optimist", members=frozenset(), attitudes=(bel(t("fine(world)")),)
-        )
-        store = assert_attitude(BeliefStore(), ("a",), bel(t("not(fine(world))")))
-        out = stereotype_ascribe(store, ("a",), st_tpl, EMPTY_SUBST, trace=trace)
-        assert out == store
-        assert trace.events[-1].kind == "block"
-        assert trace.events[-1].payload["cause"] == "contrary-evidence"
-
-    def test_template_past_nesting_cap_blocked_and_traced(self):
-        trace = Trace()
-        st_deep = Stereotype(
-            name="gossip", members=frozenset(), attitudes=(bel(t("bel(e, p)")),)
-        )
-        out = stereotype_ascribe(
-            BeliefStore(), ("a", "b", "c", "d"), st_deep, EMPTY_SUBST, trace=trace
-        )
-        assert out.spaces == {}
-        assert trace.kinds() == ["block"]
-        assert trace.events[0].payload["cause"] == "nesting-depth-cap"
 
 
 class TestRenderStore:

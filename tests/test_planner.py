@@ -5,6 +5,7 @@ import random
 import pytest
 
 from implicature.planner import (
+    MAX_DERIVED_DEPTH,
     Completion,
     CycleError,
     Operator,
@@ -20,7 +21,7 @@ from implicature.planner import (
     simulate,
     to_dot,
 )
-from implicature.terms import Atom, parse_term, render, unify, var
+from implicature.terms import Atom, TermError, parse_term, render, unify, var
 
 from oracles import bfs_min_cost, random_ground_domain
 
@@ -406,6 +407,17 @@ class TestCompleteFrom:
                 assert entry in c.actions[0].preconditions
                 assert c.achieved_goal in simulate(initial, list(c.actions))
         assert found > 100 and unreached > 100
+
+    def test_derived_fact_past_depth_cap_is_a_term_error(self):
+        # each step wraps the fact once more: p(f^n(a)) nests n + 2 levels
+        wrap = op("wrap", pre=["p(?x)"], add=["p(f(?x))"], delete=["p(?x)"])
+        steps = MAX_DERIVED_DEPTH - 2
+        (c,) = complete_from(t("p(a)"), (t("q"),), [wrap], steps, {t("p(a)")})
+        assert c is None
+        with pytest.raises(
+            TermError, match=f"operator wrap derives a fact nested deeper than {MAX_DERIVED_DEPTH}"
+        ):
+            complete_from(t("p(a)"), (t("q"),), [wrap], steps + 1, {t("p(a)")})
 
     def test_completions_are_nonempty(self):
         with pytest.raises(PlannerError):

@@ -20,9 +20,17 @@ from implicature.inference import (
     recognize,
     utterance_operator,
 )
-from implicature.planner import Operator, PlannerError, RelevanceGate, _depth, cost, plan
+from implicature.planner import (
+    MAX_DERIVED_DEPTH,
+    Operator,
+    PlannerError,
+    RelevanceGate,
+    _depth,
+    cost,
+    plan,
+)
 from implicature.scenario import load_scenario, run, run_detailed
-from implicature.terms import Atom, Substitution, parse_term, render, struct, var
+from implicature.terms import Atom, Substitution, TermError, parse_term, render, struct, var
 from implicature.trace import Trace
 
 from oracles import bfs_min_cost, naive_relevance_depth, random_ground_domain
@@ -202,6 +210,17 @@ class TestGateFallback:
         depth, fallback = RelevanceGate([], [u, echo], u, BOUND).depth(t("q"))
         assert depth is None
         assert fallback[0] == "nesting-limit"
+
+    def test_closure_past_derived_depth_cap_is_a_term_error(self):
+        # at this bound the nesting limit lies past MAX_DERIVED_DEPTH, so the
+        # closure reaches the cap first and stops with an input error
+        u = Operator("u", add=(t("bel(a, p)"),), actor=t("spk"))
+        echo = Operator(
+            "echo", args=(var("x"),), preconditions=(t("bel(a, ?x)"),),
+            add=(t("bel(a, bel(a, ?x))"),), actor=t("spk"),
+        )
+        with pytest.raises(TermError, match="operator echo derives a fact nested deeper"):
+            RelevanceGate([], [u, echo], u, MAX_DERIVED_DEPTH)
 
     def test_recognition_traces_the_fallback(self):
         text = (

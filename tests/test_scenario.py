@@ -9,11 +9,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from implicature.cli import main as cli_main
+from implicature.planner import MAX_DERIVED_DEPTH
 from implicature.scenario import (
     ParseError,
     ScenarioError,
@@ -56,6 +58,34 @@ OVERLAP_OPERATOR = "(agents a b)\n(operator f(?x) (pre g(?x)) (add h(?x)) (del h
 def nested(depth):
     """A term of the given nesting depth: f(f(...f(a)...))."""
     return "f(" * (depth - 1) + "a" + ")" * (depth - 1)
+
+
+def growing(add, bound=None):
+    """A scenario whose operator grow adds ``add`` for each p-fact b holds,
+    so the gate's closure nests ever deeper facts."""
+    return (
+        "(agents a b)\n(believes (a) bel(p(x)))\n(reliable a p)\n"
+        "(stereotype s (member a) (goal-template goal(a, bel(b, q(x)))))\n"
+        f"(operator grow(?x) (actor b) (pre bel(b, p(?x))) (add {add}))\n"
+        "(turn inform(a, b, p(x)))\n" + ("" if bound is None else f"(config bound {bound})\n")
+    )
+
+
+def repl(lines, scenario="computer_off"):
+    """Exit code, stdout and stderr of a REPL session fed ``lines``."""
+    feed = iter(lines)
+
+    def typed(prompt=""):
+        try:
+            return next(feed)
+        except StopIteration:
+            raise EOFError from None
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("builtins.input", typed):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["repl", scenario])
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestParsing:
@@ -143,6 +173,15 @@ class TestParsing:
             ScenarioError, match=rf"bad operator f\(\?x\): operator f: variable \?{name} "
         ):
             load_scenario(f"(agents a b)\n(operator f(?x) (pre g(?, ?x)) {clause})")
+
+    @pytest.mark.parametrize("actor", ["(actor a b)", "(actor a) (actor b)"])
+    def test_operator_with_two_actors_rejected(self, actor):
+        with pytest.raises(ScenarioError, match=r"operator f takes one \(actor ...\) clause"):
+            load_scenario(f"(agents a b)\n(operator f(?x) {actor} (pre g(?x)) (add h(?x)))")
+
+    def test_stereotype_attitude_clause_rejected(self):
+        with pytest.raises(ScenarioError, match="unknown stereotype clause 'attitude' in s"):
+            load_scenario("(agents a b)\n(stereotype s (member a) (attitude goal(p)))")
 
     def test_operator_anonymous_precondition_variable_loads(self):
         s = load_scenario("(agents a b)\n(operator f(?x) (pre g(?, ?x)) (add h(?x)))")
@@ -427,6 +466,53 @@ class TestCli:
         assert f"nested deeper than {MAX_TERM_DEPTH}" in err
         assert "(line 2, column 15)" in err
 
+    def test_operator_with_two_actors_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "actor.vgs"
+        bad.write_text("(agents a b)\n(operator f(?x) (actor a b) (pre g(?x)) (add h(?x)))\n")
+        assert cli_main(["run", str(bad)]) == 1
+        assert "operator f takes one (actor ...) clause with one term" in capsys.readouterr().err
+
+    def test_stereotype_attitude_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "attitude.vgs"
+        bad.write_text(
+            "(agents a b)\n(stereotype s (member a) (attitude goal(not(damage(hard_drive)))))\n"
+        )
+        assert cli_main(["run", str(bad)]) == 1
+        assert "unknown stereotype clause 'attitude' in s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [growing("bel(b, p(f(?x)))", bound=50), growing(f"bel(b, p({'f(' * 50}?x{')' * 50}))")],
+        ids=["one-level-at-bound-50", "fifty-levels-at-default-bound"],
+    )
+    def test_derived_term_past_depth_cap_is_exit_1(self, tmp_path, capsys, text):
+        # the gate's nesting limit lies past MAX_DERIVED_DEPTH for both, so
+        # its closure reaches the cap before any term is too deep to render
+        bad = tmp_path / "grow.vgs"
+        bad.write_text(text)
+        assert cli_main(["run", str(bad)]) == 1
+        assert (
+            f"operator grow derives a fact nested deeper than {MAX_DERIVED_DEPTH} levels"
+            in capsys.readouterr().err
+        )
+
+    def test_large_bound_on_a_finite_closure_runs(self, capsys):
+        assert cli_main(["run", "computer_off", "--bound", "60"]) == 0
+
+    def test_repl_rejects_undeclared_agent_and_unknown_act(self):
+        code, out, _ = repl(
+            ["inform(zed, system, p)", "shout(expert, system, p)", ":store", ":quit"]
+        )
+        assert code == 0
+        assert "rejected: agent 'zed' in turn inform(zed, system, p) is not declared" in out
+        assert "rejected: turn shout(expert, system, p) uses unknown act 'shout'" in out
+        assert "bel(zed" not in out  # :store shows nothing of the rejected act
+
+    def test_repl_reports_an_unwritable_dot_file(self, tmp_path):
+        code, out, _ = repl([f":dot {tmp_path}", ":quit"])
+        assert code == 0
+        assert f"cannot write {tmp_path}" in out
+
     def test_bound_override(self, tmp_path, capsys):
         code = cli_main(["run", "computer_off", "--bound", "4", "--trace", str(tmp_path / "t.json")])
         assert code == 0
@@ -498,13 +584,12 @@ BUNDLED = ("computer_off", "swim_waves", "burnt_cakes")
 TOKEN = re.compile(r"[(),]|[^\s(),]+|\s+")
 
 
-@st.composite
-def mutated_scenario(draw):
-    """A bundled scenario text with one to four tokens deleted, duplicated,
-    swapped or replaced by another token of the same file."""
-    tokens = TOKEN.findall(scenario_text(draw(st.sampled_from(BUNDLED))))
-    pool = sorted(set(tokens))
+def _mutate(draw, tokens, pool):
+    """``tokens`` joined after one to four tokens are deleted, duplicated,
+    swapped or replaced by a token of ``pool``."""
     for _ in range(draw(st.integers(1, 4))):
+        if not tokens:
+            break
         i = draw(st.integers(0, len(tokens) - 1))
         kind = draw(st.sampled_from(["delete", "duplicate", "swap", "replace"]))
         if kind == "delete":
@@ -517,6 +602,33 @@ def mutated_scenario(draw):
         else:
             tokens[i] = draw(st.sampled_from(pool))
     return "".join(tokens)
+
+
+@st.composite
+def mutated_scenario(draw):
+    """A bundled scenario text mutated with tokens of the same file."""
+    tokens = TOKEN.findall(scenario_text(draw(st.sampled_from(BUNDLED))))
+    return _mutate(draw, tokens, sorted(set(tokens)))
+
+
+#: acts and commands typed into ``implicature repl computer_off``
+REPL_LINES = (
+    "inform(expert, system, cause(switch(system, computer_off), damage(hard_drive)))",
+    "question(system, expert, permission(system, switch(system, computer_off)))",
+    "no_answer(expert, system, permission(system, switch(system, computer_off)))",
+    "yes_answer(zed, system, weather(bad))",
+    ":store",
+    ":trace",
+    ":dot repl.dot",
+    ":quit",
+)
+REPL_POOL = sorted({tok for line in REPL_LINES for tok in TOKEN.findall(line)})
+
+
+@st.composite
+def mutated_repl_line(draw):
+    """A REPL act or command mutated with tokens of any of them."""
+    return _mutate(draw, TOKEN.findall(draw(st.sampled_from(REPL_LINES))), REPL_POOL)
 
 
 class TestMutatedScenarios:
@@ -541,3 +653,20 @@ class TestMutatedScenarios:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli_main(["run", str(path)])
         assert code in (0, 1), err.getvalue()
+
+
+class TestMutatedReplInput:
+    """Whatever line is typed, the REPL answers it and reads the next one, so
+    a session always ends with exit 0."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(mutated_repl_line(), min_size=1, max_size=4))
+    def test_repl_always_exits_0(self, lines):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # :dot writes where it is told
+            try:
+                code, _, err = repl(lines)
+            finally:
+                os.chdir(cwd)
+        assert code == 0, err
