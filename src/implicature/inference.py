@@ -307,36 +307,31 @@ def recognize(
     causal-link path from the utterance step to the goal, not merely
     contain it.
 
-    Before planning, a relevance gate (:class:`planner.RelevanceGate`)
-    checks over ground facts whether the utterance can feed the candidate
-    at all: the delete-relaxed closure under the ground operator instances
-    of the candidate's initial state plus the utterance's add-effects, then
-    the shortest chain of those instances from the utterance's add-effects
-    to a fact that unifies with the goal content.  The gate is built once
-    per turn: it closes the facts every candidate shares (the snapshot and
-    the utterance's preconditions and add-effects) semi-naively, and each
-    candidate extends that closure with its seeds.  A candidate with no
-    such chain is skipped with cause ``irrelevant-utterance``; the planner
-    would find no connected plan for it.  A connected plan runs through
-    such a chain, so it has at least one step more than the chain has
-    actions, and planning starts at that cost (the result is the same, the
-    depths below hold no plan).  When the gate cannot decide (an operator
-    variable only the planner could bind, or a derived fact nested past
-    the limit a plan within the bound allows from the candidate's facts)
-    it answers "relevant", traces a ``relevance-fallback`` event with the
-    cause, and planning starts with no bound.
+    Before planning, a relevance gate (:class:`planner.RelevanceGate`,
+    built once per turn) looks for the shortest chain of ground operator
+    instances from the utterance's add-effects to the goal content, within
+    ``domain.bound`` rounds of the delete-relaxed closure of the
+    candidate's facts.  A connected plan runs through such a chain, so
+    planning starts at one step more than the chain has actions (the
+    depths below hold no plan).  With no chain, the candidate is skipped:
+    as ``irrelevant-utterance`` when the closure reached its fixpoint, as
+    ``unreachable`` when the round cap stopped it (no plan within the
+    bound exists; the plan call searches nothing).  When the gate cannot
+    decide (an operator variable only the planner could bind) it answers
+    "relevant", traces a ``relevance-fallback`` event with the cause, and
+    planning starts at the seeded step count.
     """
     u_op = utterance_operator(utterance, domain.schemas)
     if not candidates:
         return None
     base = _dedupe(list(snapshot) + list(u_op.preconditions))
-    seed_sets = [_seeds_for(g) for g in candidates]
-    gate = RelevanceGate(base, domain.operators, u_op, domain.bound, seed_sets)
-    for rank, (g, seeds) in enumerate(zip(candidates, seed_sets)):
+    gate = RelevanceGate(base, domain.operators, u_op, domain.bound)
+    for rank, g in enumerate(candidates):
         parts = _goal_parts(g)
         if parts is None:
             continue
         _, content = parts
+        seeds = _seeds_for(g)
         initial = _dedupe(list(base) + seeds)
         depth, fallback = gate.depth(content, seeds)
         if fallback is not None and trace:

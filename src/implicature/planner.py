@@ -31,9 +31,10 @@ one breadth-first search shared by all the goals); and the relevance gate
 recognition runs before planning (delete-relaxed reachability over ground
 operator instances, then the shortest chain of those instances from the
 utterance's add-effects to the goal, which also bounds the plan's cost
-from below).  The gate builds one relaxed closure per turn, semi-naively,
-and extends it with each candidate goal's seeds.  The gate and completion
-search ground operators with one matcher over an indexed state.
+from below).  The gate builds one relaxed closure per turn, semi-naively
+and for at most ``bound`` rounds, and extends it with each candidate
+goal's seeds.  The gate and completion search ground operators with one
+matcher over an indexed state.
 """
 
 from __future__ import annotations
@@ -901,36 +902,29 @@ def _close(
     delta: _FactIndex | None,
     ops: tuple[Operator, ...],
     actions: list[Operator],
-    limit: int,
-) -> Term | None:
-    """Extend the delete-relaxed closure of the facts in ``index`` to its
-    fixpoint, semi-naively.
+    rounds: int,
+) -> bool:
+    """Extend the delete-relaxed closure of the facts in ``index`` by at
+    most ``rounds`` rounds, semi-naively.
 
     ``delta`` holds the indexed facts no round has matched yet (None: all
     of them, and the first round is one plain pass).  Each round grounds
     only the instances with a precondition in the last round's delta, so
     no instance is found twice; it appends them to ``actions`` and indexes
-    their new add-effects.  A round that derives a fact nested deeper than
-    ``limit`` stops the fixpoint before its facts are indexed.  Returns the
-    deepest fact derived (of that round, if one stopped it), or None when
-    no fact was derived.
+    their new add-effects.  Returns True when a round derived no new fact,
+    i.e. the closure reached its fixpoint.
     """
-    deepest: Term | None = None
-    while True:
+    for _ in range(rounds):
         new: dict[Term, None] = {}
         for op in ops:
             for inst in _ground_instances(op, index, delta):
                 actions.append(inst)
                 new.update((e, None) for e in inst.add if e not in index.members)
         if not new:
-            return deepest
-        top = max(new, key=_depth)
-        if deepest is None or _depth(top) > _depth(deepest):
-            deepest = top
-        if _depth(top) > limit:
-            return top
+            return True
         index.add(new)
         delta = _FactIndex(new)
+    return False
 
 
 def _chain_depth(goal: Term, start: tuple[Term, ...], actions: list[Operator]) -> int | None:
@@ -962,46 +956,41 @@ class RelevanceGate:
     actions a chain from the ground utterance ``step`` to the goal needs.
 
     ``initial`` (the facts every candidate plans from) must be ground.  A
-    candidate plans from ``initial`` plus its own ground seed facts, and
-    ``seed_sets`` lists the seeds of every candidate the gate will be asked
-    about.  :meth:`depth` answers ``(depth, fallback)`` for one candidate.
-    ``depth`` is None when no chain exists: then ``plan(initial + seeds,
-    goal, ops, bound, required_step=step)`` returns None.  Otherwise every
-    plan that call accepts has at least ``1 + depth`` steps.  ``fallback``
-    is a (cause, detail) pair, with ``depth`` None, when the gate cannot
-    decide.
+    candidate plans from ``initial`` plus its own ground seed facts.
+    :meth:`depth` answers ``(depth, fallback)`` for one candidate.  Every
+    plan that ``plan(initial + seeds, goal, ops, bound, required_step=step)``
+    accepts has at least ``1 + depth`` steps, and none exists when
+    ``depth`` is None.  ``fallback`` is a (cause, detail) pair, with
+    ``depth`` None, when the gate cannot decide.
 
     Reachability: the delete-relaxed closure of a candidate's facts plus
-    the step's add-effects under the ground instances of ``ops``.  Every
-    step of a complete plan is a ground instance whose preconditions are
-    relaxed-reachable, so it is among the instances the closure finds.
-    The closure of ``initial`` plus the step's add-effects is built once,
-    semi-naively (:func:`_close`), and each candidate extends it with its
-    seeds as the first delta.  That is the closure a fixpoint from the
-    candidate's facts alone reaches, with the same instances.
+    the step's add-effects under the ground instances of ``ops``, capped
+    at ``bound`` rounds (FF's relaxed planning graph).  Every step but
+    ``step`` of a plan within ``bound`` steps has relaxed level below
+    ``bound``, so the capped closure finds it.  The closure of ``initial``
+    plus the step's add-effects is built once (:func:`_close`).  If it
+    reached its fixpoint, a candidate extends a copy with its seeds as the
+    first delta; if not, seeds may reach some of its facts in fewer
+    rounds than it did, so a candidate with seeds closes its own facts.
 
     Chain: layer 0 is the step's add-effects, and layer d+1 holds the
     add-effects of every found instance with a precondition in layer d
     that no earlier layer holds.  ``depth`` is the first layer with a fact
     that unifies with the goal.  A connected plan's causal-link path from
     the step to the goal is such a chain, one action per link past the
-    step, so the plan has at least ``1 + depth`` steps, and none when no
-    layer reaches the goal.  This verdict is that of backward relevance
-    (from the goal facts, add the preconditions of every instance adding a
-    relevant fact; the step is relevant when it adds one): both ask whether
-    a chain ``step.add -> a1 -> ... -> goal fact`` of found instances exists.
+    step, so the plan has at least ``1 + depth`` steps.  This verdict is
+    that of backward relevance (from the goal facts, add the preconditions
+    of every instance adding a relevant fact; the step is relevant when it
+    adds one): both ask whether a chain ``step.add -> a1 -> ... -> goal
+    fact`` of found instances exists.
 
-    Two cases fall back.  Cause ``"unbound-variable"``: an operator has an
-    arg or add-effect variable that only the planner could bind (from the
-    goal), so forward grounding misses its instances; it depends on the
-    operators alone, so it holds for every candidate.  Cause
-    ``"nesting-limit"``: the candidate's closure holds a fact nested deeper
-    than any fact of a plan within ``bound`` steps can be: deeper than its
-    deepest initial fact, seed or step effect by ``bound`` times the most
-    any operator nests an add-effect past the facts it consumes.  Seeds
-    can raise a candidate's limit, so the shared closure stops only past
-    the largest limit of ``seed_sets``, which keeps it finite; the detail
-    names a fact past the candidate's own limit.
+    With no chain, ``depth`` is None when the candidate's closure reached
+    its fixpoint, else ``bound``: no plan within ``bound`` steps exists,
+    and ``plan`` never searches the cost ``1 + bound``.  One case falls
+    back, cause ``"unbound-variable"``: an operator has an arg or
+    add-effect variable that only the planner could bind (from the goal),
+    so forward grounding misses its instances; it depends on the operators
+    alone, so it holds for every candidate.
     """
 
     def __init__(
@@ -1010,34 +999,24 @@ class RelevanceGate:
         ops: list[Operator] | tuple[Operator, ...],
         step: Operator,
         bound: int,
-        seed_sets: Iterable[Iterable[Term]] = ((),),
     ) -> None:
+        if bound < 1:
+            raise PlannerError("bound must be >= 1")
         facts = tuple(initial) + step.add
         _check_ground(facts, "initial facts and step effects")
         self.step = step
         self.ops = tuple(ops)
+        self.bound = bound
         self.fallback: tuple[str, str] | None = None
         for op in self.ops:
             name = _unbound_variable(op)
             if name is not None:
                 self.fallback = ("unbound-variable", f"{op.name} ?{name}")
                 return
-        #: the deepest fact of the shared closure: past ``cap`` when the
-        #: closure stopped there, else the deepest of all its facts
-        self.deepest = max(facts, key=_depth, default=None)
-        self.base_depth = 0 if self.deepest is None else _depth(self.deepest)
-        # each step nests its add-effects at most (template depth - 1)
-        # deeper than the facts it consumes
-        self.margin = bound * max((_depth(e) - 1 for op in self.ops for e in op.add), default=0)
-        self.cap = max(self._limit(tuple(seeds)) for seeds in seed_sets)
+        self.facts = facts
         self.index = _FactIndex(set(facts))
         self.actions: list[Operator] = []
-        derived = _close(self.index, None, self.ops, self.actions, self.cap)
-        if derived is not None and _depth(derived) > self.base_depth:
-            self.deepest = derived
-
-    def _limit(self, seeds: tuple[Term, ...]) -> int:
-        return max([self.base_depth] + [_depth(f) for f in seeds]) + self.margin
+        self.closed = _close(self.index, None, self.ops, self.actions, bound)
 
     def depth(
         self, goal: Term, seeds: Iterable[Term] = ()
@@ -1047,21 +1026,21 @@ class RelevanceGate:
         _check_ground(seeds, "seed facts")
         if self.fallback is not None:
             return None, self.fallback
-        limit = self._limit(seeds)
-        if limit > self.cap:
-            raise PlannerError("seeds nest deeper than every seed set the gate was built for")
-        if self.deepest is not None and _depth(self.deepest) > limit:
-            return None, ("nesting-limit", render(self.deepest))
-        actions = self.actions
+        actions, closed = self.actions, self.closed
         fresh = [f for f in dict.fromkeys(seeds) if f not in self.index.members]
-        if fresh:
+        if seeds and not closed:
+            actions = []
+            index = _FactIndex(set(self.facts + seeds))
+            closed = _close(index, None, self.ops, actions, self.bound)
+        elif fresh:
             index = self.index.copy()
             index.add(fresh)
             actions = list(actions)
-            derived = _close(index, _FactIndex(fresh), self.ops, actions, limit)
-            if derived is not None and _depth(derived) > limit:
-                return None, ("nesting-limit", render(derived))
-        return _chain_depth(goal, self.step.add, actions), None
+            closed = _close(index, _FactIndex(fresh), self.ops, actions, self.bound)
+        found = _chain_depth(goal, self.step.add, actions)
+        if found is None and not closed:
+            return self.bound, None
+        return found, None
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the planner's search machinery: plans
 are checked against exhaustive breadth-first search over ground action
 sequences, and random domains are generated from a seeded RNG so failures
-reproduce.  The naive relevance fixpoint reuses the planner's plain
+reproduce.  The naive relevance closure reuses the planner's plain
 matcher and term helpers, but neither the semi-naive rounds nor the
 per-turn closure of the gate it checks.
 """
@@ -15,12 +15,11 @@ import random
 from implicature.planner import (
     Operator,
     _check_ground,
-    _depth,
     _FactIndex,
     _ground_instances,
     _unbound_variable,
 )
-from implicature.terms import Atom, Term, render, unify
+from implicature.terms import Atom, Term, unify
 
 
 def applicable(op: Operator, state: frozenset[Term]) -> bool:
@@ -115,30 +114,13 @@ def random_ground_domain(
     return initial, goal, ops
 
 
-def naive_relevance_depth(
-    initial: list[Term],
-    goal: Term,
-    ops: list[Operator],
-    step: Operator,
-    bound: int,
-) -> tuple[int | None, tuple[str, str] | None]:
-    """The relevance gate's ``(depth, fallback)`` for one candidate, by a
-    naive fixpoint: every round grounds every operator over every fact.
-
-    ``initial`` holds the candidate's facts, seeds included.  The reference
-    for :class:`implicature.planner.RelevanceGate`, which shares one
-    semi-naive closure among the candidates of a turn.
-    """
-    _check_ground(tuple(initial) + step.add, "initial facts and step effects")
-    for op in ops:
-        name = _unbound_variable(op)
-        if name is not None:
-            return None, ("unbound-variable", f"{op.name} ?{name}")
-    facts = set(initial) | set(step.add)
-    growth = max((_depth(e) - 1 for op in ops for e in op.add), default=0)
-    limit = max(_depth(f) for f in facts) + bound * growth
-    actions: dict[Operator, None] = {}
-    while True:
+def _naive_rounds(
+    facts: set[Term], ops: list[Operator], actions: dict[Operator, None], rounds: int
+) -> bool:
+    """At most ``rounds`` rounds, each grounding every operator over every
+    fact; adds the instances to ``actions`` and their effects to
+    ``facts``.  True when a round derived no new fact."""
+    for _ in range(rounds):
         index = _FactIndex(facts)
         new: set[Term] = set()
         for op in ops:
@@ -146,11 +128,45 @@ def naive_relevance_depth(
                 actions.setdefault(inst)
                 new.update(e for e in inst.add if e not in facts)
         if not new:
-            break
-        deepest = max(new, key=_depth)
-        if _depth(deepest) > limit:
-            return None, ("nesting-limit", render(deepest))
+            return True
         facts |= new
+    return False
+
+
+def naive_relevance_depth(
+    base: list[Term],
+    seeds: list[Term],
+    goal: Term,
+    ops: list[Operator],
+    step: Operator,
+    bound: int,
+) -> tuple[int | None, tuple[str, str] | None]:
+    """The relevance gate's ``(depth, fallback)`` for one candidate, by
+    naive rounds: every round grounds every operator over every fact.
+
+    Stage one runs at most ``bound`` rounds from ``base`` plus the step's
+    add-effects.  A candidate with seeds runs stage two, at most ``bound``
+    rounds more: from that result plus the seeds when stage one reached
+    its fixpoint, else from its own facts (``base``, the seeds and the
+    step's add-effects) alone.  The answer is the chain depth, else None
+    when the last stage reached its fixpoint, else ``bound``.  The
+    reference for
+    :class:`implicature.planner.RelevanceGate`, which shares one
+    semi-naive closure among the candidates of a turn.
+    """
+    _check_ground(tuple(base) + tuple(seeds) + step.add, "initial facts and step effects")
+    for op in ops:
+        name = _unbound_variable(op)
+        if name is not None:
+            return None, ("unbound-variable", f"{op.name} ?{name}")
+    facts = set(base) | set(step.add)
+    actions: dict[Operator, None] = {}
+    closed = _naive_rounds(facts, ops, actions, bound)
+    if seeds:
+        if not closed:
+            facts, actions = set(base) | set(step.add), {}
+        facts |= set(seeds)
+        closed = _naive_rounds(facts, ops, actions, bound)
     layer = set(step.add)
     seen = set(layer)
     pending = list(actions)
@@ -169,4 +185,4 @@ def naive_relevance_depth(
         seen |= nxt
         layer = nxt
         depth += 1
-    return None, None
+    return (None if closed else bound), None

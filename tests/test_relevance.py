@@ -25,7 +25,6 @@ from implicature.planner import (
     Operator,
     PlannerError,
     RelevanceGate,
-    _depth,
     cost,
     plan,
 )
@@ -202,18 +201,19 @@ class TestGateFallback:
         assert plan([], goal, [u, tell], bound=BOUND, required_step=u) is not None
 
     def test_nesting_limit_falls_back_to_relevant(self):
+        # echo nests without end: the closure stops after BOUND rounds with
+        # no chain to q, which no plan within BOUND steps can then reach
         u = Operator("u", add=(t("bel(a, p)"),), actor=t("spk"))
         echo = Operator(
             "echo", args=(var("x"),), preconditions=(t("bel(a, ?x)"),),
             add=(t("bel(a, bel(a, ?x))"),), actor=t("spk"),
         )
-        depth, fallback = RelevanceGate([], [u, echo], u, BOUND).depth(t("q"))
-        assert depth is None
-        assert fallback[0] == "nesting-limit"
+        assert RelevanceGate([], [u, echo], u, BOUND).depth(t("q")) == (BOUND, None)
+        assert plan([], t("q"), [u, echo], bound=BOUND, required_step=u) is None
 
     def test_closure_past_derived_depth_cap_is_a_term_error(self):
-        # at this bound the nesting limit lies past MAX_DERIVED_DEPTH, so the
-        # closure reaches the cap first and stops with an input error
+        # echo nests one level a round, so within this many rounds the
+        # closure derives a fact past the cap and stops with an input error
         u = Operator("u", add=(t("bel(a, p)"),), actor=t("spk"))
         echo = Operator(
             "echo", args=(var("x"),), preconditions=(t("bel(a, ?x)"),),
@@ -236,13 +236,9 @@ class TestGateFallback:
         ]
 
     def test_each_candidate_falls_back_on_its_own_limit(self):
-        # m0(c) -> m1 -> ... -> m4 nests two levels a step and ends at
-        # depth 10.  The question act's add-effect bel(?h, goal(?s, bel(?s,
-        # or(?c, not(?c))))) nests 5 levels past ?c, so at bound 1 a
-        # candidate's limit is its deepest fact plus 5.  The shallow
-        # candidate's deepest fact is the utterance's depth-4 effect (limit
-        # 9); the deep candidate's seed goal(b, bel(a, k(k(q)))) has depth 5
-        # (limit 10), so only the shallow candidate falls back.
+        # m0(c) -> m1 -> ... -> m4 takes four rounds, so at bound 1 every
+        # candidate's closure is unfinished and has no chain: both are
+        # skipped as unreachable, with no search and no fallback
         x = var("x")
         chain = tuple(
             Operator(
@@ -258,18 +254,17 @@ class TestGateFallback:
         )
         utterance = ActInstance("inform", "b", "a", t("q"))
         shallow, deep = t("goal(b, bel(a, q))"), t("goal(b, bel(a, k(k(q))))")
+        u = utterance_operator(utterance, domain.schemas)
+        gate = RelevanceGate((t("m0(c)"),) + u.preconditions, domain.operators, u, 1)
+        for g in (shallow, deep):
+            assert gate.depth(g.args[1], _seeds_for(g)) == (1, None)
         trace = Trace()
         assert recognize((t("m0(c)"),), utterance, [shallow, deep], domain, trace) is None
-        [fallback] = trace.find("relevance-fallback")
-        assert fallback.payload["goal"] == render(shallow)
-        assert fallback.payload["cause"] == "nesting-limit"
-        u = utterance_operator(utterance, domain.schemas)
-        own = (t("m0(c)"),) + u.preconditions + u.add + tuple(_seeds_for(shallow))
-        assert _depth(t(fallback.payload["detail"])) > _limit(own, domain.operators, 1)
+        assert trace.find("relevance-fallback") == []
         skipped = [
             (ev.payload["goal"], ev.payload["cause"]) for ev in trace.find("candidate-skipped")
         ]
-        assert skipped == [(render(shallow), "unreachable"), (render(deep), "irrelevant-utterance")]
+        assert skipped == [(render(shallow), "unreachable"), (render(deep), "unreachable")]
 
     @pytest.mark.parametrize("name", ["computer_off", "swim_waves", "burnt_cakes"])
     def test_bundled_scenarios_never_fall_back(self, name):
@@ -277,6 +272,44 @@ class TestGateFallback:
         trace = run(load_scenario(text))
         assert trace.find("relevance-fallback") == []
         assert trace.find("candidate-skipped")
+
+
+class TestRoundCap:
+    """The closure stops after ``bound`` rounds, the deepest a plan within
+    the bound reaches; with no chain in it, no plan within the bound
+    exists."""
+
+    def test_bound_below_one_is_rejected(self):
+        u = Operator("u", add=(t("p"),), actor=t("spk"))
+        with pytest.raises(PlannerError, match="bound must be >= 1"):
+            RelevanceGate([], [u], u, 0)
+
+    @pytest.mark.parametrize(
+        "bound, extra",
+        [
+            # q is a fact of the shared closure's last round (r2 -> q) and
+            # one step from the seed (s, u -> q): q -> g must still be found
+            (3, [("r2q", ["r2"], "q"), ("suq", ["s", "u"], "q"), ("qg", ["q"], "g")]),
+            # the seed s is itself a fact of that last round (r1 -> s)
+            (2, [("r1s", ["r1"], "s"), ("sug", ["s", "u"], "g")]),
+        ],
+        ids=["frontier-fact", "frontier-seed"],
+    )
+    def test_seeds_reach_the_last_facts_of_an_unfinished_closure_sooner(self, bound, extra):
+        u = Operator("u", add=(t("u"),), actor=t("spk"))
+        ops = [
+            u,
+            Operator("ur1", preconditions=(t("u"),), add=(t("r1"),), actor=t("spk")),
+            Operator("r1r2", preconditions=(t("r1"),), add=(t("r2"),), actor=t("spk")),
+        ] + [
+            Operator(name, preconditions=tuple(map(t, pre)), add=(t(add),), actor=t("spk"))
+            for name, pre, add in extra
+        ]
+        seeds = [t("s")]
+        depth, fallback = RelevanceGate([], ops, u, bound).depth(t("g"), seeds)
+        found = plan(seeds, t("g"), ops, bound=bound, required_step=u)
+        assert cost(found) == bound >= 1 + depth
+        assert (depth, fallback) == naive_relevance_depth([], seeds, t("g"), ops, u, bound)
 
 
 def warning_chain_text(depth: int, bound: int) -> str:
@@ -379,27 +412,16 @@ def random_nesting_domain(rng: random.Random):
     return initial, ops, u, lambda: fact(rng.randint(1, 6))
 
 
-def _limit(facts, ops, bound):
-    """The nesting limit of a candidate with these facts: its deepest fact
-    plus ``bound`` times the most an operator nests an add-effect."""
-    growth = max((_depth(e) - 1 for op in ops for e in op.add), default=0)
-    return max(_depth(f) for f in facts) + bound * growth
-
-
 def _shared_equals_naive(initial, ops, u, candidates, bound=BOUND):
-    """Every candidate's (depth, fallback cause) from one shared gate equals
+    """Every candidate's ``(depth, fallback)`` from one shared gate equals
     the naive per-candidate reference; returns the shared answers."""
     base = list(dict.fromkeys(list(initial) + list(u.preconditions)))
-    gate = RelevanceGate(base, ops, u, bound, [seeds for _, seeds in candidates])
+    gate = RelevanceGate(base, ops, u, bound)
     answers = []
     for goal, seeds in candidates:
-        facts = list(dict.fromkeys(base + list(seeds)))
-        depth, fallback = gate.depth(goal, seeds)
-        naive_depth, naive_fallback = naive_relevance_depth(facts, goal, ops, u, bound)
-        assert depth == naive_depth
-        assert (fallback and fallback[0]) == (naive_fallback and naive_fallback[0])
-        if fallback is not None and fallback[0] == "nesting-limit":
-            assert _depth(t(fallback[1])) > _limit(facts + list(u.add), ops, bound)
+        answer = gate.depth(goal, seeds)
+        assert answer == naive_relevance_depth(base, seeds, goal, ops, u, bound)
+        depth, fallback = answer
         answers.append((depth, fallback and fallback[0]))
     return answers
 
@@ -451,31 +473,38 @@ class TestSharedClosure:
 
     def test_random_nesting_domains(self):
         rng = random.Random(91019)
-        causes = []
-        split = 0
-        for _ in range(200):
-            initial, ops, u, fact = random_nesting_domain(rng)
-            candidates = [
-                (fact(), [fact() for _ in range(rng.randint(0, 2))])
-                for _ in range(rng.randint(2, 3))
-            ]
-            answers = _shared_equals_naive(initial, ops, u, candidates, bound=1)
-            causes += [cause for _, cause in answers]
-            # candidates of one turn that disagree on falling back: their
-            # own limits, not the shared closure's cap, decided
-            split += len({cause for _, cause in answers}) > 1
-        assert causes.count("nesting-limit") >= 80
-        assert causes.count("unbound-variable") >= 20
-        assert causes.count(None) >= 150
-        assert split >= 12
+        answers = []
+        for bound in (1, 4):
+            for _ in range(100):
+                initial, ops, u, fact = random_nesting_domain(rng)
+                candidates = [
+                    (fact(), [fact() for _ in range(rng.randint(0, 2))])
+                    for _ in range(rng.randint(2, 3))
+                ]
+                answers += [
+                    "capped" if depth == bound else (cause or depth)
+                    for depth, cause in _shared_equals_naive(initial, ops, u, candidates, bound)
+                ]
+        assert answers.count("unbound-variable") >= 30
+        # capped (or a chain as long as the bound) versus finished without one
+        assert answers.count("capped") >= 200
+        assert answers.count(None) >= 120
 
-    def test_seeds_deeper_than_every_declared_set_are_rejected(self):
-        u = Operator("u", add=(t("p"),), actor=t("spk"))
-        lift = Operator(
-            "lift", args=(var("x"),), preconditions=(t("f(?x)"),), add=(t("f(f(?x))"),),
-            actor=t("spk"),
-        )
-        gate = RelevanceGate([], [u, lift], u, BOUND, [[t("f(a)")]])
-        assert gate.depth(t("q"), [t("f(a)")])[1][0] == "nesting-limit"
-        with pytest.raises(PlannerError):
-            gate.depth(t("q"), [t("f(f(f(a)))")])
+    def test_capped_and_irrelevant_answers_have_no_plan(self):
+        rng = random.Random(1120)
+        answers = []
+        for bound in (2, 3):
+            for _ in range(150):
+                initial, ops, u, fact = random_nesting_domain(rng)
+                base = list(dict.fromkeys(list(initial) + list(u.preconditions)))
+                gate = RelevanceGate(base, ops, u, bound)
+                for _ in range(rng.randint(2, 3)):
+                    goal, seeds = fact(), [fact() for _ in range(rng.randint(0, 2))]
+                    answer = gate.depth(goal, seeds)
+                    if answer not in ((bound, None), (None, None)):
+                        continue
+                    answers.append("irrelevant" if answer[0] is None else "capped")
+                    facts = list(dict.fromkeys(base + seeds))
+                    assert plan(facts, goal, ops, bound=bound, required_step=u) is None
+        assert answers.count("capped") >= 100
+        assert answers.count("irrelevant") >= 100

@@ -480,14 +480,28 @@ class TestCli:
         assert cli_main(["run", str(bad)]) == 1
         assert "unknown stereotype clause 'attitude' in s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", [20, 30, 50])
+    def test_ever_nesting_operator_is_unreachable_within_the_bound(self, tmp_path, bound):
+        # grow nests one level a round, and the gate's closure stops after
+        # ``bound`` rounds, well short of MAX_DERIVED_DEPTH, with no chain
+        scenario = tmp_path / "grow.vgs"
+        scenario.write_text(growing("bel(b, p(f(?x)))", bound=bound))
+        trace_file = tmp_path / "grow.trace.json"
+        assert cli_main(["run", str(scenario), "--trace", str(trace_file)]) == 0
+        trace = parse_trace(trace_file.read_text())
+        assert trace.find("relevance-fallback") == []
+        assert [ev.payload["cause"] for ev in trace.find("candidate-skipped")] == ["unreachable"]
+
     @pytest.mark.parametrize(
         "text",
-        [growing("bel(b, p(f(?x)))", bound=50), growing(f"bel(b, p({'f(' * 50}?x{')' * 50}))")],
-        ids=["one-level-at-bound-50", "fifty-levels-at-default-bound"],
+        [growing("bel(b, p(f(?x)))", bound=200), growing(f"bel(b, p({'f(' * 50}?x{')' * 50}))")],
+        ids=["one-level-at-bound-200", "fifty-levels-at-default-bound"],
     )
     def test_derived_term_past_depth_cap_is_exit_1(self, tmp_path, capsys, text):
-        # the gate's nesting limit lies past MAX_DERIVED_DEPTH for both, so
-        # its closure reaches the cap before any term is too deep to render
+        # within its bound, the gate's closure derives a fact past
+        # MAX_DERIVED_DEPTH: one level a round for 200 rounds, or fifty
+        # levels a round for 8; it stops there, before any term is too deep
+        # to render
         bad = tmp_path / "grow.vgs"
         bad.write_text(text)
         assert cli_main(["run", str(bad)]) == 1
