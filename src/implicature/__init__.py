@@ -7,11 +7,11 @@ explains the speaker's choice.
 """
 
 from .acts import (
+    ACTS,
     ActInstance,
     ActSchema,
     apply_hearer_update,
     apply_speaker_update,
-    builtin_schemas,
 )
 from .beliefs import (
     Attitude,
@@ -56,6 +56,7 @@ from .trace import Trace
 __version__ = "0.1.0"
 
 __all__ = [
+    "ACTS",
     "ActInstance",
     "ActSchema",
     "AscriptionReport",
@@ -84,7 +85,6 @@ __all__ = [
     "ascribe_conjunctive",
     "assert_attitude",
     "asserted_states",
-    "builtin_schemas",
     "candidate_goals",
     "complete_from",
     "contrary_evidence",

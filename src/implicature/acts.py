@@ -1,27 +1,33 @@
-"""Speech-act schemas and the belief updates their performance triggers.
+"""The four speech acts, their planner operators, and the belief updates
+their performance triggers.
 
-Acts are defined by their conventional preconditions (attitudes of the
-speaker), not by effects.  Performing an act updates both participants'
-belief environments:
+Following Perrault's default-logic reading of speech acts, an act is
+defined by its conventional preconditions (attitudes of the speaker)
+alone.  ``ACTS`` is the fixed table of the four acts; everything else is
+derived from it:
 
+* the planner operator (:func:`act_operator`) needs the preconditions and
+  adds the hearer-side facts bel(hearer, C(speaker, ...)) for each
+  precondition C;
 * speaker side: for every precondition C, the speaker's view of the hearer
   gains bel(C) (the speaker assumes the act communicated its preconditions);
 * hearer side: for every precondition C, the hearer's view of the speaker
   gains C itself (Perrault's default reading of the hearer update).
 
-The preconditions are an act's only definition: its planner operator adds
-exactly the hearer-side facts, bel(hearer, C(speaker, ...)) for each C.
 Both updates use default-ascription semantics: attitudes blocked by
 contrary evidence or the nesting cap are skipped and traced.  Hearer
 acceptance of a communicated proposition is not an update here: it is the
-planner operator ``inference.accept_belief_operator``.
+planner operator ``inference.accept_belief_operator``.  An act name outside
+``ACTS`` raises :class:`ActError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .beliefs import Attitude, BeliefStore, Expectation, assert_attitude, default_ascribe
+from .planner import Operator
 from .terms import Atom, Compound, Substitution, Term, apply, render, struct, var
 from .trace import Trace
 
@@ -31,12 +37,12 @@ CONTENT = var("content")
 
 
 class ActError(ValueError):
-    """Unknown schema, bad roles, or a missing discourse expectation."""
+    """Unknown act, bad roles, or a missing discourse expectation."""
 
 
 @dataclass(frozen=True)
 class ActSchema:
-    """A speech-act operator: the speaker's preconditions over the roles."""
+    """A speech act: the speaker's preconditions over the roles."""
 
     name: str
     preconditions: tuple[Attitude, ...]
@@ -46,7 +52,7 @@ class ActSchema:
 
 @dataclass(frozen=True)
 class ActInstance:
-    """One performed act: schema name, speaker, hearer, content term."""
+    """One performed act: act name, speaker, hearer, content term."""
 
     schema: str
     speaker: str
@@ -72,49 +78,34 @@ def _or_not(p: Term) -> Term:
     return struct("or", p, struct("not", p))
 
 
-def builtin_schemas() -> dict[str, ActSchema]:
-    """The four built-in acts: inform, question, yes_answer, no_answer.
+def _informs(p: Term) -> tuple[Attitude, ...]:
+    """The speaker wants the hearer to believe p and believes p itself."""
+    return (Attitude("goal", _bel(HEARER, p)), Attitude("bel", p))
 
-    Yes-no questions carry the answer proposition as a true/false
-    disjunction: the asker wants to believe or(P, not(P)) resolved and
-    believes the hearer already believes one way or the other.  The answer
-    acts mirror inform with content P / not(P) and presuppose the pending
-    question's expectation.
-    """
-    p = CONTENT
-    inform = ActSchema(
-        name="inform",
-        preconditions=(
-            Attitude("goal", _bel(HEARER, p)),
-            Attitude("bel", p),
-        ),
-    )
-    question = ActSchema(
-        name="question",
-        preconditions=(
-            Attitude("goal", _bel(SPEAKER, _or_not(p))),
-            Attitude("bel", _bel(HEARER, _or_not(p))),
-        ),
-        registers_expectation=True,
-    )
-    yes_answer = ActSchema(
-        name="yes_answer",
-        preconditions=(
-            Attitude("goal", _bel(HEARER, p)),
-            Attitude("bel", p),
-        ),
-        needs_expectation=True,
-    )
-    not_p = struct("not", p)
-    no_answer = ActSchema(
-        name="no_answer",
-        preconditions=(
-            Attitude("goal", _bel(HEARER, not_p)),
-            Attitude("bel", not_p),
-        ),
-        needs_expectation=True,
-    )
-    return {s.name: s for s in (inform, question, yes_answer, no_answer)}
+
+#: The four acts by name.  A yes-no question carries the answer proposition
+#: as a true/false disjunction: the asker wants to believe or(P, not(P))
+#: resolved and believes the hearer already believes one way or the other.
+#: The answer acts mirror inform with content P / not(P) and presuppose the
+#: pending question's expectation.
+ACTS: MappingProxyType[str, ActSchema] = MappingProxyType(
+    {
+        a.name: a
+        for a in (
+            ActSchema("inform", _informs(CONTENT)),
+            ActSchema(
+                "question",
+                (
+                    Attitude("goal", _bel(SPEAKER, _or_not(CONTENT))),
+                    Attitude("bel", _bel(HEARER, _or_not(CONTENT))),
+                ),
+                registers_expectation=True,
+            ),
+            ActSchema("yes_answer", _informs(CONTENT), needs_expectation=True),
+            ActSchema("no_answer", _informs(struct("not", CONTENT)), needs_expectation=True),
+        )
+    }
+)
 
 
 def role_subst(act: ActInstance) -> Substitution:
@@ -128,21 +119,51 @@ def role_subst(act: ActInstance) -> Substitution:
     )
 
 
-def _schema_for(act: ActInstance, schemas: dict[str, ActSchema]) -> ActSchema:
+def _schema_for(act: ActInstance) -> ActSchema:
     try:
-        return schemas[act.schema]
+        return ACTS[act.schema]
     except KeyError:
         raise ActError(f"unknown act schema {act.schema!r}") from None
 
 
-def instantiated_preconditions(
-    act: ActInstance, schemas: dict[str, ActSchema]
-) -> tuple[Attitude, ...]:
+def act_operator(schema: ActSchema) -> Operator:
+    """Planner operator for a speech act.
+
+    Preconditions are the speaker's attitudes C(speaker, ...) (plus the
+    pending-question fact for answer acts).  Add-effects are derived from
+    them: the hearer update bel(hearer, C(speaker, ...)) for each
+    precondition, last precondition first (plus the expectation fact a
+    question registers).
+    """
+    pre: list[Term] = [
+        Compound(c.kind, (SPEAKER, c.content)) for c in schema.preconditions
+    ]
+    add: list[Term] = [struct("bel", HEARER, c) for c in reversed(pre)]
+    if schema.needs_expectation:
+        pre.append(struct("answer_expected", SPEAKER, HEARER, CONTENT))
+    if schema.registers_expectation:
+        add.append(struct("answer_expected", HEARER, SPEAKER, CONTENT))
+    return Operator(
+        name=schema.name,
+        args=(SPEAKER, HEARER, CONTENT),
+        preconditions=tuple(pre),
+        add=tuple(add),
+        actor=SPEAKER,
+        positive_constraints=(CONTENT,),
+    )
+
+
+def utterance_operator(act: ActInstance) -> Operator:
+    """Ground planner step for one performed act."""
+    return act_operator(_schema_for(act)).substituted(role_subst(act))
+
+
+def instantiated_preconditions(act: ActInstance) -> tuple[Attitude, ...]:
     """The act's preconditions with roles and content filled in.
 
     Each is an attitude of the speaker; the stored form omits the speaker.
     """
-    schema = _schema_for(act, schemas)
+    schema = _schema_for(act)
     s = role_subst(act)
     return tuple(Attitude(c.kind, apply(s, c.content)) for c in schema.preconditions)
 
@@ -152,16 +173,15 @@ def _expectation_for(act: ActInstance, store: BeliefStore) -> Expectation | None
     return exp if exp in store.expectations else None
 
 
-def check_expectation(store: BeliefStore, act: ActInstance, schemas: dict[str, ActSchema]) -> None:
+def check_expectation(store: BeliefStore, act: ActInstance) -> None:
     """Raise unless a pending question licenses this answer act."""
-    if _schema_for(act, schemas).needs_expectation and _expectation_for(act, store) is None:
+    if _schema_for(act).needs_expectation and _expectation_for(act, store) is None:
         raise ActError(f"no pending question licenses {act}")
 
 
 def accommodate_preconditions(
     store: BeliefStore,
     act: ActInstance,
-    schemas: dict[str, ActSchema],
     trace: Trace | None = None,
 ) -> BeliefStore:
     """Assert the act's preconditions in the speaker's own environment.
@@ -169,7 +189,7 @@ def accommodate_preconditions(
     Performing an act presupposes its preconditions hold; scenario files
     need not restate them.
     """
-    for c in instantiated_preconditions(act, schemas):
+    for c in instantiated_preconditions(act):
         store = assert_attitude(
             store, (act.speaker,), c, trace=trace, cause=f"presupposition:{act.schema}"
         )
@@ -179,11 +199,10 @@ def accommodate_preconditions(
 def apply_speaker_update(
     store: BeliefStore,
     act: ActInstance,
-    schemas: dict[str, ActSchema],
     trace: Trace | None = None,
 ) -> BeliefStore:
     """For every precondition C: the speaker's view of the hearer gains bel(C)."""
-    for c in instantiated_preconditions(act, schemas):
+    for c in instantiated_preconditions(act):
         c_term = Compound(c.kind, (Atom(act.speaker), c.content))
         result = default_ascribe(
             store,
@@ -200,13 +219,12 @@ def apply_speaker_update(
 def apply_hearer_update(
     store: BeliefStore,
     act: ActInstance,
-    schemas: dict[str, ActSchema],
     trace: Trace | None = None,
 ) -> BeliefStore:
     """Ascribe each precondition into the hearer's view of the speaker, then
     register or discharge the act's discourse expectation."""
-    schema = _schema_for(act, schemas)
-    for c in instantiated_preconditions(act, schemas):
+    schema = _schema_for(act)
+    for c in instantiated_preconditions(act):
         result = default_ascribe(
             store,
             (act.hearer,),

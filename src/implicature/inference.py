@@ -13,7 +13,10 @@ choice needs explaining and the engine tries to ascribe either
   optimal plan asserts, by a completion in which the speaker plays no part,
   ascribed negated.
 
-Successful ascriptions land in the hearer's view of the speaker.
+Successful ascriptions land in the hearer's view of the speaker.  The acts,
+their planner operators and their belief updates are defined in
+:mod:`acts`; this module adds belief acceptance and assembles the operator
+set a :class:`Domain` plans with.
 """
 
 from __future__ import annotations
@@ -21,16 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .acts import (
+    ACTS,
     ActInstance,
-    ActSchema,
-    CONTENT,
-    HEARER,
-    SPEAKER,
     accommodate_preconditions,
+    act_operator,
     apply_hearer_update,
     apply_speaker_update,
     check_expectation,
-    role_subst,
+    utterance_operator,
 )
 from .beliefs import (
     Attitude,
@@ -40,6 +41,7 @@ from .beliefs import (
     render_store,
 )
 from .planner import (
+    DEFAULT_BOUND,
     Completion,
     Operator,
     Plan,
@@ -71,35 +73,8 @@ class InferenceError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Compiling dialogue machinery into planner operators
+# The planner operator set
 # ---------------------------------------------------------------------------
-
-
-def act_operator(schema: ActSchema) -> Operator:
-    """Planner operator for a speech act.
-
-    Preconditions are the speaker's attitudes C(speaker, ...) (plus the
-    pending-question fact for answer acts).  Add-effects are derived from
-    them: the hearer update bel(hearer, C(speaker, ...)) for each
-    precondition, last precondition first (plus the expectation fact a
-    question registers).
-    """
-    pre: list[Term] = [
-        Compound(c.kind, (SPEAKER, c.content)) for c in schema.preconditions
-    ]
-    add: list[Term] = [struct("bel", HEARER, c) for c in reversed(pre)]
-    if schema.needs_expectation:
-        pre.append(struct("answer_expected", SPEAKER, HEARER, CONTENT))
-    if schema.registers_expectation:
-        add.append(struct("answer_expected", HEARER, SPEAKER, CONTENT))
-    return Operator(
-        name=schema.name,
-        args=(SPEAKER, HEARER, CONTENT),
-        preconditions=tuple(pre),
-        add=tuple(add),
-        actor=SPEAKER,
-        positive_constraints=(CONTENT,),
-    )
 
 
 def accept_belief_operator() -> Operator:
@@ -118,35 +93,30 @@ def accept_belief_operator() -> Operator:
     )
 
 
-def utterance_operator(act: ActInstance, schemas: dict[str, ActSchema]) -> Operator:
-    """Ground planner step for one performed act."""
-    if act.schema not in schemas:
-        raise InferenceError(f"unknown act schema {act.schema!r}")
-    return act_operator(schemas[act.schema]).substituted(role_subst(act))
-
-
-def build_operators(
-    schemas: dict[str, ActSchema], extra: tuple[Operator, ...] = ()
-) -> tuple[Operator, ...]:
-    """The full, deterministically ordered planner operator set."""
+def build_operators(extra: tuple[Operator, ...] = ()) -> tuple[Operator, ...]:
+    """The full, deterministically ordered planner operator set: belief
+    acceptance, the acts by name, then ``extra``."""
     ops = [accept_belief_operator()]
-    ops.extend(act_operator(schemas[name]) for name in sorted(schemas))
+    ops.extend(act_operator(ACTS[name]) for name in sorted(ACTS))
     ops.extend(extra)
     return tuple(ops)
 
 
+#: The ascription rules tried on an inefficient verdict, in order.
+DEFAULT_ASCRIPTION_ORDER = ("conjunctive", "avoidance")
+
+
 @dataclass(frozen=True)
 class Domain:
-    """Everything inference needs beyond the store: schemas, compiled
-    operators, stereotypes, declared goal libraries and search settings."""
+    """Everything inference needs beyond the store: compiled operators,
+    stereotypes, declared goal libraries and search settings."""
 
-    schemas: dict[str, ActSchema]
     operators: tuple[Operator, ...]
     stereotypes: tuple[Stereotype, ...] = ()
     declared_goals: tuple[Term, ...] = ()
     avoid_goals: tuple[Term, ...] = ()
-    bound: int = 8
-    ascription_order: tuple[str, ...] = ("conjunctive", "avoidance")
+    bound: int = DEFAULT_BOUND
+    ascription_order: tuple[str, ...] = DEFAULT_ASCRIPTION_ORDER
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +291,7 @@ def recognize(
     "relevant", traces a ``relevance-fallback`` event with the cause, and
     planning starts at the seeded step count.
     """
-    u_op = utterance_operator(utterance, domain.schemas)
+    u_op = utterance_operator(utterance)
     if not candidates:
         return None
     base = _dedupe(list(snapshot) + list(u_op.preconditions))
@@ -619,11 +589,11 @@ def infer(
     is reported but act-level ascriptions stay applied.
     """
     snapshot = tuple(render_store(store))
-    check_expectation(store, utterance, domain.schemas)
+    check_expectation(store, utterance)
     candidates = candidate_goals(store, utterance.hearer, utterance.speaker, domain)
-    store = accommodate_preconditions(store, utterance, domain.schemas, trace=trace)
-    store = apply_speaker_update(store, utterance, domain.schemas, trace=trace)
-    store = apply_hearer_update(store, utterance, domain.schemas, trace=trace)
+    store = accommodate_preconditions(store, utterance, trace=trace)
+    store = apply_speaker_update(store, utterance, trace=trace)
+    store = apply_hearer_update(store, utterance, trace=trace)
     recognition = recognize(snapshot, utterance, candidates, domain, trace=trace)
     if recognition is None:
         if trace:

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import TypeAlias, Union
 
-from .acts import ActError, ActInstance, builtin_schemas
+from .acts import ACTS, ActError, ActInstance
 from .beliefs import (
     ATTITUDE_KINDS,
     Attitude,
@@ -30,7 +30,7 @@ from .beliefs import (
     Stereotype,
     assert_attitude,
 )
-from .inference import Domain, build_operators, infer
+from .inference import DEFAULT_ASCRIPTION_ORDER, Domain, build_operators, infer
 from .planner import DEFAULT_BOUND, Operator, PlannerError, validate_operator
 from .planner import to_dot as emit_dot  # re-exported: DOT is part of the trace surface
 from .terms import (
@@ -176,7 +176,7 @@ class _Reader:
 class ScenarioConfig:
     bound: int = DEFAULT_BOUND
     strict: bool = False
-    ascription_order: tuple[str, ...] = ("conjunctive", "avoidance")
+    ascription_order: tuple[str, ...] = DEFAULT_ASCRIPTION_ORDER
     check_alternation: bool = True
 
 
@@ -422,9 +422,6 @@ def load_scenario(text: str) -> Scenario:
     return scenario
 
 
-_ACT_NAMES = frozenset(builtin_schemas())
-
-
 def _check_agent(s: Scenario, name: str, where: str) -> None:
     if name not in s.agents:
         raise UndeclaredAgentError(f"agent {name!r} in {where} is not declared")
@@ -434,7 +431,7 @@ def check_act(s: Scenario, act: ActInstance) -> None:
     """Raise unless the act's agents are declared and its act is built in."""
     _check_agent(s, act.speaker, f"turn {act}")
     _check_agent(s, act.hearer, f"turn {act}")
-    if act.schema not in _ACT_NAMES:
+    if act.schema not in ACTS:
         raise ScenarioError(f"turn {act} uses unknown act {act.schema!r}")
 
 
@@ -458,63 +455,6 @@ def _validate(s: Scenario) -> None:
         previous = turn.speaker
 
 
-def render_scenario(s: Scenario) -> str:
-    """Canonical text for a scenario; load_scenario round-trips it."""
-    lines: list[str] = ["(agents " + " ".join(s.agents) + ")"]
-    for st in s.stereotypes:
-        parts = [f"(stereotype {st.name}"]
-        for m in sorted(st.members):
-            parts.append(f"  (member {m})")
-        for g in st.goal_library:
-            parts.append(f"  (goal-template {render(g)})")
-        lines.append("\n".join(parts) + ")")
-    for path, att in s.initial:
-        lines.append(
-            f"(believes ({' '.join(path)}) {att.kind}({render(att.content)}))"
-        )
-    for agent, topic in s.reliability:
-        lines.append(f"(reliable {agent} {topic})")
-    if s.actions:
-        lines.append("(actions " + " ".join(s.actions) + ")")
-    for op in s.operators:
-        parts = [f"(operator {render(op.head())}"]
-        if op.actor is not None:
-            parts.append(f"  (actor {render(op.actor)})")
-        for p in op.preconditions:
-            parts.append(f"  (pre {render(p)})")
-        for e in op.add:
-            parts.append(f"  (add {render(e)})")
-        for e in op.delete:
-            parts.append(f"  (del {render(e)})")
-        lines.append("\n".join(parts) + ")")
-    for g in s.declared_goals:
-        lines.append(f"(candidate-goal {render(g)})")
-    for g in s.avoid_goals:
-        lines.append(f"(avoid-goal {render(g)})")
-    for turn in s.turns:
-        lines.append(f"(turn {turn})")
-    defaults = ScenarioConfig()
-    if s.config.bound != defaults.bound:
-        lines.append(f"(config bound {s.config.bound})")
-    if s.config.strict != defaults.strict:
-        lines.append(f"(config strict {'true' if s.config.strict else 'false'})")
-    if s.config.check_alternation != defaults.check_alternation:
-        lines.append(
-            f"(config alternation {'on' if s.config.check_alternation else 'off'})"
-        )
-    if s.config.ascription_order != defaults.ascription_order:
-        lines.append(
-            "(config ascription-order "
-            + (
-                "conjunctive-first"
-                if s.config.ascription_order[0] == "conjunctive"
-                else "avoidance-first"
-            )
-            + ")"
-        )
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
@@ -522,9 +462,8 @@ def render_scenario(s: Scenario) -> str:
 
 def setup(scenario: Scenario, trace: Trace | None = None) -> tuple[BeliefStore, Domain]:
     """Initial store and inference domain for a scenario."""
-    schemas = builtin_schemas()
     action_names = (
-        set(schemas)
+        set(ACTS)
         | {"accept_belief", "ascribe"}
         | {op.name for op in scenario.operators}
         | set(scenario.actions)
@@ -534,8 +473,7 @@ def setup(scenario: Scenario, trace: Trace | None = None) -> tuple[BeliefStore, 
     for path, att in scenario.initial:
         store = assert_attitude(store, path, att, trace=trace, cause="scenario")
     domain = Domain(
-        schemas=schemas,
-        operators=build_operators(schemas, scenario.operators),
+        operators=build_operators(scenario.operators),
         stereotypes=scenario.stereotypes,
         declared_goals=scenario.declared_goals,
         avoid_goals=scenario.avoid_goals,

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from implicature.acts import ActInstance, builtin_schemas
+from implicature.acts import ACTS, ActInstance
 from implicature.beliefs import Attitude, BeliefStore, Expectation, holds
 from implicature.inference import (
     Domain,
@@ -271,7 +271,6 @@ def ascription_instance(rng):
     if pr is None or po is None:
         return None
     domain = Domain(
-        schemas=builtin_schemas(),
         operators=tuple(ops),
         declared_goals=tuple(goal_lib),
         avoid_goals=tuple(avoid_lib),
@@ -390,14 +389,13 @@ class TestUpdateRules:
     def test_updates_land_exactly(self):
         from implicature.acts import apply_hearer_update, apply_speaker_update
 
-        schemas = builtin_schemas()
-        assert set(UPDATE_BOXES) == set(schemas)
+        assert set(UPDATE_BOXES) == set(ACTS)
         contents = [t("p"), t("q(a)"), t("r(a, b)"), t("not(w(c))"), t("s(f(a), b)")]
         agents = [("alice", "bob"), ("bob", "carol"), ("system", "expert")]
         rng = random.Random(7)
         cases = failures = 0
         while cases < 120:
-            schema = rng.choice(sorted(schemas))
+            schema = rng.choice(sorted(ACTS))
             speaker, hearer = rng.choice(agents)
             content = rng.choice(contents)
             if schema in ("no_answer", "yes_answer") and content.__class__.__name__ != "Atom":
@@ -405,13 +403,13 @@ class TestUpdateRules:
                     continue  # keep answer contents positive
             act = ActInstance(schema, speaker, hearer, content)
             store = BeliefStore()
-            if schemas[schema].needs_expectation:
+            if ACTS[schema].needs_expectation:
                 store = store.with_expectation(
                     Expectation(asker=hearer, answerer=speaker, content=content)
                 )
             cases += 1
-            after_speaker = apply_speaker_update(store, act, schemas)
-            after_both = apply_hearer_update(after_speaker, act, schemas)
+            after_speaker = apply_speaker_update(store, act)
+            after_both = apply_hearer_update(after_speaker, act)
 
             expected = {}
 
@@ -431,9 +429,7 @@ class TestUpdateRules:
             if actual != expected:
                 failures += 1
                 continue
-            again = apply_hearer_update(
-                apply_speaker_update(after_both, act, schemas), act, schemas
-            )
+            again = apply_hearer_update(apply_speaker_update(after_both, act), act)
             if again.spaces != after_both.spaces:
                 failures += 1
         report(

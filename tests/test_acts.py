@@ -3,12 +3,12 @@
 import pytest
 
 from implicature.acts import (
+    ACTS,
     ActError,
     ActInstance,
     accommodate_preconditions,
     apply_hearer_update,
     apply_speaker_update,
-    builtin_schemas,
     check_expectation,
     instantiated_preconditions,
 )
@@ -24,7 +24,6 @@ from implicature.trace import Trace
 
 t = parse_term
 
-SCHEMAS = builtin_schemas()
 P = t("permission(system, switch(system, computer_off))")
 Q = t("cause(switch(system, computer_off), damage(hard_drive))")
 
@@ -42,25 +41,25 @@ def goal(content):
 
 def store_after_question():
     store = BeliefStore()
-    store = accommodate_preconditions(store, QUESTION, SCHEMAS)
-    store = apply_speaker_update(store, QUESTION, SCHEMAS)
-    store = apply_hearer_update(store, QUESTION, SCHEMAS)
+    store = accommodate_preconditions(store, QUESTION)
+    store = apply_speaker_update(store, QUESTION)
+    store = apply_hearer_update(store, QUESTION)
     return store
 
 
 class TestSchemas:
     def test_exactly_the_four_builtins(self):
-        assert set(SCHEMAS) == {"inform", "question", "yes_answer", "no_answer"}
+        assert set(ACTS) == {"inform", "question", "yes_answer", "no_answer"}
 
     def test_inform_preconditions(self):
-        pre = instantiated_preconditions(INFORM, SCHEMAS)
+        pre = instantiated_preconditions(INFORM)
         assert pre == (
             goal(struct("bel", t("system"), Q)),
             bel(Q),
         )
 
     def test_question_preconditions_use_disjunction(self):
-        pre = instantiated_preconditions(QUESTION, SCHEMAS)
+        pre = instantiated_preconditions(QUESTION)
         disj = t(
             "or(permission(system, switch(system, computer_off)),"
             " not(permission(system, switch(system, computer_off))))"
@@ -70,7 +69,7 @@ class TestSchemas:
 
     def test_no_answer_mirrors_inform_negated(self):
         act = ActInstance("no_answer", "expert", "system", P)
-        pre = instantiated_preconditions(act, SCHEMAS)
+        pre = instantiated_preconditions(act)
         assert pre == (
             goal(struct("bel", t("system"), struct("not", P))),
             bel(struct("not", P)),
@@ -78,7 +77,7 @@ class TestSchemas:
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ActError):
-            instantiated_preconditions(ActInstance("shout", "a", "b", t("p")), SCHEMAS)
+            instantiated_preconditions(ActInstance("shout", "a", "b", t("p")))
 
     def test_speaker_hearer_must_differ(self):
         with pytest.raises(ActError):
@@ -102,32 +101,28 @@ class TestQuestionTurn:
 
     def test_repeat_is_idempotent(self):
         once = store_after_question()
-        twice = apply_speaker_update(once, QUESTION, SCHEMAS)
-        twice = apply_hearer_update(twice, QUESTION, SCHEMAS)
+        twice = apply_speaker_update(once, QUESTION)
+        twice = apply_hearer_update(twice, QUESTION)
         assert once == twice
 
 
 class TestInformTurn:
     def test_hearer_gains_effects_i_and_ii(self):
-        store = apply_hearer_update(BeliefStore(), INFORM, SCHEMAS)
+        store = apply_hearer_update(BeliefStore(), INFORM)
         # (i) bel(system, bel(expert, Q))
         assert holds(store, ("system", "expert"), bel(Q))
         # (ii) bel(system, goal(expert, bel(system, Q)))
         assert holds(store, ("system", "expert"), goal(struct("bel", t("system"), Q)))
 
     def test_speaker_assumes_preconditions_communicated(self):
-        store = apply_speaker_update(BeliefStore(), INFORM, SCHEMAS)
-        for c in instantiated_preconditions(INFORM, SCHEMAS):
+        store = apply_speaker_update(BeliefStore(), INFORM)
+        for c in instantiated_preconditions(INFORM):
             c_term = struct(c.kind, t("expert"), c.content)
             assert holds(store, ("expert", "system"), bel(c_term))
 
     def test_updates_commute(self):
-        a = apply_hearer_update(
-            apply_speaker_update(BeliefStore(), INFORM, SCHEMAS), INFORM, SCHEMAS
-        )
-        b = apply_speaker_update(
-            apply_hearer_update(BeliefStore(), INFORM, SCHEMAS), INFORM, SCHEMAS
-        )
+        a = apply_hearer_update(apply_speaker_update(BeliefStore(), INFORM), INFORM)
+        b = apply_speaker_update(apply_hearer_update(BeliefStore(), INFORM), INFORM)
         assert a == b
 
     def test_blocked_ascriptions_skipped_and_traced(self):
@@ -135,7 +130,7 @@ class TestInformTurn:
         store = assert_attitude(
             BeliefStore(), ("system", "expert"), bel(struct("not", Q))
         )
-        out = apply_hearer_update(store, INFORM, SCHEMAS, trace=trace)
+        out = apply_hearer_update(store, INFORM, trace=trace)
         assert not holds(out, ("system", "expert"), bel(Q))
         # one event for the one blocked precondition
         assert [(ev.module, ev.payload["cause"]) for ev in trace.find("block")] == [
@@ -147,17 +142,17 @@ class TestAnswerActs:
     def test_answer_requires_pending_question(self):
         act = ActInstance("no_answer", "expert", "system", P)
         with pytest.raises(ActError):
-            check_expectation(BeliefStore(), act, SCHEMAS)
-        check_expectation(store_after_question(), act, SCHEMAS)
+            check_expectation(BeliefStore(), act)
+        check_expectation(store_after_question(), act)
 
     def test_answer_consumes_expectation(self):
         act = ActInstance("no_answer", "expert", "system", P)
-        store = apply_hearer_update(store_after_question(), act, SCHEMAS)
+        store = apply_hearer_update(store_after_question(), act)
         assert store.expectations == ()
 
     def test_no_answer_effects(self):
         act = ActInstance("no_answer", "expert", "system", P)
-        store = apply_hearer_update(store_after_question(), act, SCHEMAS)
+        store = apply_hearer_update(store_after_question(), act)
         assert holds(store, ("system", "expert"), bel(struct("not", P)))
         assert holds(
             store,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from implicature.acts import ActInstance, builtin_schemas
+from implicature.acts import ActError, ActInstance, utterance_operator
 from implicature.beliefs import Attitude, holds, render_store
 from implicature.inference import (
     Domain,
@@ -16,7 +16,6 @@ from implicature.inference import (
     candidate_goals,
     infer,
     recognize,
-    utterance_operator,
 )
 from implicature.planner import Operator, cost, linearize, plan
 from implicature.scenario import load_scenario, run_detailed, setup
@@ -24,7 +23,6 @@ from implicature.terms import parse_term, render
 from implicature.trace import Trace
 
 t = parse_term
-SCHEMAS = builtin_schemas()
 
 
 def scenario_text(name):
@@ -120,8 +118,7 @@ class TestRecognize:
             actor=t("b"),
         )
         domain = Domain(
-            schemas=SCHEMAS,
-            operators=(aaa_direct, zzz_follow) + build_operators(SCHEMAS),
+            operators=(aaa_direct, zzz_follow) + build_operators(),
             declared_goals=(t("goal(b, win)"),),
             bound=4,
         )
@@ -175,7 +172,7 @@ class TestEfficiencyAudit:
             candidate_rank=0,
             initial=(t("start"),),
         )
-        empty_domain = Domain(schemas=SCHEMAS, operators=(), bound=3)
+        empty_domain = Domain(operators=(), bound=3)
         v = efficiency_audit(r, empty_domain)
         assert v.kind == "optimal" and v.plan_o is None
 
@@ -201,7 +198,6 @@ def synthetic_recognition(ops, library=(), avoid=(), extra_po_add=()):
     po = plan(initial, t("g1"), all_ops, bound=4)
     assert cost(pr) == 2 and cost(po) == 1
     domain = Domain(
-        schemas=SCHEMAS,
         operators=all_ops,
         declared_goals=tuple(library),
         avoid_goals=tuple(avoid),
@@ -450,13 +446,20 @@ class TestInferPipeline:
 
 class TestUtteranceOperator:
     def test_ground_instance(self):
-        u = utterance_operator(ActInstance("inform", "a", "b", t("p")), SCHEMAS)
+        u = utterance_operator(ActInstance("inform", "a", "b", t("p")))
         assert render(u.head()) == "inform(a, b, p)"
         assert t("bel(b, bel(a, p))") in u.add
 
     def test_unknown_schema(self):
-        with pytest.raises(InferenceError):
-            utterance_operator(ActInstance("inform", "a", "b", t("p")), {})
+        with pytest.raises(ActError, match="unknown act schema 'shout'"):
+            utterance_operator(ActInstance("shout", "a", "b", t("p")))
+
+    def test_infer_rejects_unknown_act_before_any_event(self):
+        store, domain = setup(load_scenario("(agents a b)"))
+        trace = Trace()
+        with pytest.raises(ActError, match="unknown act schema 'shout'"):
+            infer(store, ActInstance("shout", "a", "b", t("p")), domain, trace=trace)
+        assert trace.events == []
 
 
 class TestActOperators:
@@ -522,4 +525,4 @@ class TestActOperators:
                 inform_add,
             ),
         )
-        assert build_operators(SCHEMAS) == expected
+        assert build_operators() == expected

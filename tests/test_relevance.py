@@ -12,7 +12,7 @@ from importlib import resources
 
 import pytest
 
-from implicature.acts import ActInstance, builtin_schemas
+from implicature.acts import ActInstance, utterance_operator
 from implicature.inference import (
     Domain,
     _seeds_for,
@@ -247,14 +247,10 @@ class TestGateFallback:
             )
             for i in (1, 2, 3, 4)
         )
-        domain = Domain(
-            schemas=builtin_schemas(),
-            operators=build_operators(builtin_schemas(), chain),
-            bound=1,
-        )
+        domain = Domain(operators=build_operators(chain), bound=1)
         utterance = ActInstance("inform", "b", "a", t("q"))
         shallow, deep = t("goal(b, bel(a, q))"), t("goal(b, bel(a, k(k(q))))")
-        u = utterance_operator(utterance, domain.schemas)
+        u = utterance_operator(utterance)
         gate = RelevanceGate((t("m0(c)"),) + u.preconditions, domain.operators, u, 1)
         for g in (shallow, deep):
             assert gate.depth(g.args[1], _seeds_for(g)) == (1, None)

@@ -24,7 +24,6 @@ from implicature.scenario import (
     emit_json,
     load_scenario,
     parse_trace,
-    render_scenario,
     run,
     run_detailed,
 )
@@ -230,17 +229,6 @@ class TestParsing:
             act_from_term(t("inform(a, b)"))
         with pytest.raises(ScenarioError):
             act_from_term(t("inform(f(a), b, p)"))
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", ["computer_off", "swim_waves", "burnt_cakes"])
-    def test_shipped_scenarios_round_trip(self, name):
-        s = load_scenario(scenario_text(name))
-        assert load_scenario(render_scenario(s)) == s
-
-    def test_config_round_trips(self):
-        s = load_scenario(MINIMAL + "(config bound 5)\n(config strict true)")
-        assert load_scenario(render_scenario(s)) == s
 
 
 class TestRun:
