@@ -286,10 +286,9 @@ def recognize(
     depths below hold no plan).  With no chain, the candidate is skipped:
     as ``irrelevant-utterance`` when the closure reached its fixpoint, as
     ``unreachable`` when the round cap stopped it (no plan within the
-    bound exists; the plan call searches nothing).  When the gate cannot
-    decide (an operator variable only the planner could bind) it answers
-    "relevant", traces a ``relevance-fallback`` event with the cause, and
-    planning starts at the seeded step count.
+    bound exists; the plan call searches nothing).  The gate always
+    decides: :func:`planner.validate_operator` admits only operators whose
+    instances forward grounding finds.
     """
     u_op = utterance_operator(utterance)
     if not candidates:
@@ -303,13 +302,8 @@ def recognize(
         _, content = parts
         seeds = _seeds_for(g)
         initial = _dedupe(list(base) + seeds)
-        depth, fallback = gate.depth(content, seeds)
-        if fallback is not None and trace:
-            cause, detail = fallback
-            trace.emit(
-                _MODULE, "relevance-fallback", goal=render(g), cause=cause, detail=detail
-            )
-        if depth is None and fallback is None:
+        depth = gate.depth(content, seeds)
+        if depth is None:
             if trace:
                 trace.emit(
                     _MODULE, "candidate-skipped", goal=render(g), cause="irrelevant-utterance"
@@ -321,7 +315,7 @@ def recognize(
             domain.operators,
             bound=domain.bound,
             required_step=u_op,
-            min_cost=0 if depth is None else 1 + depth,
+            min_cost=1 + depth,
         )
         if p is not None:
             if trace:

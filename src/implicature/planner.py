@@ -100,6 +100,8 @@ class Operator:
     ``args`` may contain variables (schema) or be ground (instance); every
     variable in the effects must appear in the args or be bound by a topic
     constraint, and every precondition variable must too or be anonymous.
+    Every arg and add-effect variable must also occur in a precondition
+    or in a topic constraint over bound variables.
     ``actor`` names the agent that performs the action (used by the
     causality side-condition).
     ``topic_constraints`` are (proposition, topic) pairs where the topic
@@ -141,13 +143,33 @@ class Operator:
         )
 
 
+def _unbound_variable(op: Operator) -> str | None:
+    """A variable of op's args or add-effects that neither its preconditions
+    nor its topic constraints bind, if any."""
+    bound: set[str] = set()
+    for p in op.preconditions:
+        bound |= variables(p)
+    for p, t in op.topic_constraints:
+        if variables(p) <= bound:
+            bound |= variables(t)
+    for t in op.args + op.add:
+        free = variables(t) - bound
+        if free:
+            return min(free)
+    return None
+
+
 def validate_operator(op: Operator) -> None:
     """Raise PlannerError unless every variable of op's effects is among its
     args or bound by a topic constraint, every precondition variable is too
-    or is anonymous, and no term is both added and deleted.
+    or is anonymous, every arg and add-effect variable occurs in a
+    precondition or a topic constraint over bound variables, and no term
+    is both added and deleted.
 
-    So every ground instance adds and deletes only ground facts, and the
-    states that matching builds from ground facts stay ground.
+    The third rule is Datalog's safety (range restriction): matching the
+    preconditions against ground facts grounds every instance, so forward
+    grounding (the relevance gate, completion search) finds them all, and
+    the states it builds from ground facts stay ground.
     """
     allowed = variables(op.head())
     for _, t in op.topic_constraints:
@@ -159,6 +181,9 @@ def validate_operator(op: Operator) -> None:
                     raise PlannerError(
                         f"operator {op.name}: variable ?{v} not among parameters"
                     )
+    name = _unbound_variable(op)
+    if name is not None:
+        raise PlannerError(f"operator {op.name}: variable ?{name} bound by no precondition")
     overlap = {render(t) for t in op.add} & {render(t) for t in op.delete}
     if overlap:
         raise PlannerError(f"operator {op.name}: add/delete overlap {overlap}")
@@ -813,7 +838,9 @@ def _ground_instances(
     before the pivot then match the other indexed facts, and those after
     it match every indexed fact.  An operator without preconditions has no
     such instance.  Raises :class:`TermError` for an instance that would
-    add a fact nested deeper than ``MAX_DERIVED_DEPTH``.
+    add a fact nested deeper than ``MAX_DERIVED_DEPTH``, and
+    :class:`PlannerError` for one that the match leaves non-ground (an
+    operator that :func:`validate_operator` would reject).
     """
     results: list[Operator] = []
     pre = op.preconditions
@@ -839,7 +866,9 @@ def _ground_instances(
                     f"operator {op.name} derives a fact nested deeper than "
                     f"{MAX_DERIVED_DEPTH} levels"
                 )
-            if is_ground(inst.head()) and inst not in results:
+            if not all(map(is_ground, (inst.head(), *inst.add))):
+                raise PlannerError(f"operator {op.name}: an instance is not ground")
+            if inst not in results:
                 results.append(inst)
             return
         i, source, excluded = order[k]
@@ -879,22 +908,6 @@ def _depth(t: Term) -> int:
         depth += 1
         level = [a for c in level if isinstance(c, Compound) for a in c.args]
     return depth
-
-
-def _unbound_variable(op: Operator) -> str | None:
-    """A variable of op's args or add-effects that neither its preconditions
-    nor its topic constraints bind, if any."""
-    bound: set[str] = set()
-    for p in op.preconditions:
-        bound |= variables(p)
-    for p, t in op.topic_constraints:
-        if variables(p) <= bound:
-            bound |= variables(t)
-    for t in op.args + op.add:
-        free = variables(t) - bound
-        if free:
-            return min(free)
-    return None
 
 
 def _close(
@@ -957,11 +970,12 @@ class RelevanceGate:
 
     ``initial`` (the facts every candidate plans from) must be ground.  A
     candidate plans from ``initial`` plus its own ground seed facts.
-    :meth:`depth` answers ``(depth, fallback)`` for one candidate.  Every
-    plan that ``plan(initial + seeds, goal, ops, bound, required_step=step)``
-    accepts has at least ``1 + depth`` steps, and none exists when
-    ``depth`` is None.  ``fallback`` is a (cause, detail) pair, with
-    ``depth`` None, when the gate cannot decide.
+    :meth:`depth` answers for one candidate.  Every plan that
+    ``plan(initial + seeds, goal, ops, bound, required_step=step)`` accepts
+    has at least ``1 + depth`` steps, and none exists when ``depth`` is
+    None.  The operators must pass :func:`validate_operator`, so forward
+    grounding finds every instance a plan can use; an instance that
+    grounding leaves non-ground raises :class:`PlannerError`.
 
     Reachability: the delete-relaxed closure of a candidate's facts plus
     the step's add-effects under the ground instances of ``ops``, capped
@@ -986,11 +1000,7 @@ class RelevanceGate:
 
     With no chain, ``depth`` is None when the candidate's closure reached
     its fixpoint, else ``bound``: no plan within ``bound`` steps exists,
-    and ``plan`` never searches the cost ``1 + bound``.  One case falls
-    back, cause ``"unbound-variable"``: an operator has an arg or
-    add-effect variable that only the planner could bind (from the goal),
-    so forward grounding misses its instances; it depends on the operators
-    alone, so it holds for every candidate.
+    and ``plan`` never searches the cost ``1 + bound``.
     """
 
     def __init__(
@@ -1007,25 +1017,15 @@ class RelevanceGate:
         self.step = step
         self.ops = tuple(ops)
         self.bound = bound
-        self.fallback: tuple[str, str] | None = None
-        for op in self.ops:
-            name = _unbound_variable(op)
-            if name is not None:
-                self.fallback = ("unbound-variable", f"{op.name} ?{name}")
-                return
         self.facts = facts
         self.index = _FactIndex(set(facts))
         self.actions: list[Operator] = []
         self.closed = _close(self.index, None, self.ops, self.actions, bound)
 
-    def depth(
-        self, goal: Term, seeds: Iterable[Term] = ()
-    ) -> tuple[int | None, tuple[str, str] | None]:
-        """``(depth, fallback)`` for the candidate with ``goal`` and ``seeds``."""
+    def depth(self, goal: Term, seeds: Iterable[Term] = ()) -> int | None:
+        """The chain depth for the candidate with ``goal`` and ``seeds``."""
         seeds = tuple(seeds)
         _check_ground(seeds, "seed facts")
-        if self.fallback is not None:
-            return None, self.fallback
         actions, closed = self.actions, self.closed
         fresh = [f for f in dict.fromkeys(seeds) if f not in self.index.members]
         if seeds and not closed:
@@ -1039,8 +1039,8 @@ class RelevanceGate:
             closed = _close(index, _FactIndex(fresh), self.ops, actions, self.bound)
         found = _chain_depth(goal, self.step.add, actions)
         if found is None and not closed:
-            return self.bound, None
-        return found, None
+            return self.bound
+        return found
 
 
 # ---------------------------------------------------------------------------

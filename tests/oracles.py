@@ -12,13 +12,7 @@ from __future__ import annotations
 
 import random
 
-from implicature.planner import (
-    Operator,
-    _check_ground,
-    _FactIndex,
-    _ground_instances,
-    _unbound_variable,
-)
+from implicature.planner import Operator, _check_ground, _FactIndex, _ground_instances
 from implicature.terms import Atom, Term, unify
 
 
@@ -140,9 +134,9 @@ def naive_relevance_depth(
     ops: list[Operator],
     step: Operator,
     bound: int,
-) -> tuple[int | None, tuple[str, str] | None]:
-    """The relevance gate's ``(depth, fallback)`` for one candidate, by
-    naive rounds: every round grounds every operator over every fact.
+) -> int | None:
+    """The relevance gate's depth for one candidate, by naive rounds:
+    every round grounds every operator over every fact.
 
     Stage one runs at most ``bound`` rounds from ``base`` plus the step's
     add-effects.  A candidate with seeds runs stage two, at most ``bound``
@@ -150,15 +144,10 @@ def naive_relevance_depth(
     its fixpoint, else from its own facts (``base``, the seeds and the
     step's add-effects) alone.  The answer is the chain depth, else None
     when the last stage reached its fixpoint, else ``bound``.  The
-    reference for
-    :class:`implicature.planner.RelevanceGate`, which shares one
-    semi-naive closure among the candidates of a turn.
+    reference for :class:`implicature.planner.RelevanceGate`, which
+    shares one semi-naive closure among the candidates of a turn.
     """
     _check_ground(tuple(base) + tuple(seeds) + step.add, "initial facts and step effects")
-    for op in ops:
-        name = _unbound_variable(op)
-        if name is not None:
-            return None, ("unbound-variable", f"{op.name} ?{name}")
     facts = set(base) | set(step.add)
     actions: dict[Operator, None] = {}
     closed = _naive_rounds(facts, ops, actions, bound)
@@ -173,7 +162,7 @@ def naive_relevance_depth(
     depth = 0
     while layer:
         if any(unify(goal, f) is not None for f in layer):
-            return depth, None
+            return depth
         nxt: set[Term] = set()
         rest: list[Operator] = []
         for a in pending:
@@ -185,4 +174,4 @@ def naive_relevance_depth(
         seen |= nxt
         layer = nxt
         depth += 1
-    return (None if closed else bound), None
+    return None if closed else bound

@@ -17,7 +17,7 @@ from implicature.inference import (
     infer,
     recognize,
 )
-from implicature.planner import Operator, cost, linearize, plan
+from implicature.planner import Operator, cost, linearize, plan, validate_operator
 from implicature.scenario import load_scenario, run_detailed, setup
 from implicature.terms import parse_term, render
 from implicature.trace import Trace
@@ -526,3 +526,7 @@ class TestActOperators:
             ),
         )
         assert build_operators() == expected
+
+    def test_builtin_operators_are_valid(self):
+        for op in build_operators():
+            validate_operator(op)

@@ -419,6 +419,18 @@ class TestCompleteFrom:
         ):
             complete_from(t("p(a)"), (t("q"),), [wrap], steps + 1, {t("p(a)")})
 
+    def test_arg_no_precondition_binds_is_a_planner_error(self):
+        # tell(?x) takes ?x from the goal only: completion search cannot
+        # ground it forward, so it must fail rather than answer None while
+        # the planner finds tell(c)
+        tell = Operator(
+            "tell", args=(var("x"),), preconditions=(t("p"),), add=(t("known(?x)"),)
+        )
+        found = plan([t("p")], t("known(c)"), [tell])
+        assert [render(s.head()) for s in found.steps.values()] == ["tell(c)"]
+        with pytest.raises(PlannerError, match="operator tell: an instance is not ground"):
+            complete_from(t("p"), (t("known(c)"),), [tell], 3, {t("p")})
+
     def test_completions_are_nonempty(self):
         with pytest.raises(PlannerError):
             Completion(actions=(), entry_state=t("s"), achieved_goal=t("g"))

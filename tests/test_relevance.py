@@ -13,6 +13,7 @@ from importlib import resources
 import pytest
 
 from implicature.acts import ActInstance, utterance_operator
+from implicature.cli import main as cli_main
 from implicature.inference import (
     Domain,
     _seeds_for,
@@ -28,7 +29,7 @@ from implicature.planner import (
     cost,
     plan,
 )
-from implicature.scenario import load_scenario, run, run_detailed
+from implicature.scenario import ScenarioError, load_scenario, run, run_detailed
 from implicature.terms import Atom, Substitution, TermError, parse_term, render, struct, var
 from implicature.trace import Trace
 
@@ -41,8 +42,7 @@ BOUND = 4
 def _irrelevant_is_sound(initial, goal, ops, u, bound=BOUND):
     """The gate's verdict; asserts that "irrelevant" agrees with the planner."""
     initial = list(dict.fromkeys(list(initial) + list(u.preconditions)))
-    depth, fallback = RelevanceGate(initial, ops, u, bound).depth(goal)
-    assert fallback is None
+    depth = RelevanceGate(initial, ops, u, bound).depth(goal)
     if depth is None:
         p = plan(initial, goal, ops, bound=bound, required_step=u)
         assert p is None, f"gate said irrelevant, planner found {p}"
@@ -107,7 +107,7 @@ class TestGateSoundness:
     def test_irrelevant_when_effects_feed_nothing(self):
         u = Operator("u", preconditions=(t("p"),), add=(t("q"),), actor=t("spk"))
         other = Operator("o", preconditions=(t("p"),), add=(t("r"),), actor=t("spk"))
-        assert RelevanceGate([t("p")], [u, other], u, BOUND).depth(t("r")) == (None, None)
+        assert RelevanceGate([t("p")], [u, other], u, BOUND).depth(t("r")) is None
 
     def test_relevant_through_a_lifted_chain(self):
         u = Operator("u", add=(t("f(a)"),), actor=t("spk"))
@@ -115,15 +115,14 @@ class TestGateSoundness:
             "lift", args=(var("x"),), preconditions=(t("f(?x)"),), add=(t("h(?x)"),),
             actor=t("spk"),
         )
-        assert RelevanceGate([], [u, lift], u, BOUND).depth(t("h(?any)")) == (1, None)
+        assert RelevanceGate([], [u, lift], u, BOUND).depth(t("h(?any)")) == 1
 
 
 def _start_depth_is_sound(initial, goal, ops, u, bound=BOUND):
     """The gate's chain depth, or None; asserts that planning from
     ``1 + depth`` finds the plan a search from the utterance alone finds."""
     initial = list(dict.fromkeys(list(initial) + list(u.preconditions)))
-    depth, fallback = RelevanceGate(initial, ops, u, bound).depth(goal)
-    assert fallback is None
+    depth = RelevanceGate(initial, ops, u, bound).depth(goal)
     if depth is None:
         return None, None
     full = plan(initial, goal, ops, bound=bound, required_step=u)
@@ -178,27 +177,49 @@ class TestStartDepth:
             Operator("ag", preconditions=(t("a"), t("x")), add=(t("g"),), actor=t("spk")),
             Operator("x", add=(t("x"),), actor=t("spk")),
         ]
-        assert RelevanceGate([], ops, u, BOUND).depth(t("g")) == (1, None)
+        assert RelevanceGate([], ops, u, BOUND).depth(t("g")) == 1
         # the goal already holds, yet a connected plan still needs a chain
-        assert RelevanceGate([t("g")], ops, u, BOUND).depth(t("g")) == (1, None)
-        assert RelevanceGate([], ops, u, BOUND).depth(t("a")) == (0, None)
-        assert RelevanceGate([], ops, u, BOUND).depth(t("x")) == (None, None)
+        assert RelevanceGate([t("g")], ops, u, BOUND).depth(t("g")) == 1
+        assert RelevanceGate([], ops, u, BOUND).depth(t("a")) == 0
+        assert RelevanceGate([], ops, u, BOUND).depth(t("x")) is None
+
+
+#: tell(?x) takes ?x from the goal only, so forward grounding cannot
+#: ground it: the scenario is rejected where it is loaded
+UNBOUND_TELL = (
+    "(agents a b)\n"
+    "(candidate-goal goal(b, bel(a, q)))\n"
+    "(believes (b) bel(p))\n"
+    "(operator tell(?x) (actor b) (pre bel(a, bel(b, p))) (add bel(a, known(?x))))\n"
+    "(turn inform(b, a, p))\n"
+)
 
 
 class TestGateFallback:
-    def test_unbound_arg_falls_back_to_relevant(self):
-        # tell(?x) takes ?x from the goal only: forward grounding finds no
-        # instance of it, yet the planner routes the utterance through it
+    def test_unbound_arg_is_rejected_at_load(self):
+        with pytest.raises(
+            ScenarioError,
+            match=r"bad operator tell\(\?x\): operator tell: variable \?x bound by no precondition",
+        ):
+            load_scenario(UNBOUND_TELL)
+
+    def test_unbound_arg_run_is_exit_1(self, tmp_path, capsys):
+        scenario = tmp_path / "tell.vgs"
+        scenario.write_text(UNBOUND_TELL)
+        assert cli_main(["run", str(scenario)]) == 1
+        assert "operator tell: variable ?x bound by no precondition" in capsys.readouterr().err
+
+    def test_unbound_arg_is_a_planner_error_in_the_gate(self):
+        # a library caller that skips validate_operator gets an error, not
+        # an "irrelevant" verdict the planner would contradict
         u = Operator("u", add=(t("p"),), actor=t("spk"))
         tell = Operator(
             "tell", args=(var("x"),), preconditions=(t("p"),), add=(t("known(?x)"),),
             actor=t("spk"),
         )
-        goal = t("known(c)")
-        assert RelevanceGate([], [u, tell], u, BOUND).depth(goal) == (
-            None, ("unbound-variable", "tell ?x")
-        )
-        assert plan([], goal, [u, tell], bound=BOUND, required_step=u) is not None
+        with pytest.raises(PlannerError, match="operator tell: an instance is not ground"):
+            RelevanceGate([], [u, tell], u, BOUND)
+        assert plan([], t("known(c)"), [u, tell], bound=BOUND, required_step=u) is not None
 
     def test_nesting_limit_falls_back_to_relevant(self):
         # echo nests without end: the closure stops after BOUND rounds with
@@ -208,7 +229,7 @@ class TestGateFallback:
             "echo", args=(var("x"),), preconditions=(t("bel(a, ?x)"),),
             add=(t("bel(a, bel(a, ?x))"),), actor=t("spk"),
         )
-        assert RelevanceGate([], [u, echo], u, BOUND).depth(t("q")) == (BOUND, None)
+        assert RelevanceGate([], [u, echo], u, BOUND).depth(t("q")) == BOUND
         assert plan([], t("q"), [u, echo], bound=BOUND, required_step=u) is None
 
     def test_closure_past_derived_depth_cap_is_a_term_error(self):
@@ -222,23 +243,10 @@ class TestGateFallback:
         with pytest.raises(TermError, match="operator echo derives a fact nested deeper"):
             RelevanceGate([], [u, echo], u, MAX_DERIVED_DEPTH)
 
-    def test_recognition_traces_the_fallback(self):
-        text = (
-            "(agents a b)\n"
-            "(candidate-goal goal(b, bel(a, q)))\n"
-            "(believes (b) bel(p))\n"
-            "(operator tell(?x) (actor b) (pre bel(a, bel(b, p))) (add bel(a, known(?x))))\n"
-            "(turn inform(b, a, p))\n"
-        )
-        events = run(load_scenario(text)).find("relevance-fallback")
-        assert [ev.payload for ev in events] == [
-            {"goal": "goal(b, bel(a, q))", "cause": "unbound-variable", "detail": "tell ?x"}
-        ]
-
     def test_each_candidate_falls_back_on_its_own_limit(self):
         # m0(c) -> m1 -> ... -> m4 takes four rounds, so at bound 1 every
         # candidate's closure is unfinished and has no chain: both are
-        # skipped as unreachable, with no search and no fallback
+        # skipped as unreachable, with no search
         x = var("x")
         chain = tuple(
             Operator(
@@ -253,10 +261,9 @@ class TestGateFallback:
         u = utterance_operator(utterance)
         gate = RelevanceGate((t("m0(c)"),) + u.preconditions, domain.operators, u, 1)
         for g in (shallow, deep):
-            assert gate.depth(g.args[1], _seeds_for(g)) == (1, None)
+            assert gate.depth(g.args[1], _seeds_for(g)) == 1
         trace = Trace()
         assert recognize((t("m0(c)"),), utterance, [shallow, deep], domain, trace) is None
-        assert trace.find("relevance-fallback") == []
         skipped = [
             (ev.payload["goal"], ev.payload["cause"]) for ev in trace.find("candidate-skipped")
         ]
@@ -266,7 +273,6 @@ class TestGateFallback:
     def test_bundled_scenarios_never_fall_back(self, name):
         text = resources.files("implicature").joinpath(f"scenarios/{name}.vgs").read_text()
         trace = run(load_scenario(text))
-        assert trace.find("relevance-fallback") == []
         assert trace.find("candidate-skipped")
 
 
@@ -302,10 +308,10 @@ class TestRoundCap:
             for name, pre, add in extra
         ]
         seeds = [t("s")]
-        depth, fallback = RelevanceGate([], ops, u, bound).depth(t("g"), seeds)
+        depth = RelevanceGate([], ops, u, bound).depth(t("g"), seeds)
         found = plan(seeds, t("g"), ops, bound=bound, required_step=u)
         assert cost(found) == bound >= 1 + depth
-        assert (depth, fallback) == naive_relevance_depth([], seeds, t("g"), ops, u, bound)
+        assert depth == naive_relevance_depth([], seeds, t("g"), ops, u, bound)
 
 
 def warning_chain_text(depth: int, bound: int) -> str:
@@ -360,13 +366,13 @@ class TestDeepWarningChain:
 
 
 def random_nesting_domain(rng: random.Random):
-    """Lifted one-precondition operators over unary p0..p5 that wrap the
-    bound variable one or two levels deeper.  Most pass a fact on to a
-    later predicate, so most closures are finite; some loop back and nest
-    without end.  Now and then an operator takes an arg no precondition
-    binds.  Returns the initial facts, the operators, a ground utterance
-    instance of one of them and a maker of random facts for seeds and
-    goals."""
+    """Lifted operators over unary p0..p5 that wrap the bound variable one
+    or two levels deeper.  Most pass a fact on to a later predicate, so
+    most closures are finite; some loop back and nest without end.  Now
+    and then an operator joins a second precondition p5(?y) and adds
+    p5(h(?y)).  Returns the initial facts, the operators, a ground
+    utterance instance of one of them and a maker of random facts for
+    seeds and goals."""
     x = var("x")
 
     def nested(depth):
@@ -388,16 +394,18 @@ def random_nesting_domain(rng: random.Random):
         inner = x
         for _ in range(rng.choice([1, 1, 2])):
             inner = struct("f", inner)
-        args = (x,)
+        args, pre = (x,), [struct(f"p{src}", x)]
         add = [struct(f"p{dst}", inner)]
         if rng.random() < 0.02:
-            args = (x, var("y"))
-            add.append(struct("p5", var("y")))
+            y = var("y")
+            args = (x, y)
+            pre.append(struct("p5", y))
+            add.append(struct("p5", struct("h", y)))
         ops.append(
             Operator(
                 name=f"o{i}",
                 args=args,
-                preconditions=(struct(f"p{src}", x),),
+                preconditions=tuple(pre),
                 add=tuple(add),
                 actor=Atom("spk"),
             )
@@ -409,16 +417,15 @@ def random_nesting_domain(rng: random.Random):
 
 
 def _shared_equals_naive(initial, ops, u, candidates, bound=BOUND):
-    """Every candidate's ``(depth, fallback)`` from one shared gate equals
-    the naive per-candidate reference; returns the shared answers."""
+    """Every candidate's depth from one shared gate equals the naive
+    per-candidate reference; returns the shared answers."""
     base = list(dict.fromkeys(list(initial) + list(u.preconditions)))
     gate = RelevanceGate(base, ops, u, bound)
     answers = []
     for goal, seeds in candidates:
-        answer = gate.depth(goal, seeds)
-        assert answer == naive_relevance_depth(base, seeds, goal, ops, u, bound)
-        depth, fallback = answer
-        answers.append((depth, fallback and fallback[0]))
+        depth = gate.depth(goal, seeds)
+        assert depth == naive_relevance_depth(base, seeds, goal, ops, u, bound)
+        answers.append(depth)
     return answers
 
 
@@ -441,9 +448,8 @@ class TestSharedClosure:
                 for _ in range(rng.randint(2, 3))
             ]
             answers += _shared_equals_naive(initial, ops, u, candidates)
-        depths = [d for d, _ in answers]
-        assert depths.count(None) >= 100
-        assert sum(d is not None and d > 0 for d in depths) >= 100
+        assert answers.count(None) >= 100
+        assert sum(d is not None and d > 0 for d in answers) >= 100
 
     def test_random_lifted_domains(self):
         rng = random.Random(1019)
@@ -463,9 +469,8 @@ class TestSharedClosure:
                 for _ in range(rng.randint(1, 2))
             ]
             answers += _shared_equals_naive(initial, ops, u, candidates)
-        depths = [d for d, _ in answers]
-        assert depths.count(None) >= 100
-        assert sum(d is not None and d > 0 for d in depths) >= 100
+        assert answers.count(None) >= 100
+        assert sum(d is not None and d > 0 for d in answers) >= 100
 
     def test_random_nesting_domains(self):
         rng = random.Random(91019)
@@ -478,10 +483,9 @@ class TestSharedClosure:
                     for _ in range(rng.randint(2, 3))
                 ]
                 answers += [
-                    "capped" if depth == bound else (cause or depth)
-                    for depth, cause in _shared_equals_naive(initial, ops, u, candidates, bound)
+                    "capped" if depth == bound else depth
+                    for depth in _shared_equals_naive(initial, ops, u, candidates, bound)
                 ]
-        assert answers.count("unbound-variable") >= 30
         # capped (or a chain as long as the bound) versus finished without one
         assert answers.count("capped") >= 200
         assert answers.count(None) >= 120
@@ -496,10 +500,10 @@ class TestSharedClosure:
                 gate = RelevanceGate(base, ops, u, bound)
                 for _ in range(rng.randint(2, 3)):
                     goal, seeds = fact(), [fact() for _ in range(rng.randint(0, 2))]
-                    answer = gate.depth(goal, seeds)
-                    if answer not in ((bound, None), (None, None)):
+                    depth = gate.depth(goal, seeds)
+                    if depth not in (bound, None):
                         continue
-                    answers.append("irrelevant" if answer[0] is None else "capped")
+                    answers.append("irrelevant" if depth is None else "capped")
                     facts = list(dict.fromkeys(base + seeds))
                     assert plan(facts, goal, ops, bound=bound, required_step=u) is None
         assert answers.count("capped") >= 100
