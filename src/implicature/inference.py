@@ -43,6 +43,7 @@ from .beliefs import (
 from .planner import (
     DEFAULT_BOUND,
     Completion,
+    InstanceTable,
     Operator,
     Plan,
     RelevanceGate,
@@ -387,7 +388,9 @@ def ascribe_conjunctive(
 
     Searches (exclusive state of the recognized plan) x (goal library) for a
     completion: one completion search per exclusive state serves every
-    template of the library.  Each entry state comes from
+    template of the library, and the searches share one
+    :class:`planner.InstanceTable` over the recognized plan's terminal
+    state.  Each entry state comes from
     :func:`planner.exclusive_states` of the two complete plans, so it is
     asserted by the recognized plan and not by the optimal one:
     exclusiveness holds by construction.  Each (state, template) pair with
@@ -417,9 +420,12 @@ def ascribe_conjunctive(
         assert g2_parts is not None
         contents.append(g2_parts[1])
     ambient = _terminal_state(r.initial, pr)
+    table = InstanceTable(domain.operators, ambient)
     winner: AscriptionReport | None = None
     for s_state in exclusive_states(pr, po):
-        comps = complete_from(s_state, contents, domain.operators, domain.bound, ambient)
+        comps = complete_from(
+            s_state, contents, domain.operators, domain.bound, ambient, table=table
+        )
         for g2, comp in zip(library, comps):
             if comp is None:
                 continue
@@ -507,9 +513,11 @@ def ascribe_avoidance(
 
     Searches (exclusive state of the optimal plan) x (avoidance library) for
     a completion: one completion search per exclusive state serves every
-    avoid-goal.  Each entry state comes from :func:`planner.exclusive_states`
-    of the two complete plans, so it is asserted by the optimal plan and
-    not by the recognized one: exclusiveness holds by construction.  The
+    avoid-goal, and the searches share one :class:`planner.InstanceTable`
+    over the optimal plan's terminal state.  Each entry state comes from
+    :func:`planner.exclusive_states` of the two complete plans, so it is
+    asserted by the optimal plan and not by the recognized one:
+    exclusiveness holds by construction.  The
     pairs are then checked in library order for the causality condition
     (the speaker is never the completion's actor).  The first pair that
     passes wins, and the negated goal is ascribed into the hearer's view of
@@ -523,9 +531,10 @@ def ascribe_avoidance(
     if not domain.avoid_goals:
         return store, None
     ambient = _terminal_state(r.initial, po)
+    table = InstanceTable(domain.operators, ambient)
     for s_state in exclusive_states(po, pr):
         comps = complete_from(
-            s_state, domain.avoid_goals, domain.operators, domain.bound, ambient
+            s_state, domain.avoid_goals, domain.operators, domain.bound, ambient, table=table
         )
         for ag, comp in zip(domain.avoid_goals, comps):
             if comp is None:

@@ -33,14 +33,20 @@ operator instances, then the shortest chain of those instances from the
 utterance's add-effects to the goal, which also bounds the plan's cost
 from below).  The gate builds one relaxed closure per turn, semi-naively
 and for at most ``bound`` rounds, and extends it with each candidate
-goal's seeds.  The gate and completion search ground operators with one
-matcher over an indexed state.
+goal's seeds.  Completion search grounds the relaxed closure of its
+ambient facts instead of each state it visits: one round per search level
+it reaches, shared by the searches from every entry state of an
+ascription rule; a state's applicable instances are those whose
+preconditions it holds.  Both ground operators with one matcher and one
+closure routine.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import itemgetter
 from typing import Collection, Iterable
 
 from .terms import (
@@ -766,7 +772,8 @@ def plan(
 
 
 # ---------------------------------------------------------------------------
-# Ground matching: shared by the relevance gate and completion search
+# Ground matching and the delete-relaxed closure: one matcher and one
+# semi-naive closure routine serve the relevance gate and completion search
 # ---------------------------------------------------------------------------
 
 
@@ -895,11 +902,6 @@ def _ground_instances(
     return results
 
 
-# ---------------------------------------------------------------------------
-# Relevance gate
-# ---------------------------------------------------------------------------
-
-
 def _depth(t: Term) -> int:
     """Nesting depth (an atom or variable is 1), level by level, so that a
     fact past ``MAX_DERIVED_DEPTH`` is measured without recursion."""
@@ -914,7 +916,7 @@ def _close(
     index: _FactIndex,
     delta: _FactIndex | None,
     ops: tuple[Operator, ...],
-    actions: list[Operator],
+    actions: list[list[Operator]],
     rounds: int,
 ) -> bool:
     """Extend the delete-relaxed closure of the facts in ``index`` by at
@@ -923,15 +925,16 @@ def _close(
     ``delta`` holds the indexed facts no round has matched yet (None: all
     of them, and the first round is one plain pass).  Each round grounds
     only the instances with a precondition in the last round's delta, so
-    no instance is found twice; it appends them to ``actions`` and indexes
-    their new add-effects.  Returns True when a round derived no new fact,
-    i.e. the closure reached its fixpoint.
+    no instance is found twice; it appends each to ``actions[i]``, ``i``
+    its operator's position in ``ops``, and indexes their new add-effects.
+    Returns True when a round derived no new fact, i.e. the closure
+    reached its fixpoint.
     """
     for _ in range(rounds):
         new: dict[Term, None] = {}
-        for op in ops:
+        for op, found in zip(ops, actions):
             for inst in _ground_instances(op, index, delta):
-                actions.append(inst)
+                found.append(inst)
                 new.update((e, None) for e in inst.add if e not in index.members)
         if not new:
             return True
@@ -940,7 +943,12 @@ def _close(
     return False
 
 
-def _chain_depth(goal: Term, start: tuple[Term, ...], actions: list[Operator]) -> int | None:
+# ---------------------------------------------------------------------------
+# Relevance gate
+# ---------------------------------------------------------------------------
+
+
+def _chain_depth(goal: Term, start: tuple[Term, ...], actions: Iterable[Operator]) -> int | None:
     """The first layer of the chain from ``start`` over ``actions`` with a
     fact that unifies with ``goal``, or None."""
     layer = set(start)
@@ -1019,7 +1027,7 @@ class RelevanceGate:
         self.bound = bound
         self.facts = facts
         self.index = _FactIndex(set(facts))
-        self.actions: list[Operator] = []
+        self.actions: list[list[Operator]] = [[] for _ in self.ops]
         self.closed = _close(self.index, None, self.ops, self.actions, bound)
 
     def depth(self, goal: Term, seeds: Iterable[Term] = ()) -> int | None:
@@ -1029,15 +1037,15 @@ class RelevanceGate:
         actions, closed = self.actions, self.closed
         fresh = [f for f in dict.fromkeys(seeds) if f not in self.index.members]
         if seeds and not closed:
-            actions = []
+            actions = [[] for _ in self.ops]
             index = _FactIndex(set(self.facts + seeds))
             closed = _close(index, None, self.ops, actions, self.bound)
         elif fresh:
             index = self.index.copy()
             index.add(fresh)
-            actions = list(actions)
+            actions = [list(found) for found in actions]
             closed = _close(index, _FactIndex(fresh), self.ops, actions, self.bound)
-        found = _chain_depth(goal, self.step.add, actions)
+        found = _chain_depth(goal, self.step.add, chain.from_iterable(actions))
         if found is None and not closed:
             return self.bound
         return found
@@ -1048,22 +1056,70 @@ class RelevanceGate:
 # ---------------------------------------------------------------------------
 
 
+class InstanceTable:
+    """The ground instances of ``ops`` over the delete-relaxed closure of
+    the ground ``ambient`` facts, grown a round at a time for completion
+    search.
+
+    ``rows[i]`` holds the instances of ``ops[i]`` found so far, each paired
+    with the tuple of its preconditions' renders and sorted by it.  Rows
+    follow operator positions, not names, so two operators that share a
+    name keep their own instances.  :meth:`extend` runs rounds of
+    :func:`_close`.  After ``r`` rounds the rows hold every instance whose
+    preconditions all lie in the relaxed closure's level ``r - 1``, and so
+    every instance applicable in a state that ``r - 1`` actions reach from
+    ``ambient``.  One table serves every completion search from the same
+    ``ambient`` over the same ``ops``.
+    """
+
+    __slots__ = ("start", "rows", "_ops", "_index", "_delta", "_found", "_rounds", "_closed")
+
+    def __init__(
+        self, ops: list[Operator] | tuple[Operator, ...], ambient: Collection[Term]
+    ) -> None:
+        self._ops = tuple(ops)
+        self.start = frozenset(ambient)
+        _check_ground(tuple(self.start), "ambient facts")
+        self.rows: list[list[tuple[tuple[str, ...], Operator]]] = [[] for _ in self._ops]
+        self._index = _FactIndex(self.start)
+        self._delta: _FactIndex | None = None
+        self._found: list[list[Operator]] = [[] for _ in self._ops]
+        self._rounds = 0
+        self._closed = False
+
+    def extend(self, rounds: int) -> None:
+        """Run closure rounds until ``rounds`` have run in all or one
+        derives no new fact."""
+        while self._rounds < rounds and not self._closed:
+            seen = len(self._index.facts)
+            self._closed = _close(self._index, self._delta, self._ops, self._found, 1)
+            self._delta = _FactIndex(self._index.facts[seen:])
+            self._rounds += 1
+            for row, found in zip(self.rows, self._found):
+                if found:
+                    row.extend((tuple(map(render, i.preconditions)), i) for i in found)
+                    row.sort(key=itemgetter(0))
+                    found.clear()
+
+
 def complete_from(
     state: Term,
     goals: list[Term] | tuple[Term, ...],
     ops: list[Operator] | tuple[Operator, ...],
     bound: int,
     ambient: set[Term] | frozenset[Term],
+    *,
+    table: InstanceTable | None = None,
 ) -> tuple[Completion | None, ...]:
     """Shortest nonempty action sequence from `state` to each of `goals`.
 
     Returns one entry per goal, in goal order: the completion, or None when
     no sequence within `bound` actions reaches the goal.  `state` and
     `ambient` must be ground; the goals need not be.  The first action
-    must have a precondition unifying with `state`; every action executes
-    in the ambient context.  A goal may contain variables; it is reached
-    when it unifies with a fact of a generated state (the least such fact
-    in render order instantiates it).
+    must have `state` among its preconditions; every action executes in
+    the ambient context.  A goal may contain variables; it is reached when
+    it unifies with a fact of a generated state (the least such fact in
+    render order instantiates it).
 
     One breadth-first search serves every goal.  Its expansion order
     (frontier, operators, ground instances, visited states) does not depend
@@ -1071,6 +1127,22 @@ def complete_from(
     settled at its first hit, and the search stops once none is pending.
     A one-goal search stops at that same first hit, so each answer is
     exactly the one a search for that goal alone returns.
+
+    Applicable instances come from `table`, an :class:`InstanceTable` of
+    `ops` over `ambient` (built here when None; a caller searching from
+    several entry states shares one and checks `ambient` once).  Before
+    the search expands level ``d`` (the states ``d`` actions reach), the
+    table is extended to ``d + 1`` rounds, so it holds every instance
+    applicable there; a state's instances are the table's instances whose
+    preconditions all belong to it.  Each operator's instances are in
+    precondition-render order, the order in which matching against the
+    state's facts sorted by render would find them, so the search expands
+    exactly as one that grounds every operator at every state.  Only the
+    rounds of levels the search expands run: a search that settles every
+    goal at level ``d`` grounds nothing deeper.  :class:`TermError` fires
+    when one of those rounds derives a fact nested deeper than
+    ``MAX_DERIVED_DEPTH``.  The closure ignores deletes, so that instance
+    need not apply in any state the search visits.
 
     The goal test looks only at facts that can be new.  A frontier state
     past the start was tested when it was generated, so a pending goal
@@ -1080,29 +1152,31 @@ def complete_from(
     """
     if bound < 1:
         raise PlannerError("bound must be >= 1")
-    _check_ground((state, *ambient), "entry state and ambient facts")
+    _check_ground((state,), "entry state")
+    if table is None:
+        table = InstanceTable(ops, ambient)
     found: list[Completion | None] = [None] * len(goals)
     pending = list(range(len(goals)))
-    start = frozenset(ambient)
+    start = table.start
     at_start: list[list[Term]] = []  # the ambient facts each goal unifies with
     frontier: list[tuple[frozenset[Term], tuple[Operator, ...]]] = [(start, ())]
     visited: set[frozenset[Term]] = {start}
-    for _ in range(bound):
+    for level in range(bound):
         if not frontier or not pending:
             break
+        table.extend(level + 1)
         nxt: list[tuple[frozenset[Term], tuple[Operator, ...]]] = []
         for current, seq in frontier:
-            index = _FactIndex(current)
-            for op in ops:
-                for inst in _ground_instances(op, index):
-                    if not seq:
-                        if all(unify(pre, state) is None for pre in inst.preconditions):
-                            continue
-                        if not at_start:
-                            at_start = [
-                                [f for f in start if unify(g, f) is not None]
-                                for g in goals
-                            ]
+            for row in table.rows:
+                for _, inst in row:
+                    if not seq and state not in inst.preconditions:
+                        continue
+                    if not current.issuperset(inst.preconditions):
+                        continue
+                    if not seq and not at_start:
+                        at_start = [
+                            [f for f in start if unify(g, f) is not None] for g in goals
+                        ]
                     deleted = set(inst.delete)
                     new_seq = seq + (inst,)
                     for i in tuple(pending):

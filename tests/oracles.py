@@ -3,17 +3,24 @@
 Everything here deliberately avoids the planner's search machinery: plans
 are checked against exhaustive breadth-first search over ground action
 sequences, and random domains are generated from a seeded RNG so failures
-reproduce.  The naive relevance closure reuses the planner's plain
-matcher and term helpers, but neither the semi-naive rounds nor the
-per-turn closure of the gate it checks.
+reproduce.  The naive relevance closure and the per-state completion
+search reuse the planner's plain matcher and term helpers, but neither
+the semi-naive rounds, the per-turn closure of the gate nor the instance
+table of completion search that they check.
 """
 
 from __future__ import annotations
 
 import random
 
-from implicature.planner import Operator, _check_ground, _FactIndex, _ground_instances
-from implicature.terms import Atom, Term, unify
+from implicature.planner import (
+    Completion,
+    Operator,
+    _check_ground,
+    _FactIndex,
+    _ground_instances,
+)
+from implicature.terms import Atom, Term, apply, render, unify
 
 
 def applicable(op: Operator, state: frozenset[Term]) -> bool:
@@ -80,6 +87,59 @@ def bfs_min_cost(
         if not frontier:
             return None
     return None
+
+
+def per_state_completion(
+    state: Term,
+    goals: list[Term] | tuple[Term, ...],
+    ops: list[Operator],
+    bound: int,
+    ambient: set[Term] | frozenset[Term],
+) -> tuple[Completion | None, ...]:
+    """Completion search that grounds every operator afresh at every state.
+
+    The reference for :func:`implicature.planner.complete_from`: a
+    breadth-first search from ``ambient`` whose first action must have a
+    precondition unifying with ``state``.  Each state is indexed and every
+    operator matched against it; ``visited`` holds states alone.  Each goal
+    is settled at the first generated state with a fact that unifies with
+    it (at the first action, also the ambient facts it keeps), by the
+    least such fact in render order.
+    """
+    _check_ground((state, *ambient), "entry state and ambient facts")
+    found: list[Completion | None] = [None] * len(goals)
+    pending = list(range(len(goals)))
+    start = frozenset(ambient)
+    frontier: list[tuple[frozenset[Term], tuple[Operator, ...]]] = [(start, ())]
+    visited = {start}
+    for _ in range(bound):
+        if not frontier or not pending:
+            break
+        nxt = []
+        for current, seq in frontier:
+            index = _FactIndex(current)
+            for op in ops:
+                for inst in _ground_instances(op, index):
+                    if not seq and all(unify(p, state) is None for p in inst.preconditions):
+                        continue
+                    kept = current - set(inst.delete)
+                    new_seq = seq + (inst,)
+                    for i in tuple(pending):
+                        reached = [e for e in inst.add if unify(goals[i], e) is not None]
+                        if not seq:
+                            reached += [f for f in kept if unify(goals[i], f) is not None]
+                        if reached:
+                            u = unify(goals[i], min(reached, key=render))
+                            found[i] = Completion(new_seq, state, apply(u, goals[i]))
+                            pending.remove(i)
+                    if not pending:
+                        return tuple(found)
+                    new_state = frozenset(kept | set(inst.add))
+                    if new_state not in visited:
+                        visited.add(new_state)
+                        nxt.append((new_state, new_seq))
+        frontier = nxt
+    return tuple(found)
 
 
 def random_ground_domain(

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from implicature import planner
 from implicature.planner import (
     MAX_DERIVED_DEPTH,
     Completion,
     CycleError,
+    InstanceTable,
     Operator,
     Plan,
     PlannerError,
@@ -21,9 +23,9 @@ from implicature.planner import (
     simulate,
     to_dot,
 )
-from implicature.terms import Atom, TermError, parse_term, render, unify, var
+from implicature.terms import Atom, TermError, parse_term, render, struct, unify, var
 
-from oracles import bfs_min_cost, random_ground_domain
+from oracles import bfs_min_cost, per_state_completion, random_ground_domain
 
 t = parse_term
 
@@ -431,9 +433,135 @@ class TestCompleteFrom:
         with pytest.raises(PlannerError, match="operator tell: an instance is not ground"):
             complete_from(t("p"), (t("known(c)"),), [tell], 3, {t("p")})
 
+    def test_lazy_rounds_stop_at_the_level_that_settles_every_goal(self):
+        # e completes at the first level; a closure grounded for all 200
+        # rounds up front would nest wrap's p(f(...)) past MAX_DERIVED_DEPTH
+        # and raise TermError
+        wrap = op("wrap", pre=["p(?x)"], add=["p(f(?x))"], delete=["p(?x)"])
+        e = op("e", pre=["p(a)"], add=["g"])
+        (c,) = complete_from(t("p(a)"), (t("g"),), [wrap, e], 200, {t("p(a)")})
+        assert c == Completion(actions=(e,), entry_state=t("p(a)"), achieved_goal=t("g"))
+
+    def test_operators_sharing_a_name_keep_their_positions(self):
+        # by precondition render, second's instance sorts before first's:
+        # a table keyed by name would expand it first and answer g with it
+        first = op("o", pre=["t", "s"], add=["g"])
+        second = op("o", pre=["a", "s"], add=["g", "h"])
+        ambient = {t("a"), t("s"), t("t")}
+        goals = (t("g"), t("h"))
+        found = complete_from(t("s"), goals, [first, second], 2, ambient)
+        assert [c.actions for c in found] == [(first,), (second,)]
+        assert found == per_state_completion(t("s"), goals, [first, second], 2, ambient)
+
+    def test_shared_table_checks_ambient_once(self, monkeypatch):
+        checked: list[tuple] = []
+        check = planner._check_ground
+
+        def recording(facts, what):
+            checked.append(facts)
+            check(facts, what)
+
+        monkeypatch.setattr(planner, "_check_ground", recording)
+        ambient = {t("seen(item)"), t("held(item)"), t("x")}
+        table = InstanceTable(self.OPS, ambient)
+        for entry in ("seen(item)", "held(item)", "x"):
+            complete_from(t(entry), (t("stored(item)"),), self.OPS, 3, ambient, table=table)
+        assert sorted(map(len, checked)) == [1, 1, 1, 3]
+        with pytest.raises(PlannerError, match=r"ambient facts must be ground, got held\(\?x\)"):
+            InstanceTable(self.OPS, {t("held(?x)")})
+        with pytest.raises(PlannerError, match=r"entry state must be ground, got seen\(\?x\)"):
+            complete_from(t("seen(?x)"), (t("g"),), self.OPS, 3, ambient, table=table)
+
     def test_completions_are_nonempty(self):
         with pytest.raises(PlannerError):
             Completion(actions=(), entry_state=t("s"), achieved_goal=t("g"))
+
+
+def random_deleting_domain(rng: random.Random):
+    """Lifted operators over f/1, g/2 and h/1 with delete effects, now and
+    then an anonymous precondition or a topic constraint, initial facts
+    over the constants a, b and c, and a maker of random facts that are
+    ground or may hold the variable ?z."""
+    consts = [Atom(c) for c in ("a", "b", "c")]
+    x, y = var("x"), var("y")
+
+    def fact(args):
+        shape = rng.choice(["f", "g", "h"])
+        if shape == "g":
+            return struct("g", rng.choice(args), rng.choice(args))
+        return struct(shape, rng.choice(args))
+
+    ops: list[Operator] = []
+    for i in range(rng.randint(2, 5)):
+        params = (x,) if rng.random() < 0.5 else (x, y)
+        terms = list(params) + consts
+        pre = [struct("g", x, y)] if len(params) == 2 else [struct(rng.choice("fh"), x)]
+        pre += [fact(terms) for _ in range(rng.randint(0, 1))]
+        if rng.random() < 0.1:
+            pre.append(struct("h", var("_a1")))
+        add = list(dict.fromkeys(fact(terms) for _ in range(rng.randint(1, 2))))
+        deletable = [d for d in dict.fromkeys(pre[:1] + [fact(terms)]) if d not in add]
+        delete = rng.sample(deletable, rng.randint(0, len(deletable)))
+        topics = ((x, rng.choice(consts)),) if rng.random() < 0.15 else ()
+        ops.append(
+            Operator(
+                name=f"o{i}",
+                args=params,
+                preconditions=tuple(pre),
+                add=tuple(add),
+                delete=tuple(delete),
+                actor=Atom(rng.choice(["spk", "hrr"])),
+                topic_constraints=topics,
+            )
+        )
+    initial = list(dict.fromkeys(fact(consts) for _ in range(rng.randint(1, 5))))
+    return initial, ops, lambda ground: fact(consts if ground else consts + [var("z")])
+
+
+class TestInstanceTable:
+    """Completion search over one shared instance table answers exactly as
+    the search that grounds every operator at every state."""
+
+    def _check(self, rng, initial, ops, entries, goals):
+        ambient = set(initial)
+        table = InstanceTable(ops, ambient)
+        answers = []
+        for entry in entries:
+            bound = rng.randint(1, 4)
+            got = complete_from(entry, goals, ops, bound, ambient, table=table)
+            assert got == per_state_completion(entry, goals, ops, bound, ambient)
+            answers.extend(got)
+        return answers
+
+    def test_random_ground_domains(self):
+        rng = random.Random(20261019)
+        answers = []
+        for _ in range(300):
+            initial, _, ops = random_ground_domain(rng)
+            atoms = sorted(
+                {a for o in ops for a in o.preconditions + o.add + o.delete} | set(initial),
+                key=render,
+            )
+            entries = list(dict.fromkeys(initial + [rng.choice(atoms)]))
+            goals = atoms + [t("never"), var("x")]
+            answers += self._check(rng, initial, ops, entries, goals)
+        assert sum(c is not None for c in answers) > 500
+        assert sum(c is None for c in answers) > 2000
+        assert sum(c is not None and len(c.actions) > 1 for c in answers) > 50
+        assert sum(c is not None and any(a.delete for a in c.actions) for c in answers) > 200
+
+    def test_random_lifted_domains_with_deletes(self):
+        rng = random.Random(1019)
+        answers = []
+        for _ in range(300):
+            initial, ops, fact = random_deleting_domain(rng)
+            entries = initial[:3] + [fact(True)]
+            goals = [fact(False) for _ in range(4)] + [var("w")]
+            answers += self._check(rng, initial, ops, entries, goals)
+        assert sum(c is not None for c in answers) > 900
+        assert sum(c is None for c in answers) > 2500
+        assert sum(c is not None and len(c.actions) > 1 for c in answers) > 90
+        assert sum(c is not None and any(a.delete for a in c.actions) for c in answers) > 500
 
 
 class TestDotExport:
