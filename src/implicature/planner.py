@@ -21,7 +21,9 @@ cost may start the deepening there (``plan(..., min_cost=...)``): the
 depths it skips hold no plan, so the result is the same.  An open
 condition is closed by a new step only from the schemas with an
 add-effect whose root (functor, arity) can match the condition's; each
-schema is renamed at most once per plan call and counter.
+schema is renamed at most once per plan call and counter.  A node with an
+open condition that no initial fact, earlier step or new step can close is
+dropped before it is expanded (forward checking).
 
 Besides plan construction this module provides the plan-comparison
 machinery the goal-ascription rules need: simulation, asserted states,
@@ -47,7 +49,7 @@ import heapq
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import itemgetter
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Sequence
 
 from .terms import (
     MAX_TERM_DEPTH,
@@ -381,6 +383,9 @@ class _Node:
     threats: tuple[tuple[CausalLink, int, Operator], ...]
     constraints: tuple["Constraint", ...]
     counter: int
+    #: the bindings, orderings and steps under which every agenda entry
+    #: last passed :func:`_may_close`
+    checked: tuple[Substitution, frozenset[tuple[int, int]], tuple] | None = None
 
 
 @dataclass
@@ -389,10 +394,14 @@ class _Problem:
     goal: tuple[Term, ...]
     ops: tuple[Operator, ...]
     limit: int
-    hit_limit: bool = False
+    #: ``initial`` bucketed by root (:func:`_buckets`)
+    facts: dict[tuple[str, int] | None, list[Term]]
     #: per schema of ``ops``, the root keys of its add-effects; None when
     #: an add-effect is a variable, which can match any condition
-    add_keys: tuple[frozenset[tuple[str, int]] | None, ...] = ()
+    add_keys: tuple[frozenset[tuple[str, int]] | None, ...]
+    #: the union of ``add_keys``; None when one of them is None
+    roots: frozenset[tuple[str, int]] | None
+    hit_limit: bool = False
     #: (schema index, counter) -> rename_operator's result, for this call
     renamed: dict[tuple[int, int], tuple[Operator, int]] = field(default_factory=dict)
 
@@ -542,8 +551,88 @@ def _with_link(
     return replace(candidate, threats=node.threats + tuple(found))
 
 
+def _may_close(prob: _Problem, node: _Node, consumer: int, cond: Term) -> bool:
+    """Whether some refinement of ``node`` may still close the open condition
+    ``cond`` of step ``consumer``: a new step may (the step limit is not
+    reached and a schema's add-effect root can match the condition's), or
+    an initial fact unifies with it, or so does an add-effect of a step
+    other than the consumer that is not ordered after it.
+
+    Along a branch bindings, orderings and the step count only grow, so a
+    False answer stays False in every descendant.  When the step limit is
+    all that keeps a new step from closing the condition, a False answer
+    sets ``prob.hit_limit``, as refining a first condition at the limit
+    does in :func:`_expand`.
+    """
+    s = node.subst
+    key = _key(s.walk(cond))
+    schema = _addable(prob, key)
+    if schema and len(node.steps) < prob.limit:
+        return True
+    # facts late in ``initial`` are the likelier ones
+    if any(_matches(cond, f, s) for f in reversed(_initial_matching(prob, key))):
+        return True
+    after = _reachable(node.orderings, consumer)
+    for sid, op in node.steps:
+        if sid == consumer or sid in after:
+            continue
+        if any(unify(e, cond, s) is not None for e in op.add):
+            return True
+    if schema:
+        prob.hit_limit = True
+    return False
+
+
+def _matches(pattern: Term, fact: Term, s: Substitution) -> bool:
+    """Whether the ground ``fact`` unifies with ``pattern`` under ``s``: a
+    one-way match that binds nothing in ``s`` and builds no term."""
+    free: dict[str, Term] = {}
+    pairs = [(pattern, fact)]
+    while pairs:
+        p, f = pairs.pop()
+        p = s.walk(p)
+        if isinstance(p, Var):
+            if free.setdefault(p.name, f) != f:
+                return False
+        elif isinstance(p, Compound):
+            if not (
+                isinstance(f, Compound)
+                and p.functor == f.functor
+                and len(p.args) == len(f.args)
+            ):
+                return False
+            pairs.extend(zip(p.args, f.args))
+        elif p != f:
+            return False
+    return True
+
+
+def _addable(prob: _Problem, key: tuple[str, int] | None) -> bool:
+    """Whether a new step may add a fact that unifies with a condition whose
+    root has ``key`` (None: a variable)."""
+    return prob.roots is None or key is None or key in prob.roots
+
+
+def _initial_matching(prob: _Problem, key: tuple[str, int] | None) -> Sequence[Term]:
+    """The initial facts that may unify with a condition whose root has
+    ``key`` (None: a variable), in ``initial`` order."""
+    return prob.initial if key is None else prob.facts.get(key, [])
+
+
 def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
-    """Children of a search node; None when the node is complete."""
+    """Children of a search node; None when the node is complete.
+
+    Threats come first, then the first open condition on the agenda (FIFO).
+    Before that condition is refined, forward checking (Haralick & Elliott
+    1980) drops the node when another open condition has no possible
+    refinement (:func:`_may_close`); a first condition with none yields no
+    child anyway.  No complete plan lies below a dropped node, and the live
+    nodes keep their order, so the search finds the same plans.  The check
+    reruns only when the bindings, orderings or steps differ from those it
+    last passed under on this branch.  The initial facts that may close a
+    condition are those of its root's bucket in ``prob.facts`` that
+    :func:`_matches` accepts, in ``initial`` order.
+    """
     # resolve threats first
     while node.threats:
         (link, sid, op), rest = node.threats[0], node.threats[1:]
@@ -565,10 +654,16 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
         if swept:
             return [replace(node, threats=swept)]
         return None
+    state = (node.subst, node.orderings, node.steps)
+    if node.checked is None or any(a is not b for a, b in zip(state, node.checked)):
+        if not all(_may_close(prob, node, c, cond) for c, cond in node.agenda[1:]):
+            return []
     (consumer, cond), agenda = node.agenda[0], node.agenda[1:]
-    node = replace(node, agenda=agenda)
+    node = replace(node, agenda=agenda, checked=state)
     children: list[_Node] = []
-    producers = [(INIT_ID, prob.initial)] + [(sid, op.add) for sid, op in node.steps]
+    cond_key = _key(node.subst.walk(cond))
+    facts = [f for f in _initial_matching(prob, cond_key) if _matches(cond, f, node.subst)]
+    producers = [(INIT_ID, facts)] + [(sid, op.add) for sid, op in node.steps]
     for pid, effects in producers:
         if pid == consumer:
             continue
@@ -584,7 +679,6 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
     if len(node.steps) < prob.limit:
         # a schema whose add-effects all have a root (functor, arity) other
         # than the condition's cannot close it; a variable root matches any
-        cond_key = _key(node.subst.walk(cond))
         for i, op in enumerate(prob.ops):
             keys = prob.add_keys[i]
             if cond_key is not None and keys is not None and cond_key not in keys:
@@ -610,7 +704,7 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
                 child = _with_link(base, sid, cond, consumer, u, renamed)
                 if child is not None:
                     children.append(child)
-    else:
+    elif _addable(prob, cond_key):
         prob.hit_limit = True
     return children
 
@@ -703,6 +797,15 @@ def plan(
     on step heads, links and orderings, over every complete plan of that
     cost: the result is the lexicographically least one.
 
+    The search drops a node as soon as one of its open conditions can no
+    longer be closed: no initial fact matches it, no step that may come
+    before its consumer adds it, and no new step can (the step limit is
+    reached, or no schema adds a fact with its root).  This forward check
+    removes only nodes below which no complete plan lies, so the result is
+    that of the unpruned search.  The initial facts are bucketed by root
+    (functor, arity) once per call, for the check and for closing
+    conditions by causal links from the initial state.
+
     ``min_cost`` is a lower bound the caller has proved on the cost of
     every plan this call accepts; deepening starts there instead of at the
     seeded step count.  Each depth is searched on its own, and the depths
@@ -740,12 +843,15 @@ def plan(
         counter=0,
     )
     start = max(len(steps), min_cost)
+    add_keys = tuple(_add_keys(op) for op in ops)
     prob = _Problem(
         initial=initial,
         goal=goals,
         ops=ops,
         limit=start,
-        add_keys=tuple(_add_keys(op) for op in ops),
+        facts=_buckets(initial),
+        add_keys=add_keys,
+        roots=None if None in add_keys else frozenset().union(*add_keys),
     )
     connected_from = FIRST_STEP_ID if required_step is not None else None
     for limit in range(start, bound + 1):
@@ -785,6 +891,15 @@ def _key(t: Term) -> tuple[str, int] | None:
     return None
 
 
+def _buckets(facts: Iterable[Term]) -> dict[tuple[str, int] | None, list[Term]]:
+    """``facts`` grouped by root (functor, arity), each group in the given
+    order."""
+    buckets: dict[tuple[str, int] | None, list[Term]] = {}
+    for f in facts:
+        buckets.setdefault(_key(f), []).append(f)
+    return buckets
+
+
 class _FactIndex:
     """The facts of one ground state in render order, bucketed by (functor,
     arity), plus any facts added later.
@@ -803,9 +918,7 @@ class _FactIndex:
     def __init__(self, state: Collection[Term] = ()) -> None:
         self.facts = sorted(state, key=render)
         self.members = set(state)
-        self.buckets: dict[tuple[str, int] | None, list[Term]] = {}
-        for f in self.facts:
-            self.buckets.setdefault(_key(f), []).append(f)
+        self.buckets = _buckets(self.facts)
 
     def add(self, facts: Collection[Term]) -> None:
         """Index ``facts``, distinct and none indexed yet, after the others."""
@@ -1159,6 +1272,9 @@ def complete_from(
     pending = list(range(len(goals)))
     start = table.start
     at_start: list[list[Term]] = []  # the ambient facts each goal unifies with
+    # (instance, goal index) -> the instance's add-effects that unify with
+    # the goal; the table keeps every instance alive, so ids stay unique
+    hits: dict[tuple[int, int], list[Term]] = {}
     frontier: list[tuple[frozenset[Term], tuple[Operator, ...]]] = [(start, ())]
     visited: set[frozenset[Term]] = {start}
     for level in range(bound):
@@ -1181,9 +1297,12 @@ def complete_from(
                     new_seq = seq + (inst,)
                     for i in tuple(pending):
                         goal = goals[i]
-                        reached = [e for e in inst.add if unify(goal, e) is not None]
+                        reached = hits.get((id(inst), i))
+                        if reached is None:
+                            reached = [e for e in inst.add if unify(goal, e) is not None]
+                            hits[id(inst), i] = reached
                         if not seq:
-                            reached += [f for f in at_start[i] if f not in deleted]
+                            reached = reached + [f for f in at_start[i] if f not in deleted]
                         if reached:
                             u = unify(goal, min(reached, key=render))
                             assert u is not None

@@ -20,7 +20,7 @@ from implicature.planner import (
     _FactIndex,
     _ground_instances,
 )
-from implicature.terms import Atom, Term, apply, render, unify
+from implicature.terms import Atom, Substitution, Term, apply, render, struct, unify, var
 
 
 def applicable(op: Operator, state: frozenset[Term]) -> bool:
@@ -166,6 +166,41 @@ def random_ground_domain(
     initial = rng.sample(atoms, rng.randint(0, 3))
     goal = rng.choice(atoms)
     return initial, goal, ops
+
+
+def random_lifted_domain(rng: random.Random):
+    """Lifted operators over f/1, g/2 and h/1 whose args their preconditions
+    bind, a ground utterance instance of one of them and a goal that may
+    contain a variable."""
+    consts = [Atom(c) for c in ("a", "b", "c")]
+    x, y = var("x"), var("y")
+
+    def fact(args):
+        shape = rng.choice(["f", "g", "h"])
+        if shape == "g":
+            return struct("g", rng.choice(args), rng.choice(args))
+        return struct(shape, rng.choice(args))
+
+    ops: list[Operator] = []
+    for i in range(rng.randint(2, 5)):
+        params = (x,) if rng.random() < 0.5 else (x, y)
+        pre = [struct("g", x, y)] if len(params) == 2 else [struct(rng.choice("fh"), x)]
+        pre += [fact(list(params) + consts) for _ in range(rng.randint(0, 1))]
+        add = [fact(list(params) + consts) for _ in range(rng.randint(1, 2))]
+        ops.append(
+            Operator(
+                name=f"o{i}",
+                args=params,
+                preconditions=tuple(pre),
+                add=tuple(dict.fromkeys(add)),
+                actor=Atom("spk"),
+            )
+        )
+    initial = [fact(consts) for _ in range(rng.randint(1, 4))]
+    u_op = rng.choice(ops)
+    u = u_op.substituted(Substitution({v.name: rng.choice(consts) for v in u_op.args}))
+    goal = fact(consts + [var("z")]) if rng.random() < 0.5 else fact(consts)
+    return initial, goal, ops, u
 
 
 def _naive_rounds(

@@ -23,9 +23,26 @@ from implicature.planner import (
     simulate,
     to_dot,
 )
-from implicature.terms import Atom, TermError, parse_term, render, struct, unify, var
+from implicature.terms import (
+    EMPTY_SUBST,
+    Atom,
+    Substitution,
+    TermError,
+    apply,
+    parse_term,
+    render,
+    struct,
+    unify,
+    var,
+    variables,
+)
 
-from oracles import bfs_min_cost, per_state_completion, random_ground_domain
+from oracles import (
+    bfs_min_cost,
+    per_state_completion,
+    random_ground_domain,
+    random_lifted_domain,
+)
 
 t = parse_term
 
@@ -601,6 +618,41 @@ class TestTraceReporting:
         assert plan([], t("g"), [op("other", add=["h"])], bound=3, trace=trace) is None
         assert trace.events[-1].payload["cause"] == "unsolvable"
 
+    def test_second_goal_closable_only_past_the_bound_is_bound_exceeded(self):
+        # with the required step the root already holds the step limit, so
+        # forward checking drops it for ``h`` before any expansion: the
+        # prune itself must report the limit
+        from implicature.trace import Trace
+
+        required = op("r", add=["g"])
+        trace = Trace()
+        assert plan([], [t("g"), t("h")], [op("make_h", add=["h"])], bound=1,
+                    required_step=required, trace=trace) is None
+        assert trace.events[-1].payload["cause"] == "bound-exceeded"
+        assert plan([], [t("g"), t("h")], [op("make_h", add=["h"])], bound=2,
+                    required_step=required) is not None
+
+    def test_second_goal_closable_at_no_bound_is_unsolvable(self):
+        # nothing adds ``h``, so the root is dropped before any node reaches
+        # the step limit: no larger bound would help
+        from implicature.trace import Trace
+
+        trace = Trace()
+        assert plan([], [t("g"), t("h")], [op("make_g", add=["g"])], bound=1,
+                    trace=trace) is None
+        assert trace.events[-1].payload["cause"] == "unsolvable"
+
+    def test_condition_no_schema_adds_at_the_step_limit_is_unsolvable(self):
+        # the required step fills the one-step limit and ``h`` is refined
+        # there, first on the agenda; only a schema that adds ``h`` would
+        # make the limit the cause
+        from implicature.trace import Trace
+
+        trace = Trace()
+        assert plan([], t("h"), [op("make_g", add=["g"])], bound=1,
+                    required_step=op("r", add=["z"]), trace=trace) is None
+        assert trace.events[-1].payload["cause"] == "unsolvable"
+
     def test_plan_found_traced(self):
         from implicature.trace import Trace
 
@@ -671,3 +723,105 @@ class TestAgainstOracle:
                 assert cost(found) == expected
                 state = simulate(initial, [found.steps[i] for i in linearize(found)])
                 assert goal in state
+
+
+def _unpruned(monkeypatch):
+    """Patch forward checking off: every open condition may be closed."""
+    monkeypatch.setattr(planner, "_may_close", lambda prob, node, consumer, cond: True)
+
+
+class TestForwardChecking:
+    def test_pruned_search_finds_the_unpruned_plans(self, monkeypatch):
+        rng = random.Random(1616)
+        cases = []
+        for _ in range(300):
+            initial, goal, ops = random_ground_domain(rng)
+            cases.append((initial, goal, ops, rng.choice(ops)))
+        for _ in range(300):
+            cases.append(random_lifted_domain(rng))
+        calls = [
+            (initial, goal, ops, bound, step)
+            for initial, goal, ops, u in cases
+            for bound in (3, 5)
+            for step in (None, u)
+        ]
+
+        def dots():
+            out = []
+            for initial, goal, ops, bound, step in calls:
+                p = plan(initial, goal, ops, bound=bound, required_step=step)
+                out.append(None if p is None else to_dot(p))
+            return out
+
+        pruned = dots()
+        with monkeypatch.context() as m:
+            _unpruned(m)
+            assert dots() == pruned
+        assert sum(d is not None for d in pruned) >= 200
+
+    @staticmethod
+    def _expansions(monkeypatch, *args, **kwargs):
+        """plan's result and the number of nodes it expanded."""
+        real = planner._expand
+        calls = 0
+
+        def counting(prob, node):
+            nonlocal calls
+            calls += 1
+            return real(prob, node)
+
+        with monkeypatch.context() as m:
+            m.setattr(planner, "_expand", counting)
+            return plan(*args, **kwargs), calls
+
+    def test_node_with_a_condition_nothing_closes_is_dropped(self, monkeypatch):
+        # ``h`` is in no initial fact and no schema adds it, so the root is
+        # dead at every depth; without the check the search builds the
+        # chain to ``g`` first
+        ops = [op("a", add=["x"]), op("b", pre=["x"], add=["y"]), op("c", pre=["y"], add=["g"])]
+        args = ([], [t("g"), t("h")], ops)
+        assert self._expansions(monkeypatch, *args, bound=5) == (None, 6)  # the root at depths 0-5
+        _unpruned(monkeypatch)
+        found, unpruned = self._expansions(monkeypatch, *args, bound=5)
+        assert found is None and unpruned > 6
+
+    def test_node_at_the_step_limit_is_dropped(self, monkeypatch):
+        # the required step fills the one-step limit, so only a step past
+        # it could close ``h``; the links from the initial state to the
+        # step's preconditions are never made
+        args = ([t("g"), t("p")], [t("g"), t("h")], [op("make_h", add=["h"])])
+        step = op("r", pre=["p", "g"], add=["z"])
+        assert self._expansions(monkeypatch, *args, bound=1, required_step=step) == (None, 1)
+        _unpruned(monkeypatch)
+        found, unpruned = self._expansions(monkeypatch, *args, bound=1, required_step=step)
+        assert found is None and unpruned > 1
+
+    def test_match_is_unify_against_a_ground_fact(self):
+        rng = random.Random(5005)
+        consts = [Atom("a"), Atom("b")]
+        names = [var("x"), var("y"), var("z")]
+
+        def term(depth, leaves):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice(leaves)
+            if rng.random() < 0.5:
+                return struct("f", term(depth - 1, leaves))
+            return struct("g", term(depth - 1, leaves), term(depth - 1, leaves))
+
+        matched = 0
+        for _ in range(2000):
+            s = EMPTY_SUBST
+            for _ in range(rng.randint(0, 2)):
+                s = unify(rng.choice(names), term(2, consts + names), s) or s
+            pattern = term(3, consts + names)
+            if rng.random() < 0.5:
+                # a ground instance of the pattern under s
+                applied = apply(s, pattern)
+                ground = {v: term(2, consts) for v in sorted(variables(applied))}
+                fact = apply(Substitution(ground), applied)
+            else:
+                fact = term(3, consts)
+            expected = unify(fact, pattern, s) is not None
+            assert planner._matches(pattern, fact, s) == expected, (pattern, fact, s)
+            matched += expected
+        assert 500 <= matched <= 1500

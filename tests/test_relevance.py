@@ -33,7 +33,7 @@ from implicature.scenario import ScenarioError, load_scenario, run, run_detailed
 from implicature.terms import Atom, Substitution, TermError, parse_term, render, struct, var
 from implicature.trace import Trace
 
-from oracles import bfs_min_cost, naive_relevance_depth, random_ground_domain
+from oracles import bfs_min_cost, naive_relevance_depth, random_ground_domain, random_lifted_domain
 
 t = parse_term
 BOUND = 4
@@ -47,41 +47,6 @@ def _irrelevant_is_sound(initial, goal, ops, u, bound=BOUND):
         p = plan(initial, goal, ops, bound=bound, required_step=u)
         assert p is None, f"gate said irrelevant, planner found {p}"
     return depth is not None
-
-
-def random_lifted_domain(rng: random.Random):
-    """Lifted operators over f/1, g/2 and h/1 whose args their preconditions
-    bind, a ground utterance instance of one of them and a goal that may
-    contain a variable."""
-    consts = [Atom(c) for c in ("a", "b", "c")]
-    x, y = var("x"), var("y")
-
-    def fact(args):
-        shape = rng.choice(["f", "g", "h"])
-        if shape == "g":
-            return struct("g", rng.choice(args), rng.choice(args))
-        return struct(shape, rng.choice(args))
-
-    ops: list[Operator] = []
-    for i in range(rng.randint(2, 5)):
-        params = (x,) if rng.random() < 0.5 else (x, y)
-        pre = [struct("g", x, y)] if len(params) == 2 else [struct(rng.choice("fh"), x)]
-        pre += [fact(list(params) + consts) for _ in range(rng.randint(0, 1))]
-        add = [fact(list(params) + consts) for _ in range(rng.randint(1, 2))]
-        ops.append(
-            Operator(
-                name=f"o{i}",
-                args=params,
-                preconditions=tuple(pre),
-                add=tuple(dict.fromkeys(add)),
-                actor=Atom("spk"),
-            )
-        )
-    initial = [fact(consts) for _ in range(rng.randint(1, 4))]
-    u_op = rng.choice(ops)
-    u = u_op.substituted(Substitution({v.name: rng.choice(consts) for v in u_op.args}))
-    goal = fact(consts + [var("z")]) if rng.random() < 0.5 else fact(consts)
-    return initial, goal, ops, u
 
 
 class TestGateSoundness:
