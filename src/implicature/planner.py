@@ -730,8 +730,28 @@ def _finish(prob: _Problem, node: _Node) -> Plan | None:
         steps=steps,
         initial=prob.initial,
         goal_conditions=tuple(apply(s, g) for g in prob.goal),
-        orderings=node.orderings,
+        orderings=_canonical(node.orderings),
         links=links,
+    )
+
+
+def _canonical(orderings: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    """``orderings`` without the step-to-step pairs the others imply.
+
+    Which redundant orderings a branch adds depends on when it meets each
+    threat, not on the plan; dropping them (the transitive reduction among
+    the steps of an acyclic order) leaves one ordering set per plan.  The
+    pairs with the init or goal pseudo-step stay.
+    """
+    succ: dict[int, list[int]] = {}
+    for a, b in orderings:
+        succ.setdefault(a, []).append(b)
+    return frozenset(
+        (a, b)
+        for a, b in orderings
+        if a < FIRST_STEP_ID
+        or b < FIRST_STEP_ID
+        or not any(b in _reachable(orderings, c) for c in succ[a] if c != b)
     )
 
 

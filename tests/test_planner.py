@@ -232,6 +232,43 @@ class TestThreats:
         assert t("f(a)") in state and t("h") in state
 
 
+class TestCanonicalOrderings:
+    """A plan keeps no step-to-step ordering that its other orderings imply,
+    whichever order its branch met the threats in."""
+
+    def test_ordering_implied_through_a_third_step_is_dropped(self):
+        # the branch orders o1 before o0 for the p0 link, then o1 before o2
+        # and o2 before o0, which imply it
+        ops = [
+            op("o0", pre=["p2", "p0"], add=["p2", "p0"], delete=["p1"]),
+            op("o1", add=["p2", "p0"]),
+            op("o2", pre=["p2"], add=["p2"]),
+            op("o3", pre=["p0"], add=["p0", "p2"]),
+            op("o4", pre=["p2"], add=["p1", "p0"]),
+        ]
+        p = plan([], t("p0"), ops, bound=3, required_step=ops[2])
+        assert {sid: s.name for sid, s in p.steps.items()} == {2: "o2", 3: "o0", 4: "o1"}
+        assert sorted(p.orderings) == [
+            (0, 1), (0, 2), (0, 3), (0, 4), (2, 1), (2, 3), (3, 1), (4, 1), (4, 2)
+        ]
+        assert planner.CausalLink(4, t("p0"), 3) in p.links
+
+    def test_lifted_goal_with_a_required_step(self):
+        x, y = var("x"), var("y")
+        ops = [
+            Operator("o0", args=(x,), preconditions=(t("f(?x)"),), add=(t("f(c)"), t("g(c, ?x)"))),
+            Operator("o1", args=(x, y), preconditions=(t("g(?x, ?y)"),), add=(t("h(c)"), t("h(?x)"))),
+            Operator("o2", args=(x,), preconditions=(t("h(?x)"),), add=(t("g(a, a)"),)),
+        ]
+        required = ops[2].substituted(Substitution({"x": Atom("a")}))
+        p = plan([t("g(a, b)"), t("g(c, b)")], t("h(?z)"), ops, bound=3, required_step=required)
+        assert [render(p.steps[i].head()) for i in linearize(p)] == ["o1(a, b)", "o2(a)", "o1(a, a)"]
+        assert (4, 3) not in p.orderings
+        assert sorted(p.orderings) == [
+            (0, 1), (0, 2), (0, 3), (0, 4), (2, 1), (2, 3), (3, 1), (4, 1), (4, 2)
+        ]
+
+
 class TestLinearizeSimulate:
     def test_single_step_plan(self):
         p = plan([], t("g"), [op("make", add=["g"])], bound=2)
