@@ -782,6 +782,10 @@ def _search_depth(prob: _Problem, root: _Node, connected_from: int | None) -> Pl
 
 
 def _plan_key(p: Plan) -> tuple:
+    """The tie-break among equal-cost plans: operator names in linearized
+    order, then step heads, links and orderings, then the goal conditions
+    (two goals that ground to one fact share one link, so the links alone
+    do not tell such groundings apart)."""
     order = linearize(p)
     names = tuple(p.steps[sid].name for sid in order)
     heads = tuple(render(p.steps[sid].head()) for sid in order)
@@ -790,7 +794,8 @@ def _plan_key(p: Plan) -> tuple:
             (l.producer, render(l.condition), l.consumer) for l in p.links
         )
     )
-    return (names, heads, links, tuple(sorted(p.orderings)))
+    goals = tuple(map(render, p.goal_conditions))
+    return (names, heads, links, tuple(sorted(p.orderings)), goals)
 
 
 def _check_ground(facts: tuple[Term, ...], what: str) -> None:

@@ -125,6 +125,25 @@ class TestBasics:
             assert p is not None
             assert [render(p.steps[i].head()) for i in linearize(p)] == ["move(a, b)"]
 
+    def test_goals_grounding_to_one_fact_break_ties_on_the_goal_conditions(self):
+        # w = c, z = a and w = a, z = a give one set of links, since both
+        # f(a) goals share the link from o2; the least goal render wins
+        x, y = var("x"), var("y")
+
+        def lifted(name, *add):
+            return Operator(name, args=(x, y), preconditions=(t("g(?x, ?y)"),), add=tuple(map(t, add)))
+
+        ops = [lifted("o0", "h(?x)", "g(a, b)"), lifted("o1", "h(?y)", "f(a)"),
+               lifted("o2", "f(a)", "g(?x, c)")]
+        required = ops[2].substituted(Substitution({"x": Atom("c"), "y": Atom("b")}))
+        initial = [t("f(a)"), t("f(c)"), t("f(c)"), t("g(c, b)")]
+        goals = [t("f(c)"), t("f(?w)"), t("f(?z)")]
+        p = plan(initial, goals, ops, bound=4, required_step=required)
+        assert list(map(render, p.goal_conditions)) == ["f(c)", "f(a)", "f(a)"]
+        assert sorted((l.producer, render(l.condition), l.consumer) for l in p.links) == [
+            (0, "f(c)", 1), (0, "g(c, b)", 2), (2, "f(a)", 1)
+        ]
+
     def test_determinism(self):
         ops = [op("b", add=["x", "g"]), op("a", pre=["x"], add=["g"]), op("c", add=["x"])]
         plans = [plan([], t("g"), ops, bound=4) for _ in range(3)]
