@@ -21,7 +21,7 @@ set a :class:`Domain` plans with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .acts import (
     ACTS,
@@ -42,6 +42,7 @@ from .beliefs import (
 )
 from .planner import (
     DEFAULT_BOUND,
+    Closure,
     Completion,
     InstanceTable,
     Operator,
@@ -134,6 +135,10 @@ class RecognitionResult:
     #: Planning state the recognition ran from (pre-utterance snapshot plus
     #: goal-hypothesis seeds); the audit replans from the same state.
     initial: tuple[Term, ...]
+    #: The relevance gate's closure for the recognized candidate, which the
+    #: audit and joint planning search over; :func:`infer` drops it before
+    #: returning, so no closure outlives its turn.
+    closure: Closure | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -303,7 +308,7 @@ def recognize(
         _, content = parts
         seeds = _seeds_for(g)
         initial = _dedupe(list(base) + seeds)
-        depth = gate.depth(content, seeds)
+        depth, closure = gate.candidate(content, seeds)
         if depth is None:
             if trace:
                 trace.emit(
@@ -317,6 +322,7 @@ def recognize(
             bound=domain.bound,
             required_step=u_op,
             min_cost=1 + depth,
+            closure=closure,
         )
         if p is not None:
             if trace:
@@ -334,6 +340,7 @@ def recognize(
                 plan_r=p,
                 candidate_rank=rank,
                 initial=initial,
+                closure=closure,
             )
         if trace:
             trace.emit(_MODULE, "candidate-skipped", goal=render(g), cause="unreachable")
@@ -347,7 +354,9 @@ def efficiency_audit(
     parts = _goal_parts(r.ascribed_goal)
     assert parts is not None
     _, content = parts
-    po = plan(r.initial, content, domain.operators, bound=domain.bound)
+    # the candidate's closure also holds the utterance's add-effects: more
+    # instances than the audit needs, and the same plans
+    po = plan(r.initial, content, domain.operators, bound=domain.bound, closure=r.closure)
     cr = cost(r.plan_r)
     if po is None or cost(po) >= cr:
         verdict = EfficiencyVerdict(
@@ -429,15 +438,13 @@ def ascribe_conjunctive(
         for g2, comp in zip(library, comps):
             if comp is None:
                 continue
-            joint_initial = _dedupe(
-                list(r.initial)
-                + _seeds_for(struct("goal", Atom(speaker), comp.achieved_goal))
-            )
+            seeds = _seeds_for(struct("goal", Atom(speaker), comp.achieved_goal))
             joint = plan(
-                joint_initial,
+                _dedupe(list(r.initial) + seeds),
                 (g1_content, comp.achieved_goal),
                 domain.operators,
                 bound=domain.bound,
+                closure=None if r.closure is None else r.closure.with_facts(seeds),
             )
             extended_cost = cost(pr) + len(comp.actions)
             efficiency_ok = joint is not None and cost(joint) == extended_cost
@@ -647,5 +654,8 @@ def infer(
             conditions={k: v for k, v in report.conditions},
         )
     return InferenceOutcome(
-        store=store, recognition=recognition, verdict=verdict, report=report
+        store=store,
+        recognition=replace(recognition, closure=None),
+        verdict=verdict,
+        report=report,
     )

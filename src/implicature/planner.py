@@ -1,27 +1,25 @@
 """Partial-order causal-link planner over belief-state operators.
 
 States are sets of ground terms; negation is explicit not(...) plus delete
-effects.  The search is systematic: open conditions are closed by causal
-links from existing or freshly instantiated steps, and any step whose add
-or delete effect matches a protected condition is a threat, resolved by
-promotion or demotion only.  A threat is forced when the match is
-necessary under the current bindings.  As in SNLP/UCPOP, a refinement
-checks only the pairs it creates: a new link against every step, and a
-new step against the links already there.  A later binding can make an
-older pair a threat, so a final sweep over all pairs runs once the agenda
-is empty.  A plan is built only from a node with no open condition and
-only when every step grounds, so every :class:`Plan` is complete and
-ground; the functions that take a plan rely on that.  Iterative deepening
-on step count makes the returned plan cost-minimal; among equal-cost
-plans the least under ``_plan_key`` (operator names in linearized order
-first) wins.  Every complete plan of the cheapest depth is compared, with
-no cap, so identical inputs yield identical plans and the tie-break is
+effects.  The planner searches ground operator instances: those of the
+delete-relaxed closure of its initial facts (the gate's :class:`Closure`),
+which holds every step a plan within the bound can use.  Every open
+condition is a ground fact, closed by a causal link from an equal initial
+fact, from an existing step that adds it, or from a new step taken from
+the instances that add it.  Any step that adds or deletes a protected
+condition and could come between the link's ends is a threat, resolved by
+promotion or demotion only.  As in SNLP/UCPOP, a refinement checks only
+the pairs it creates: a new link against every step, and a new step
+against the links already there; a final sweep over all pairs runs once
+the agenda is empty.  A goal with variables is grounded over the
+closure's facts, and each grounding is searched.  Iterative deepening on
+step count makes the returned plan cost-minimal; among equal-cost plans
+the least under ``_plan_key`` (operator names in linearized order first)
+wins.  Every complete plan of the cheapest depth is compared, with no
+cap, so identical inputs yield identical plans and the tie-break is
 exact.  A caller that has proved no acceptable plan is cheaper than some
 cost may start the deepening there (``plan(..., min_cost=...)``): the
-depths it skips hold no plan, so the result is the same.  An open
-condition is closed by a new step only from the schemas with an
-add-effect whose root (functor, arity) can match the condition's; each
-schema is renamed at most once per plan call and counter.  A node with an
+depths it skips hold no plan, so the result is the same.  A node with an
 open condition that no initial fact, earlier step or new step can close is
 dropped before it is expanded (forward checking).
 
@@ -35,12 +33,14 @@ operator instances, then the shortest chain of those instances from the
 utterance's add-effects to the goal, which also bounds the plan's cost
 from below).  The gate builds one relaxed closure per turn, semi-naively
 and for at most ``bound`` rounds, and extends it with each candidate
-goal's seeds.  Completion search grounds the relaxed closure of its
-ambient facts instead of each state it visits: one round per search level
-it reaches, shared by the searches from every entry state of an
-ascription rule; a state's applicable instances are those whose
-preconditions it holds.  Both ground operators with one matcher and one
-closure routine.
+goal's seeds; recognition and the efficiency audit plan over the
+recognized candidate's closure, and joint planning over that closure
+extended with the second goal's seeds.  Completion search grounds the
+relaxed closure of its ambient facts instead of each state it visits: one
+round per search level it reaches, shared by the searches from every
+entry state of an ascription rule; a state's applicable instances are
+those whose preconditions it holds.  All of them ground operators with
+one matcher and one closure routine.
 """
 
 from __future__ import annotations
@@ -197,48 +197,6 @@ def validate_operator(op: Operator) -> None:
         raise PlannerError(f"operator {op.name}: add/delete overlap {overlap}")
 
 
-def rename_operator(op: Operator, counter: int) -> tuple[Operator, int]:
-    """Fresh-variable copy of an operator schema.
-
-    Variables are named ``?v<N>`` from ``counter`` on, in order of first
-    occurrence across args, preconditions, add, delete, actor, topic
-    constraints and positive constraints; returns the copy and the next
-    unused counter.  Each old name maps straight to its new one, so a
-    schema that already names a variable ``?v1`` is renamed without
-    capture.  A ground operator comes back unchanged.
-    """
-    mapping: dict[str, Var] = {}
-
-    def fresh(t: Term) -> Term:
-        nonlocal counter
-        if isinstance(t, Var):
-            new = mapping.get(t.name)
-            if new is None:
-                new = mapping[t.name] = Var(f"v{counter}")
-                counter += 1
-            return new
-        if isinstance(t, Compound):
-            args = tuple(fresh(a) for a in t.args)
-            if any(a is not b for a, b in zip(args, t.args)):
-                return Compound(t.functor, args)
-        return t
-
-    def each(ts: tuple[Term, ...]) -> tuple[Term, ...]:
-        return tuple(fresh(x) for x in ts)
-
-    renamed = Operator(
-        name=op.name,
-        args=each(op.args),
-        preconditions=each(op.preconditions),
-        add=each(op.add),
-        delete=each(op.delete),
-        actor=None if op.actor is None else fresh(op.actor),
-        topic_constraints=tuple((fresh(p), fresh(t)) for p, t in op.topic_constraints),
-        positive_constraints=each(op.positive_constraints),
-    )
-    return (renamed if mapping else op), counter
-
-
 @dataclass(frozen=True)
 class CausalLink:
     producer: int
@@ -369,7 +327,7 @@ class Completion:
 
 
 # ---------------------------------------------------------------------------
-# Systematic causal-link search
+# Systematic causal-link search over ground instances
 # ---------------------------------------------------------------------------
 
 
@@ -379,103 +337,43 @@ class _Node:
     agenda: tuple[tuple[int, Term], ...]
     orderings: frozenset[tuple[int, int]]
     links: tuple[CausalLink, ...]
-    subst: Substitution
     threats: tuple[tuple[CausalLink, int, Operator], ...]
-    constraints: tuple["Constraint", ...]
-    counter: int
-    #: the bindings, orderings and steps under which every agenda entry
-    #: last passed :func:`_may_close`
-    checked: tuple[Substitution, frozenset[tuple[int, int]], tuple] | None = None
+    #: the orderings and steps under which every agenda entry last passed
+    #: :func:`_may_close`
+    checked: tuple[frozenset[tuple[int, int]], tuple] | None = None
 
 
 @dataclass
 class _Problem:
     initial: tuple[Term, ...]
+    #: the ground goal conditions of the search under way
     goal: tuple[Term, ...]
-    ops: tuple[Operator, ...]
+    closure: Closure
     limit: int
     #: ``initial`` bucketed by root (:func:`_buckets`)
     facts: dict[tuple[str, int] | None, list[Term]]
-    #: per schema of ``ops``, the root keys of its add-effects; None when
-    #: an add-effect is a variable, which can match any condition
-    add_keys: tuple[frozenset[tuple[str, int]] | None, ...]
-    #: the union of ``add_keys``; None when one of them is None
-    roots: frozenset[tuple[str, int]] | None
     hit_limit: bool = False
-    #: (schema index, counter) -> rename_operator's result, for this call
-    renamed: dict[tuple[int, int], tuple[Operator, int]] = field(default_factory=dict)
+    #: id of a condition -> whether an initial fact equals it, and the
+    #: instances that add it; every condition is a goal or a precondition
+    #: of an instance the closure or the call keeps alive, so ids are unique
+    closers_of: dict[int, tuple[bool, Sequence[Operator]]] = field(default_factory=dict)
 
-
-def _add_keys(op: Operator) -> frozenset[tuple[str, int]] | None:
-    keys = frozenset(_key(e) for e in op.add)
-    return None if None in keys else keys
-
-
-def _strip_not(t: Term, s: Substitution) -> Term:
-    t = s.walk(t)
-    while isinstance(t, Compound) and t.functor == "not" and len(t.args) == 1:
-        t = s.walk(t.args[0])
-    return t
-
-
-Constraint = tuple[str, Term, "Term | None"]
-
-
-def _constraints_of(op: Operator) -> tuple[Constraint, ...]:
-    out: list[Constraint] = [("topic", p, t) for p, t in op.topic_constraints]
-    out.extend(("positive", p, None) for p in op.positive_constraints)
-    return tuple(out)
-
-
-def _propagate_constraints(
-    subst: Substitution, constraints: tuple[Constraint, ...]
-) -> tuple[Substitution, tuple[Constraint, ...]] | None:
-    """Resolve topic/positivity constraints as bindings land; None on clash."""
-    pending = list(constraints)
-    changed = True
-    while changed:
-        changed = False
-        rest: list[Constraint] = []
-        for kind, p, t in pending:
-            if kind == "positive":
-                w = subst.walk(p)
-                if isinstance(w, Var):
-                    rest.append((kind, p, t))
-                    continue
-                if isinstance(w, Compound) and w.functor == "not" and len(w.args) == 1:
-                    return None
-                continue
-            w = _strip_not(p, subst)
-            if isinstance(w, Var):
-                rest.append((kind, p, t))
-                continue
-            functor = w.functor if isinstance(w, Compound) else w.name
-            assert t is not None
-            u = unify(t, Atom(functor), subst)
-            if u is None:
-                return None
-            if u is not subst:
-                subst = u
-                changed = True
-        pending = rest
-    return subst, tuple(pending)
+    def closers(self, cond: Term) -> tuple[bool, Sequence[Operator]]:
+        found = self.closers_of.get(id(cond))
+        if found is None:
+            found = self.closers_of[id(cond)] = (
+                cond in self.facts.get(_key(cond), ()),
+                self.closure.achievers(cond),
+            )
+        return found
 
 
 def _is_threat(node: _Node, link: CausalLink, sid: int, op: Operator) -> bool:
-    """Necessary threat: an effect of step ``sid`` (operator ``op``) equals
-    the protected condition under the current bindings and the step could
-    come between.
-
-    Possibly-unifying pairs are left alone (promotion/demotion without
-    separation would over-commit); they are re-checked by the final sweep
-    once bindings are settled.
-    """
+    """Step ``sid`` (operator ``op``) adds or deletes the protected
+    condition and could come between the link's producer and consumer."""
     if sid in (link.producer, link.consumer):
         return False
-    # unify returns the substitution itself exactly when the terms are
-    # already equal under it
-    s = node.subst
-    if all(unify(e, link.condition, s) is not s for e in op.add + op.delete):
+    if link.condition not in op.add and link.condition not in op.delete:
         return False
     return not (
         _ordered_before(node.orderings, sid, link.producer)
@@ -509,21 +407,15 @@ def _with_link(
     producer: int,
     cond: Term,
     consumer: int,
-    subst: Substitution,
     new_step: Operator | None = None,
 ) -> _Node | None:
-    """The node plus a causal link, or None when its bindings or ordering clash.
+    """The node plus a causal link, or None when its ordering clashes.
 
     Queues only the threats this refinement creates: the new link against
     every step and, when the producer is ``new_step`` (just added), that
-    step against the links already there.  A binding can also turn an older
-    pair into a threat; the final sweep in :func:`_expand` catches those.
-    Queued entries that stop being threats are dropped when popped.
+    step against the links already there.  Queued entries that stop being
+    threats are dropped when popped.
     """
-    propagated = _propagate_constraints(subst, node.constraints)
-    if propagated is None:
-        return None
-    subst, constraints = propagated
     orderings = node.orderings
     if producer != INIT_ID:
         maybe = _add_ordering(orderings, producer, consumer)
@@ -531,13 +423,7 @@ def _with_link(
             return None
         orderings = maybe
     link = CausalLink(producer, cond, consumer)
-    candidate = replace(
-        node,
-        orderings=orderings,
-        links=node.links + (link,),
-        subst=subst,
-        constraints=constraints,
-    )
+    candidate = replace(node, orderings=orderings, links=node.links + (link,))
     found: list[tuple[CausalLink, int, Operator]] = []
     if new_step is not None:
         found.extend(
@@ -554,69 +440,28 @@ def _with_link(
 def _may_close(prob: _Problem, node: _Node, consumer: int, cond: Term) -> bool:
     """Whether some refinement of ``node`` may still close the open condition
     ``cond`` of step ``consumer``: a new step may (the step limit is not
-    reached and a schema's add-effect root can match the condition's), or
-    an initial fact unifies with it, or so does an add-effect of a step
-    other than the consumer that is not ordered after it.
+    reached and an instance of the closure adds the condition), or an
+    initial fact equals it, or a step other than the consumer that is not
+    ordered after it adds it.
 
-    Along a branch bindings, orderings and the step count only grow, so a
-    False answer stays False in every descendant.  When the step limit is
-    all that keeps a new step from closing the condition, a False answer
-    sets ``prob.hit_limit``, as refining a first condition at the limit
-    does in :func:`_expand`.
+    Along a branch orderings and steps only grow, so a False answer stays
+    False in every descendant.  When the step limit is all that keeps a new
+    step from closing the condition, a False answer sets
+    ``prob.hit_limit``, as refining a first condition at the limit does in
+    :func:`_expand`.
     """
-    s = node.subst
-    key = _key(s.walk(cond))
-    schema = _addable(prob, key)
-    if schema and len(node.steps) < prob.limit:
+    initial, achievers = prob.closers(cond)
+    if achievers and len(node.steps) < prob.limit:
         return True
-    # facts late in ``initial`` are the likelier ones
-    if any(_matches(cond, f, s) for f in reversed(_initial_matching(prob, key))):
+    if initial:
         return True
     after = _reachable(node.orderings, consumer)
     for sid, op in node.steps:
-        if sid == consumer or sid in after:
-            continue
-        if any(unify(e, cond, s) is not None for e in op.add):
+        if sid != consumer and sid not in after and cond in op.add:
             return True
-    if schema:
+    if achievers:
         prob.hit_limit = True
     return False
-
-
-def _matches(pattern: Term, fact: Term, s: Substitution) -> bool:
-    """Whether the ground ``fact`` unifies with ``pattern`` under ``s``: a
-    one-way match that binds nothing in ``s`` and builds no term."""
-    free: dict[str, Term] = {}
-    pairs = [(pattern, fact)]
-    while pairs:
-        p, f = pairs.pop()
-        p = s.walk(p)
-        if isinstance(p, Var):
-            if free.setdefault(p.name, f) != f:
-                return False
-        elif isinstance(p, Compound):
-            if not (
-                isinstance(f, Compound)
-                and p.functor == f.functor
-                and len(p.args) == len(f.args)
-            ):
-                return False
-            pairs.extend(zip(p.args, f.args))
-        elif p != f:
-            return False
-    return True
-
-
-def _addable(prob: _Problem, key: tuple[str, int] | None) -> bool:
-    """Whether a new step may add a fact that unifies with a condition whose
-    root has ``key`` (None: a variable)."""
-    return prob.roots is None or key is None or key in prob.roots
-
-
-def _initial_matching(prob: _Problem, key: tuple[str, int] | None) -> Sequence[Term]:
-    """The initial facts that may unify with a condition whose root has
-    ``key`` (None: a variable), in ``initial`` order."""
-    return prob.initial if key is None else prob.facts.get(key, [])
 
 
 def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
@@ -628,10 +473,11 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
     refinement (:func:`_may_close`); a first condition with none yields no
     child anyway.  No complete plan lies below a dropped node, and the live
     nodes keep their order, so the search finds the same plans.  The check
-    reruns only when the bindings, orderings or steps differ from those it
-    last passed under on this branch.  The initial facts that may close a
-    condition are those of its root's bucket in ``prob.facts`` that
-    :func:`_matches` accepts, in ``initial`` order.
+    reruns only when the orderings or steps differ from those it last
+    passed under on this branch.  The condition is closed by an equal
+    initial fact, by a step that adds it and may come before its consumer,
+    or by a new step from the instances that add it
+    (:meth:`Closure.achievers`).
     """
     # resolve threats first
     while node.threats:
@@ -648,90 +494,57 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
             children.append(replace(node, orderings=demoted))
         return children
     if not node.agenda:
-        # final sweep: with bindings settled, catch threats that were only
-        # possible (not necessary) when their link or step appeared
+        # final sweep: every pair is checked when its later half appears,
+        # so this finds nothing unless a refinement missed a threat
         swept = _all_threats(node)
         if swept:
             return [replace(node, threats=swept)]
         return None
-    state = (node.subst, node.orderings, node.steps)
+    state = (node.orderings, node.steps)
     if node.checked is None or any(a is not b for a, b in zip(state, node.checked)):
         if not all(_may_close(prob, node, c, cond) for c, cond in node.agenda[1:]):
             return []
     (consumer, cond), agenda = node.agenda[0], node.agenda[1:]
     node = replace(node, agenda=agenda, checked=state)
     children: list[_Node] = []
-    cond_key = _key(node.subst.walk(cond))
-    facts = [f for f in _initial_matching(prob, cond_key) if _matches(cond, f, node.subst)]
-    producers = [(INIT_ID, facts)] + [(sid, op.add) for sid, op in node.steps]
-    for pid, effects in producers:
-        if pid == consumer:
-            continue
-        if _ordered_before(node.orderings, consumer, pid):
-            continue
-        for e in effects:
-            u = unify(e, cond, node.subst)
-            if u is None:
-                continue
-            child = _with_link(node, pid, cond, consumer, u)
+    initial, achievers = prob.closers(cond)
+    producers = [INIT_ID] if initial else []
+    producers += [
+        sid
+        for sid, op in node.steps
+        if sid != consumer
+        and cond in op.add
+        and not _ordered_before(node.orderings, consumer, sid)
+    ]
+    for pid in producers:
+        child = _with_link(node, pid, cond, consumer)
+        if child is not None:
+            children.append(child)
+    if len(node.steps) < prob.limit:
+        sid = FIRST_STEP_ID + len(node.steps)
+        orderings = node.orderings | {(INIT_ID, sid), (sid, GOAL_ID)}
+        for inst in achievers:
+            base = replace(
+                node,
+                steps=node.steps + ((sid, inst),),
+                agenda=node.agenda + tuple((sid, p) for p in inst.preconditions),
+                orderings=orderings,
+            )
+            child = _with_link(base, sid, cond, consumer, inst)
             if child is not None:
                 children.append(child)
-    if len(node.steps) < prob.limit:
-        # a schema whose add-effects all have a root (functor, arity) other
-        # than the condition's cannot close it; a variable root matches any
-        for i, op in enumerate(prob.ops):
-            keys = prob.add_keys[i]
-            if cond_key is not None and keys is not None and cond_key not in keys:
-                continue
-            memo = (i, node.counter)
-            if memo not in prob.renamed:
-                prob.renamed[memo] = rename_operator(op, node.counter)
-            renamed, counter = prob.renamed[memo]
-            for e in renamed.add:
-                u = unify(e, cond, node.subst)
-                if u is None:
-                    continue
-                sid = FIRST_STEP_ID + len(node.steps)
-                orderings = node.orderings | {(INIT_ID, sid), (sid, GOAL_ID)}
-                base = replace(
-                    node,
-                    steps=node.steps + ((sid, renamed),),
-                    agenda=node.agenda + tuple((sid, p) for p in renamed.preconditions),
-                    orderings=orderings,
-                    constraints=node.constraints + _constraints_of(renamed),
-                    counter=counter,
-                )
-                child = _with_link(base, sid, cond, consumer, u, renamed)
-                if child is not None:
-                    children.append(child)
-    elif _addable(prob, cond_key):
+    elif achievers:
         prob.hit_limit = True
     return children
 
 
-def _finish(prob: _Problem, node: _Node) -> Plan | None:
-    s = node.subst
-    if node.constraints:
-        resolved = _propagate_constraints(s, node.constraints)
-        if resolved is None or resolved[1]:
-            return None
-        s = resolved[0]
-    steps: dict[int, Operator] = {}
-    for sid, op in node.steps:
-        ground_op = op.substituted(s)
-        parts = (ground_op.head(),) + ground_op.preconditions + ground_op.add + ground_op.delete
-        if not all(is_ground(part) for part in parts):
-            return None
-        steps[sid] = ground_op
-    links = frozenset(
-        CausalLink(l.producer, apply(s, l.condition), l.consumer) for l in node.links
-    )
+def _finish(prob: _Problem, node: _Node) -> Plan:
     return Plan(
-        steps=steps,
+        steps=dict(node.steps),
         initial=prob.initial,
-        goal_conditions=tuple(apply(s, g) for g in prob.goal),
+        goal_conditions=prob.goal,
         orderings=_canonical(node.orderings),
-        links=links,
+        links=frozenset(node.links),
     )
 
 
@@ -755,27 +568,26 @@ def _canonical(orderings: frozenset[tuple[int, int]]) -> frozenset[tuple[int, in
     )
 
 
-def _search_depth(prob: _Problem, root: _Node, connected_from: int | None) -> Plan | None:
-    """The least complete plan within ``prob.limit`` steps under
-    :func:`_plan_key`, or None.  With ``connected_from``, only plans whose
-    causal links route that step to the goal count."""
-    best: Plan | None = None
-    best_key: tuple | None = None
+def _search_depth(
+    prob: _Problem, root: _Node, connected_from: int | None, best: tuple | None
+) -> tuple | None:
+    """The least of ``best`` and every complete plan within ``prob.limit``
+    steps under :func:`_plan_key`, as a (key, plan) pair, or None.  With
+    ``connected_from``, only plans whose causal links route that step to
+    the goal count."""
     stack = [root]
     while stack:
         node = stack.pop()
         children = _expand(prob, node)
         if children is None:
             plan = _finish(prob, node)
-            if plan is None:
-                continue
             if connected_from is not None and not _ordered_before(
                 frozenset((l.producer, l.consumer) for l in plan.links), connected_from, GOAL_ID
             ):
                 continue
             key = _plan_key(plan)
-            if best_key is None or key < best_key:
-                best, best_key = plan, key
+            if best is None or key < best[0]:
+                best = (key, plan)
             continue
         stack.extend(reversed(children))
     return best
@@ -813,23 +625,33 @@ def plan(
     trace: Trace | None = None,
     *,
     min_cost: int = 0,
+    closure: Closure | None = None,
 ) -> Plan | None:
     """Minimal-cost complete plan within the step bound, or None.
 
-    ``required_step`` pre-seeds a mandatory (ground) step, and the plan
-    must route a causal-link path from that step to the goal.  Iterative
-    deepening on step count guarantees minimality.  Ties break on the linearized operator name sequence, then
-    on step heads, links and orderings, over every complete plan of that
-    cost: the result is the lexicographically least one.
+    ``required_step`` pre-seeds a mandatory step, which must be ground in
+    every part, and the plan must route a causal-link path from that step
+    to the goal.  Iterative deepening on step count guarantees minimality.
+    Ties break on the linearized operator name sequence, then on step
+    heads, links and orderings, over every complete plan of that cost: the
+    result is the lexicographically least one.
+
+    The steps are ground instances of ``ops`` from ``closure``: the
+    delete-relaxed closure of the initial facts and the required step's
+    add-effects, capped at ``bound`` rounds (built here when None, which
+    checks that the facts are ground).  Every step of a plan within the
+    bound is relaxed-reachable in fewer than ``bound`` rounds, so the
+    closure holds it; a closure of more facts, or one that ran more rounds,
+    holds more instances but admits the same plans.  A goal with variables
+    is grounded over the closure's facts, each grounding is searched, and
+    the least plan over all of them is the result.
 
     The search drops a node as soon as one of its open conditions can no
-    longer be closed: no initial fact matches it, no step that may come
+    longer be closed: no initial fact equals it, no step that may come
     before its consumer adds it, and no new step can (the step limit is
-    reached, or no schema adds a fact with its root).  This forward check
-    removes only nodes below which no complete plan lies, so the result is
-    that of the unpruned search.  The initial facts are bucketed by root
-    (functor, arity) once per call, for the check and for closing
-    conditions by causal links from the initial state.
+    reached, or no instance adds it).  This forward check removes only
+    nodes below which no complete plan lies, so the result is that of the
+    unpruned search.
 
     ``min_cost`` is a lower bound the caller has proved on the cost of
     every plan this call accepts; deepening starts there instead of at the
@@ -841,62 +663,75 @@ def plan(
     if bound < 1:
         raise PlannerError("bound must be >= 1")
     initial = tuple(initial)
-    _check_ground(initial, "initial facts")
     goals = tuple(goal) if isinstance(goal, (list, tuple)) else (goal,)
     ops = tuple(ops)
 
     steps: tuple[tuple[int, Operator], ...] = ()
-    agenda: list[tuple[int, Term]] = [(GOAL_ID, g) for g in goals]
+    agenda: tuple[tuple[int, Term], ...] = ()
     orderings: frozenset[tuple[int, int]] = frozenset({(INIT_ID, GOAL_ID)})
-    constraints: tuple[Constraint, ...] = ()
+    seeded: tuple[Term, ...] = ()
     if required_step is not None:
-        if not is_ground(required_step.head()):
+        r = required_step
+        if not all(map(is_ground, (r.head(), *r.preconditions, *r.add, *r.delete))):
             raise PlannerError("required step must be ground")
-        steps = ((FIRST_STEP_ID, required_step),)
+        steps = ((FIRST_STEP_ID, r),)
         orderings = orderings | {(INIT_ID, FIRST_STEP_ID), (FIRST_STEP_ID, GOAL_ID)}
-        agenda.extend((FIRST_STEP_ID, p) for p in required_step.preconditions)
-        constraints = _constraints_of(required_step)
-
-    root = _Node(
-        steps=steps,
-        agenda=tuple(agenda),
-        orderings=orderings,
-        links=(),
-        subst=EMPTY_SUBST,
-        threats=(),
-        constraints=constraints,
-        counter=0,
+        agenda = tuple((FIRST_STEP_ID, p) for p in r.preconditions)
+        seeded = r.add
+    if closure is None:
+        closure = Closure(initial + seeded, ops, bound)
+    elif closure.bound < bound or (closure.ops is not ops and closure.ops != ops):
+        raise PlannerError("a closure handed to plan must be over its operators and bound")
+    groundings = [
+        inst.preconditions
+        for inst in _ground_instances(Operator("goal", preconditions=goals), closure.index)
+    ]
+    # with no goal grounding in a capped closure, a larger bound may find
+    # one if some operator adds a fact with the root (functor, arity) of a
+    # goal that no fact of the closure may match
+    missing = {_key(g) for g in goals if not closure.index.matching(g)}
+    capped = not (groundings or closure.closed) and any(
+        None in missing or _key(e) in missing or _key(e) is None for op in ops for e in op.add
+    )
+    if required_step is not None and _propagate_constraints(
+        EMPTY_SUBST, _constraints_of(required_step)
+    ) is None:
+        # the step breaks its own topic or positivity constraint
+        groundings = []
+    prob = _Problem(
+        initial=initial, goal=goals, closure=closure, limit=0, facts=_buckets(initial)
     )
     start = max(len(steps), min_cost)
-    add_keys = tuple(_add_keys(op) for op in ops)
-    prob = _Problem(
-        initial=initial,
-        goal=goals,
-        ops=ops,
-        limit=start,
-        facts=_buckets(initial),
-        add_keys=add_keys,
-        roots=None if None in add_keys else frozenset().union(*add_keys),
-    )
     connected_from = FIRST_STEP_ID if required_step is not None else None
     for limit in range(start, bound + 1):
         prob.limit = limit
         prob.hit_limit = False
-        best = _search_depth(prob, root, connected_from)
+        best = None
+        for grounding in groundings:
+            prob.goal = grounding
+            root = _Node(
+                steps=steps,
+                agenda=tuple((GOAL_ID, g) for g in grounding) + agenda,
+                orderings=orderings,
+                links=(),
+                threats=(),
+            )
+            best = _search_depth(prob, root, connected_from, best)
         if best is not None:
+            found = best[1]
             if trace:
                 trace.emit(
                     "planner",
                     "plan-found",
-                    cost=cost(best),
-                    steps=[render(best.steps[s].head()) for s in linearize(best)],
+                    cost=cost(found),
+                    steps=[render(found.steps[s].head()) for s in linearize(found)],
                 )
-            return best
+            return found
     if trace:
         trace.emit(
             "planner",
             "plan-none",
-            cause="bound-exceeded" if prob.hit_limit else "unsolvable",
+            cause="bound-exceeded" if prob.hit_limit or capped else "unsolvable",
             bound=bound,
         )
     return None
@@ -970,6 +805,56 @@ class _FactIndex:
         return self.buckets.get(key, [])
 
 
+def _strip_not(t: Term, s: Substitution) -> Term:
+    t = s.walk(t)
+    while isinstance(t, Compound) and t.functor == "not" and len(t.args) == 1:
+        t = s.walk(t.args[0])
+    return t
+
+
+Constraint = tuple[str, Term, "Term | None"]
+
+
+def _constraints_of(op: Operator) -> tuple[Constraint, ...]:
+    out: list[Constraint] = [("topic", p, t) for p, t in op.topic_constraints]
+    out.extend(("positive", p, None) for p in op.positive_constraints)
+    return tuple(out)
+
+
+def _propagate_constraints(
+    subst: Substitution, constraints: tuple[Constraint, ...]
+) -> tuple[Substitution, tuple[Constraint, ...]] | None:
+    """Resolve topic/positivity constraints as bindings land; None on clash."""
+    pending = list(constraints)
+    changed = True
+    while changed:
+        changed = False
+        rest: list[Constraint] = []
+        for kind, p, t in pending:
+            if kind == "positive":
+                w = subst.walk(p)
+                if isinstance(w, Var):
+                    rest.append((kind, p, t))
+                    continue
+                if isinstance(w, Compound) and w.functor == "not" and len(w.args) == 1:
+                    return None
+                continue
+            w = _strip_not(p, subst)
+            if isinstance(w, Var):
+                rest.append((kind, p, t))
+                continue
+            functor = w.functor if isinstance(w, Compound) else w.name
+            assert t is not None
+            u = unify(t, Atom(functor), subst)
+            if u is None:
+                return None
+            if u is not subst:
+                subst = u
+                changed = True
+        pending = rest
+    return subst, tuple(pending)
+
+
 def _ground_instances(
     op: Operator, index: _FactIndex, delta: _FactIndex | None = None
 ) -> list[Operator]:
@@ -1003,15 +888,14 @@ def _ground_instances(
             return
         s, constraints = propagated
         if k == len(order):
-            if constraints:
-                return
             inst = op.substituted(s)
             if any(_depth(e) > MAX_DERIVED_DEPTH for e in inst.add):
                 raise TermError(
                     f"operator {op.name} derives a fact nested deeper than "
                     f"{MAX_DERIVED_DEPTH} levels"
                 )
-            if not all(map(is_ground, (inst.head(), *inst.add))):
+            # a constraint still pending is on a variable the match left free
+            if constraints or not all(map(is_ground, (inst.head(), *inst.add))):
                 raise PlannerError(f"operator {op.name}: an instance is not ground")
             if inst not in results:
                 results.append(inst)
@@ -1081,6 +965,80 @@ def _close(
     return False
 
 
+class Closure:
+    """The delete-relaxed closure of the ground ``facts`` under ``ops``,
+    capped at ``bound`` rounds, with the ground instances it found.
+
+    ``index`` holds the facts and their consequences, ``actions[i]`` the
+    instances of ``ops[i]``, and ``closed`` whether a round derived no new
+    fact (the fixpoint).  The constructor checks that ``facts`` are ground;
+    so does :meth:`with_facts` for the facts it adds.  :meth:`achievers`
+    maps a fact to the instances that add it, for :func:`plan`.
+    """
+
+    __slots__ = ("facts", "ops", "bound", "index", "actions", "closed", "_achievers")
+
+    def __init__(
+        self,
+        facts: Iterable[Term],
+        ops: list[Operator] | tuple[Operator, ...],
+        bound: int,
+    ) -> None:
+        if bound < 1:
+            raise PlannerError("bound must be >= 1")
+        self.facts = tuple(facts)
+        _check_ground(self.facts, "initial facts")
+        self.ops = tuple(ops)
+        self.bound = bound
+        self._run(_FactIndex(set(self.facts)), None, [[] for _ in self.ops])
+
+    def _run(
+        self, index: _FactIndex, delta: _FactIndex | None, actions: list[list[Operator]]
+    ) -> None:
+        self.index = index
+        self.actions = actions
+        self.closed = _close(index, delta, self.ops, actions, self.bound)
+        self._achievers: dict[Term, list[Operator]] | None = None
+
+    def with_facts(self, seeds: Iterable[Term]) -> Closure:
+        """The closure of ``facts`` plus the ground ``seeds``.
+
+        If this closure reached its fixpoint, a copy continues it with the
+        seeds it lacks as the first delta.  If not, seeds may reach some of
+        its facts in fewer rounds than it did, so the union is closed
+        afresh.  With no seed to add, this closure itself.
+        """
+        seeds = tuple(seeds)
+        _check_ground(seeds, "seed facts")
+        fresh = [f for f in dict.fromkeys(seeds) if f not in self.index.members]
+        if not (fresh or (seeds and not self.closed)):
+            return self
+        twin = Closure.__new__(Closure)
+        twin.ops, twin.bound = self.ops, self.bound
+        if self.closed:
+            twin.facts = self.facts + tuple(fresh)
+            index = self.index.copy()
+            index.add(fresh)
+            twin._run(index, _FactIndex(fresh), [list(found) for found in self.actions])
+        else:
+            twin.facts = self.facts + seeds
+            twin._run(_FactIndex(set(twin.facts)), None, [[] for _ in self.ops])
+        return twin
+
+    def instances(self) -> Iterable[Operator]:
+        return chain.from_iterable(self.actions)
+
+    def achievers(self, fact: Term) -> Sequence[Operator]:
+        """The instances that add ``fact``, in ``ops`` order and, within an
+        operator, in the order the rounds found them."""
+        if self._achievers is None:
+            self._achievers = {}
+            for inst in self.instances():
+                for e in dict.fromkeys(inst.add):
+                    self._achievers.setdefault(e, []).append(inst)
+        return self._achievers.get(fact, ())
+
+
 # ---------------------------------------------------------------------------
 # Relevance gate
 # ---------------------------------------------------------------------------
@@ -1127,11 +1085,9 @@ class RelevanceGate:
     the step's add-effects under the ground instances of ``ops``, capped
     at ``bound`` rounds (FF's relaxed planning graph).  Every step but
     ``step`` of a plan within ``bound`` steps has relaxed level below
-    ``bound``, so the capped closure finds it.  The closure of ``initial``
-    plus the step's add-effects is built once (:func:`_close`).  If it
-    reached its fixpoint, a candidate extends a copy with its seeds as the
-    first delta; if not, seeds may reach some of its facts in fewer
-    rounds than it did, so a candidate with seeds closes its own facts.
+    ``bound``, so the capped closure finds it.  The :class:`Closure` of
+    ``initial`` plus the step's add-effects is built once; a candidate's
+    closure is :meth:`Closure.with_facts` of its seeds.
 
     Chain: layer 0 is the step's add-effects, and layer d+1 holds the
     add-effects of every found instance with a precondition in layer d
@@ -1156,37 +1112,24 @@ class RelevanceGate:
         step: Operator,
         bound: int,
     ) -> None:
-        if bound < 1:
-            raise PlannerError("bound must be >= 1")
-        facts = tuple(initial) + step.add
-        _check_ground(facts, "initial facts and step effects")
         self.step = step
-        self.ops = tuple(ops)
         self.bound = bound
-        self.facts = facts
-        self.index = _FactIndex(set(facts))
-        self.actions: list[list[Operator]] = [[] for _ in self.ops]
-        self.closed = _close(self.index, None, self.ops, self.actions, bound)
+        self.closure = Closure(tuple(initial) + step.add, ops, bound)
 
     def depth(self, goal: Term, seeds: Iterable[Term] = ()) -> int | None:
         """The chain depth for the candidate with ``goal`` and ``seeds``."""
-        seeds = tuple(seeds)
-        _check_ground(seeds, "seed facts")
-        actions, closed = self.actions, self.closed
-        fresh = [f for f in dict.fromkeys(seeds) if f not in self.index.members]
-        if seeds and not closed:
-            actions = [[] for _ in self.ops]
-            index = _FactIndex(set(self.facts + seeds))
-            closed = _close(index, None, self.ops, actions, self.bound)
-        elif fresh:
-            index = self.index.copy()
-            index.add(fresh)
-            actions = [list(found) for found in actions]
-            closed = _close(index, _FactIndex(fresh), self.ops, actions, self.bound)
-        found = _chain_depth(goal, self.step.add, chain.from_iterable(actions))
-        if found is None and not closed:
-            return self.bound
-        return found
+        return self.candidate(goal, seeds)[0]
+
+    def candidate(
+        self, goal: Term, seeds: Iterable[Term] = ()
+    ) -> tuple[int | None, Closure]:
+        """The chain depth for the candidate with ``goal`` and ``seeds``, and
+        the candidate's closure, which holds every instance its plans use."""
+        closure = self.closure.with_facts(seeds)
+        found = _chain_depth(goal, self.step.add, closure.instances())
+        if found is None and not closure.closed:
+            return self.bound, closure
+        return found, closure
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from implicature import planner
 from implicature.planner import (
     MAX_DERIVED_DEPTH,
+    Closure,
     Completion,
     CycleError,
     InstanceTable,
@@ -24,17 +25,14 @@ from implicature.planner import (
     to_dot,
 )
 from implicature.terms import (
-    EMPTY_SUBST,
     Atom,
     Substitution,
     TermError,
-    apply,
     parse_term,
     render,
     struct,
     unify,
     var,
-    variables,
 )
 
 from oracles import (
@@ -152,21 +150,21 @@ class TestBasics:
 
 
 class TestSchemaFilter:
-    """Schemas are skipped for a condition only on a root (functor, arity)
-    clash; a variable root on either side may match anything."""
+    """Operators with variable-rooted conditions or effects: the planner
+    grounds them over the relaxed closure, and refuses those whose
+    instances forward grounding cannot find."""
 
     def test_variable_rooted_add_effect_closes_a_condition(self):
-        # make(?p) adds ?p itself, its topic fixing the root: the only
-        # producer of warm(x) has no compound add-effect to compare with
+        # make(?p) adds ?p itself, its topic fixing only the root: no
+        # precondition binds ?p, so no ground instance can close warm(x)
         make = Operator(
             name="make",
             args=(var("p"),),
             add=(var("p"),),
             topic_constraints=((var("p"), Atom("warm")),),
         )
-        p = plan([], t("warm(x)"), [op("other", add=["cold(x)"]), make], bound=2)
-        assert p is not None
-        assert [render(p.steps[i].head()) for i in linearize(p)] == ["make(warm(x))"]
+        with pytest.raises(PlannerError, match="operator make: an instance is not ground"):
+            plan([], t("warm(x)"), [op("other", add=["cold(x)"]), make], bound=2)
 
     def test_condition_walking_to_a_variable_is_closed(self):
         # use(?q) needs ?q, which nothing binds before a producer is chosen
@@ -182,12 +180,11 @@ class TestSchemaFilter:
             name="use", args=(var("q"),), preconditions=(var("q"),),
             add=(t("done(?q)"),),
         )
+        # heat(?y) takes ?y from the condition it closes only, so grounding
+        # forward cannot find heat(x)
         heat = Operator(name="heat", args=(var("y"),), add=(t("warm(?y)"),))
-        p = plan([], t("done(warm(x))"), [use, op("light", add=["lit"]), heat], bound=3)
-        assert p is not None
-        assert [render(p.steps[i].head()) for i in linearize(p)] == [
-            "heat(x)", "use(warm(x))"
-        ]
+        with pytest.raises(PlannerError, match="operator heat: an instance is not ground"):
+            plan([], t("done(warm(x))"), [use, op("light", add=["lit"]), heat], bound=3)
 
 
 class TestThreats:
@@ -495,14 +492,14 @@ class TestCompleteFrom:
             complete_from(t("p(a)"), (t("q"),), [wrap], steps + 1, {t("p(a)")})
 
     def test_arg_no_precondition_binds_is_a_planner_error(self):
-        # tell(?x) takes ?x from the goal only: completion search cannot
-        # ground it forward, so it must fail rather than answer None while
-        # the planner finds tell(c)
+        # tell(?x) takes ?x from the goal only: neither the planner nor
+        # completion search can ground it forward, so both must fail rather
+        # than answer None for known(c)
         tell = Operator(
             "tell", args=(var("x"),), preconditions=(t("p"),), add=(t("known(?x)"),)
         )
-        found = plan([t("p")], t("known(c)"), [tell])
-        assert [render(s.head()) for s in found.steps.values()] == ["tell(c)"]
+        with pytest.raises(PlannerError, match="operator tell: an instance is not ground"):
+            plan([t("p")], t("known(c)"), [tell])
         with pytest.raises(PlannerError, match="operator tell: an instance is not ground"):
             complete_from(t("p"), (t("known(c)"),), [tell], 3, {t("p")})
 
@@ -831,14 +828,17 @@ class TestForwardChecking:
             return plan(*args, **kwargs), calls
 
     def test_node_with_a_condition_nothing_closes_is_dropped(self, monkeypatch):
-        # ``h`` is in no initial fact and no schema adds it, so the root is
+        # the closure holds ``h`` as a fact of its own, but the plan's
+        # initial facts lack it and no instance adds it, so the root is
         # dead at every depth; without the check the search builds the
         # chain to ``g`` first
         ops = [op("a", add=["x"]), op("b", pre=["x"], add=["y"]), op("c", pre=["y"], add=["g"])]
+        closure = Closure([t("h")], ops, 5)
         args = ([], [t("g"), t("h")], ops)
-        assert self._expansions(monkeypatch, *args, bound=5) == (None, 6)  # the root at depths 0-5
+        found = self._expansions(monkeypatch, *args, bound=5, closure=closure)
+        assert found == (None, 6)  # the root at depths 0-5
         _unpruned(monkeypatch)
-        found, unpruned = self._expansions(monkeypatch, *args, bound=5)
+        found, unpruned = self._expansions(monkeypatch, *args, bound=5, closure=closure)
         assert found is None and unpruned > 6
 
     def test_node_at_the_step_limit_is_dropped(self, monkeypatch):
@@ -851,33 +851,3 @@ class TestForwardChecking:
         _unpruned(monkeypatch)
         found, unpruned = self._expansions(monkeypatch, *args, bound=1, required_step=step)
         assert found is None and unpruned > 1
-
-    def test_match_is_unify_against_a_ground_fact(self):
-        rng = random.Random(5005)
-        consts = [Atom("a"), Atom("b")]
-        names = [var("x"), var("y"), var("z")]
-
-        def term(depth, leaves):
-            if depth == 0 or rng.random() < 0.3:
-                return rng.choice(leaves)
-            if rng.random() < 0.5:
-                return struct("f", term(depth - 1, leaves))
-            return struct("g", term(depth - 1, leaves), term(depth - 1, leaves))
-
-        matched = 0
-        for _ in range(2000):
-            s = EMPTY_SUBST
-            for _ in range(rng.randint(0, 2)):
-                s = unify(rng.choice(names), term(2, consts + names), s) or s
-            pattern = term(3, consts + names)
-            if rng.random() < 0.5:
-                # a ground instance of the pattern under s
-                applied = apply(s, pattern)
-                ground = {v: term(2, consts) for v in sorted(variables(applied))}
-                fact = apply(Substitution(ground), applied)
-            else:
-                fact = term(3, consts)
-            expected = unify(fact, pattern, s) is not None
-            assert planner._matches(pattern, fact, s) == expected, (pattern, fact, s)
-            matched += expected
-        assert 500 <= matched <= 1500

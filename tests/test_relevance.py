@@ -184,7 +184,8 @@ class TestGateFallback:
         )
         with pytest.raises(PlannerError, match="operator tell: an instance is not ground"):
             RelevanceGate([], [u, tell], u, BOUND)
-        assert plan([], t("known(c)"), [u, tell], bound=BOUND, required_step=u) is not None
+        with pytest.raises(PlannerError, match="operator tell: an instance is not ground"):
+            plan([], t("known(c)"), [u, tell], bound=BOUND, required_step=u)
 
     def test_nesting_limit_falls_back_to_relevant(self):
         # echo nests without end: the closure stops after BOUND rounds with
@@ -473,3 +474,72 @@ class TestSharedClosure:
                     assert plan(facts, goal, ops, bound=bound, required_step=u) is None
         assert answers.count("capped") >= 100
         assert answers.count("irrelevant") >= 100
+
+
+class TestClosureReuse:
+    """``plan`` over a candidate's closure from the gate, or over that
+    closure extended with more seeds, returns what ``plan`` over a closure
+    of its own returns: for recognition, for the audit (which lacks the
+    utterance's add-effects) and for joint planning."""
+
+    capped = 0
+
+    def _check(self, rng, initial, ops, u, fact, bound):
+        base = list(dict.fromkeys(list(initial) + list(u.preconditions)))
+        gate = RelevanceGate(base, ops, u, bound)
+        found = []
+        for _ in range(2):
+            goal, seeds = fact(), [fact() for _ in range(rng.randint(0, 2))]
+            depth, closure = gate.candidate(goal, seeds)
+            facts = list(dict.fromkeys(base + seeds))
+            if depth is not None:
+                p = plan(facts, goal, ops, bound=bound, required_step=u)
+                assert plan(
+                    facts, goal, ops, bound=bound, required_step=u, min_cost=1 + depth,
+                    closure=closure,
+                ) == p
+                found.append(p)
+            audit = plan(facts, goal, ops, bound=bound)
+            assert plan(facts, goal, ops, bound=bound, closure=closure) == audit
+            goal2, seeds2 = fact(), [fact() for _ in range(rng.randint(0, 2))]
+            joint_facts = list(dict.fromkeys(facts + seeds2))
+            joint = plan(joint_facts, (goal, goal2), ops, bound=bound)
+            assert plan(
+                joint_facts, (goal, goal2), ops, bound=bound, closure=closure.with_facts(seeds2)
+            ) == joint
+            found += [audit, joint]
+            self.capped += not closure.closed
+        return found
+
+    def test_random_lifted_domains(self):
+        rng = random.Random(1717)
+        consts = [Atom(c) for c in ("a", "b", "c")]
+
+        def fact():
+            shape = rng.choice(["f", "g", "h"])
+            if shape == "g":
+                return struct("g", rng.choice(consts), rng.choice(consts))
+            return struct(shape, rng.choice(consts))
+
+        found = []
+        for _ in range(150):
+            initial, _, ops, u = random_lifted_domain(rng)
+            found += self._check(rng, initial, ops, u, fact, BOUND)
+        assert sum(p is not None for p in found) >= 150
+
+    def test_random_nesting_domains(self):
+        # capped closures: the extension closes the union afresh
+        rng = random.Random(17)
+        found = []
+        for bound in (2, 3):
+            for _ in range(75):
+                initial, ops, u, fact = random_nesting_domain(rng)
+                found += self._check(rng, initial, ops, u, fact, bound)
+        assert sum(p is not None for p in found) >= 20
+        assert self.capped >= 100
+
+    def test_no_closure_outlives_its_turn(self):
+        text = resources.files("implicature").joinpath("scenarios/computer_off.vgs").read_text()
+        _trace, _store, outcomes = run_detailed(load_scenario(text))
+        recognized = [o.recognition for o in outcomes if o.recognition is not None]
+        assert recognized and all(r.closure is None for r in recognized)

@@ -1,9 +1,8 @@
-"""Tests for the term layer: parsing, unification, substitution, renaming."""
+"""Tests for the term layer: parsing, unification, substitution."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from implicature.planner import Operator, rename_operator
 from implicature.terms import (
     Atom,
     Compound,
@@ -14,13 +13,11 @@ from implicature.terms import (
     Var,
     apply,
     atom,
-    is_ground,
     parse_term,
     render,
     struct,
     unify,
     var,
-    variables,
 )
 
 
@@ -181,17 +178,3 @@ def test_apply_idempotent(a, b, target):
     if s is not None:
         once = apply(s, target)
         assert apply(s, once) == once
-
-
-@given(terms)
-def test_rename_preserves_structure(term):
-    # operator schemas are renamed apart term by term: a renamed copy keeps
-    # its shape, and a copy renamed from the returned counter on shares no
-    # variable with the first
-    op = Operator("op", args=(term,))
-    first, counter = rename_operator(op, 0)
-    second, _ = rename_operator(op, counter)
-    renamed = first.args[0]
-    assert is_ground(term) == is_ground(renamed)
-    assert unify(term, renamed) is not None
-    assert not (variables(renamed) & variables(second.args[0]))
