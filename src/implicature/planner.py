@@ -686,13 +686,16 @@ def plan(
         inst.preconditions
         for inst in _ground_instances(Operator("goal", preconditions=goals), closure.index)
     ]
-    # with no goal grounding in a capped closure, a larger bound may find
-    # one if some operator adds a fact with the root (functor, arity) of a
-    # goal that no fact of the closure may match
-    missing = {_key(g) for g in goals if not closure.index.matching(g)}
-    capped = not (groundings or closure.closed) and any(
-        None in missing or _key(e) in missing or _key(e) is None for op in ops for e in op.add
-    )
+    capped = False
+    if not (groundings or closure.closed):
+        # a larger bound may ground the goal if some operator adds a fact
+        # with the root (functor, arity) of a goal no closure fact matches
+        missing = {_key(g) for g in goals if not closure.index.matching(g)}
+        capped = any(
+            None in missing or _key(e) in missing or _key(e) is None
+            for op in ops
+            for e in op.add
+        )
     if required_step is not None and _propagate_constraints(
         EMPTY_SUBST, _constraints_of(required_step)
     ) is None:
