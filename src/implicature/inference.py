@@ -294,7 +294,9 @@ def recognize(
     ``unreachable`` when the round cap stopped it (no plan within the
     bound exists; the plan call searches nothing).  The gate always
     decides: :func:`planner.validate_operator` admits only operators whose
-    instances forward grounding finds.
+    instances forward grounding finds.  The plan search runs over the
+    ground instances of the candidate's closure from the gate, which the
+    result keeps for the audit and joint planning.
     """
     u_op = utterance_operator(utterance)
     if not candidates:
