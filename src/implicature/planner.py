@@ -306,8 +306,8 @@ def exclusive_states(a: Plan, b: Plan) -> list[Term]:
     order.
 
     A complete plan's asserted states are ground (:func:`plan` takes ground
-    initial facts and :func:`_finish` grounds every step), so "unifies with
-    no state of b" is "is not a state of b".
+    initial facts and its steps are ground instances), so "unifies with no
+    state of b" is "is not a state of b".
     """
     b_states = {t for _, t in asserted_states(b)}
     return [t for _, t in asserted_states(a) if t not in b_states]
