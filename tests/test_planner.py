@@ -269,7 +269,9 @@ class TestCanonicalOrderings:
         ]
         assert planner.CausalLink(4, t("p0"), 3) in p.links
 
-    def test_lifted_goal_with_a_required_step(self):
+    def test_goal_with_a_variable_and_a_required_step(self):
+        # the branch that finds this plan also orders 4 before 3, which
+        # 4 before 2 before 3 implies
         x, y = var("x"), var("y")
         ops = [
             Operator("o0", args=(x,), preconditions=(t("f(?x)"),), add=(t("f(c)"), t("g(c, ?x)"))),
