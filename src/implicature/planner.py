@@ -10,9 +10,11 @@ the instances that add it.  Any step that adds or deletes a protected
 condition and could come between the link's ends is a threat, resolved by
 promotion or demotion only.  As in SNLP/UCPOP, a refinement checks only
 the pairs it creates: a new link against every step, and a new step
-against the links already there; a final sweep over all pairs runs once
-the agenda is empty.  A goal with variables is grounded over the
-closure's facts, and each grounding is searched.  Iterative deepening on
+against the links already there.  No final sweep is needed: steps are
+ground and orderings only grow along a branch, so a pair that is no
+threat when its later half appears never becomes one.  A goal with
+variables is grounded over the closure's facts, and each grounding is
+searched.  Iterative deepening on
 step count makes the returned plan cost-minimal; among equal-cost plans
 the least under ``_plan_key`` (operator names in linearized order first)
 wins.  Every complete plan of the cheapest depth is compared, with no
@@ -40,7 +42,11 @@ relaxed closure of its ambient facts instead of each state it visits: one
 round per search level it reaches, shared by the searches from every
 entry state of an ascription rule; a state's applicable instances are
 those whose preconditions it holds.  All of them ground operators with
-one matcher and one closure routine.
+one matcher and one closure routine: each precondition is matched one way
+against ground facts, binding variables in a plain dict, and the
+candidate facts come from an index on root and first argument (Warren
+1983; Ramakrishnan, Sekar & Voronkov 2001, "Term indexing").  The goal
+tests of the gate and of completion search use the same matcher.
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ from .terms import (
     MAX_TERM_DEPTH,
     Atom,
     Compound,
-    EMPTY_SUBST,
     Substitution,
     Term,
     TermError,
@@ -63,7 +68,6 @@ from .terms import (
     apply,
     is_ground,
     render,
-    unify,
     variables,
 )
 from .trace import Trace
@@ -381,15 +385,6 @@ def _is_threat(node: _Node, link: CausalLink, sid: int, op: Operator) -> bool:
     )
 
 
-def _all_threats(node: _Node) -> tuple[tuple[CausalLink, int, Operator], ...]:
-    return tuple(
-        (link, sid, op)
-        for link in node.links
-        for sid, op in node.steps
-        if _is_threat(node, link, sid, op)
-    )
-
-
 def _add_ordering(
     orderings: frozenset[tuple[int, int]], a: int, b: int
 ) -> frozenset[tuple[int, int]] | None:
@@ -494,11 +489,6 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
             children.append(replace(node, orderings=demoted))
         return children
     if not node.agenda:
-        # final sweep: every pair is checked when its later half appears,
-        # so this finds nothing unless a refinement missed a threat
-        swept = _all_threats(node)
-        if swept:
-            return [replace(node, threats=swept)]
         return None
     state = (node.orderings, node.steps)
     if node.checked is None or any(a is not b for a, b in zip(state, node.checked)):
@@ -689,15 +679,25 @@ def plan(
     capped = False
     if not (groundings or closure.closed):
         # a larger bound may ground the goal if some operator adds a fact
-        # with the root (functor, arity) of a goal no closure fact matches
-        missing = {_key(g) for g in goals if not closure.index.matching(g)}
+        # with the root (functor, arity) of a goal that no closure fact
+        # equals (a ground goal) or shares a root with
+        index = closure.index
+        missing = {
+            _key(g)
+            for g in goals
+            if not (
+                g in index.members
+                if is_ground(g)
+                else index.facts if isinstance(g, Var) else _key(g) in index.buckets
+            )
+        }
         capped = any(
             None in missing or _key(e) in missing or _key(e) is None
             for op in ops
             for e in op.add
         )
     if required_step is not None and _propagate_constraints(
-        EMPTY_SUBST, _constraints_of(required_step)
+        {}, _constraints_of(required_step)
     ) is None:
         # the step breaks its own topic or positivity constraint
         groundings = []
@@ -741,8 +741,9 @@ def plan(
 
 
 # ---------------------------------------------------------------------------
-# Ground matching and the delete-relaxed closure: one matcher and one
-# semi-naive closure routine serve the relevance gate and completion search
+# Ground matching and the delete-relaxed closure: one one-way matcher over
+# an indexed ground state and one semi-naive closure routine serve the
+# relevance gate, plan's goal groundings and completion search
 # ---------------------------------------------------------------------------
 
 
@@ -765,29 +766,40 @@ def _buckets(facts: Iterable[Term]) -> dict[tuple[str, int] | None, list[Term]]:
 
 class _FactIndex:
     """The facts of one ground state in render order, bucketed by (functor,
-    arity), plus any facts added later.
+    arity) and, within a bucket, by first argument, plus any facts added
+    later.
 
-    A bucket keeps the render order, so matching a pattern against its
-    bucket visits the facts that can unify with it in the same order as
-    scanning the whole sorted state would.  Added facts go after the
-    others, in the order given.  The state and each batch of added facts
-    hold distinct facts.  The states are ground because the callers
-    check their input facts and :func:`validate_operator` keeps every
-    instance's effects ground.
+    ``buckets`` maps a root (functor, arity) to its facts, and ``firsts``
+    maps a root and a first argument to the facts of that bucket with that
+    first argument (the sub-bucket a pattern with a bound first argument
+    is matched against).  Every list keeps the render order, so the facts
+    of a list that match a pattern come in the same order as scanning the
+    whole sorted state would find them.  Added facts go after the others,
+    in the order given, in every list they belong to.  The state and each
+    batch of added facts hold distinct facts.  The states are ground
+    because the callers check their input facts and
+    :func:`validate_operator` keeps every instance's effects ground.  An
+    index lives as long as the closure or table that owns it, and holds
+    nothing but facts.
     """
 
-    __slots__ = ("facts", "members", "buckets")
+    __slots__ = ("facts", "members", "buckets", "firsts")
 
     def __init__(self, state: Collection[Term] = ()) -> None:
-        self.facts = sorted(state, key=render)
-        self.members = set(state)
-        self.buckets = _buckets(self.facts)
+        self.facts: list[Term] = []
+        self.members: set[Term] = set()
+        self.buckets: dict[tuple[str, int] | None, list[Term]] = {}
+        self.firsts: dict[tuple[tuple[str, int] | None, Term], list[Term]] = {}
+        self.add(sorted(state, key=render))
 
     def add(self, facts: Collection[Term]) -> None:
         """Index ``facts``, distinct and none indexed yet, after the others."""
         for f in facts:
             self.facts.append(f)
-            self.buckets.setdefault(_key(f), []).append(f)
+            key = _key(f)
+            self.buckets.setdefault(key, []).append(f)
+            if isinstance(f, Compound):
+                self.firsts.setdefault((key, f.args[0]), []).append(f)
         self.members.update(facts)
 
     def copy(self) -> _FactIndex:
@@ -795,24 +807,103 @@ class _FactIndex:
         twin.facts = list(self.facts)
         twin.members = set(self.members)
         twin.buckets = {k: list(v) for k, v in self.buckets.items()}
+        twin.firsts = {k: list(v) for k, v in self.firsts.items()}
         return twin
 
-    def matching(self, pattern: Term) -> list[Term]:
-        """Facts that may unify with pattern, in index order."""
-        key = _key(pattern)
-        if key is None:
-            return self.facts
-        if is_ground(pattern):
-            # only the pattern itself unifies with a ground pattern
-            return [pattern] if pattern in self.members else []
-        return self.buckets.get(key, [])
+    def candidates(self, pattern: Term, bindings: dict[str, Term]) -> Sequence[Term]:
+        """The facts that may match ``pattern`` under the ground
+        ``bindings``, in index order.
+
+        These are the facts that share the pattern's root and, when the
+        bindings ground it, its first argument (every fact, for a free
+        variable).  When the bindings ground the whole pattern and several
+        facts share its first argument, a membership test replaces the
+        scan: the candidates are the pattern's instance if the index holds
+        it, else none.
+        """
+        if isinstance(pattern, Var):
+            bound = bindings.get(pattern.name)
+            if bound is None:
+                return self.facts
+            return (bound,) if bound in self.members else ()
+        if isinstance(pattern, Atom):
+            return (pattern,) if pattern in self.members else ()
+        key = (pattern.functor, len(pattern.args))
+        first = _instantiate(pattern.args[0], bindings)
+        if first is None:
+            return self.buckets.get(key, ())
+        found = self.firsts.get((key, first), ())
+        if len(found) > 1:
+            fact = _instantiate(pattern, bindings)
+            if fact is not None:
+                return (fact,) if fact in self.members else ()
+        return found
 
 
-def _strip_not(t: Term, s: Substitution) -> Term:
-    t = s.walk(t)
-    while isinstance(t, Compound) and t.functor == "not" and len(t.args) == 1:
-        t = s.walk(t.args[0])
+def _instantiate(t: Term, bindings: dict[str, Term]) -> Term | None:
+    """``t`` under the ground ``bindings``, or None when they leave one of
+    its variables free."""
+    if isinstance(t, Var):
+        return bindings.get(t.name)
+    if isinstance(t, Compound):
+        args = []
+        for a in t.args:
+            arg = _instantiate(a, bindings)
+            if arg is None:
+                return None
+            args.append(arg)
+        return Compound(t.functor, tuple(args))
     return t
+
+
+def _match(pattern: Term, fact: Term, bindings: dict[str, Term]) -> dict[str, Term] | None:
+    """``bindings`` extended so that ``pattern`` instantiates to the ground
+    ``fact``, or None.
+
+    One-way matching: the fact and the bindings are ground, so there is no
+    occurs check and no chain of bindings to walk.  ``bindings`` is never
+    changed; it is returned itself when the match binds nothing new, and
+    copied only when a match succeeds with new bindings.
+    """
+    new: dict[str, Term] = {}
+    if not _match_into(pattern, fact, bindings, new):
+        return None
+    return {**bindings, **new} if new else bindings
+
+
+def _match_into(
+    pattern: Term, fact: Term, bindings: dict[str, Term], new: dict[str, Term]
+) -> bool:
+    if isinstance(pattern, Var):
+        bound = bindings.get(pattern.name)
+        if bound is None:
+            bound = new.setdefault(pattern.name, fact)
+        return bound is fact or bound == fact
+    if isinstance(pattern, Compound):
+        if (
+            not isinstance(fact, Compound)
+            or pattern.functor != fact.functor
+            or len(pattern.args) != len(fact.args)
+        ):
+            return False
+        for p, f in zip(pattern.args, fact.args):
+            if not _match_into(p, f, bindings, new):
+                return False
+        return True
+    return pattern == fact
+
+
+def _strip_not(t: Term, bindings: dict[str, Term]) -> Term:
+    """``t`` under the ground ``bindings``, looking through not(), down to
+    a variable the bindings leave free or a term that is not a negation."""
+    while True:
+        if isinstance(t, Var):
+            t = bindings.get(t.name, t)
+            if isinstance(t, Var):
+                return t
+        if not (isinstance(t, Compound) and t.functor == "not" and len(t.args) == 1):
+            return t
+        t = t.args[0]
 
 
 Constraint = tuple[str, Term, "Term | None"]
@@ -825,37 +916,42 @@ def _constraints_of(op: Operator) -> tuple[Constraint, ...]:
 
 
 def _propagate_constraints(
-    subst: Substitution, constraints: tuple[Constraint, ...]
-) -> tuple[Substitution, tuple[Constraint, ...]] | None:
-    """Resolve topic/positivity constraints as bindings land; None on clash."""
-    pending = list(constraints)
+    bindings: dict[str, Term], constraints: tuple[Constraint, ...]
+) -> tuple[dict[str, Term], tuple[Constraint, ...]] | None:
+    """Resolve topic/positivity constraints under the ground ``bindings``;
+    None on a clash.
+
+    Returns the bindings, extended by the topics the constraints fix (a
+    copy when they fix one), and the constraints still pending on a free
+    variable.
+    """
+    pending = constraints
     changed = True
-    while changed:
+    while changed and pending:
         changed = False
         rest: list[Constraint] = []
         for kind, p, t in pending:
             if kind == "positive":
-                w = subst.walk(p)
+                w = bindings.get(p.name, p) if isinstance(p, Var) else p
                 if isinstance(w, Var):
                     rest.append((kind, p, t))
-                    continue
-                if isinstance(w, Compound) and w.functor == "not" and len(w.args) == 1:
+                elif isinstance(w, Compound) and w.functor == "not" and len(w.args) == 1:
                     return None
                 continue
-            w = _strip_not(p, subst)
+            w = _strip_not(p, bindings)
             if isinstance(w, Var):
                 rest.append((kind, p, t))
                 continue
             functor = w.functor if isinstance(w, Compound) else w.name
             assert t is not None
-            u = unify(t, Atom(functor), subst)
-            if u is None:
-                return None
-            if u is not subst:
-                subst = u
+            topic = bindings.get(t.name, t) if isinstance(t, Var) else t
+            if isinstance(topic, Var):
+                bindings = {**bindings, topic.name: Atom(functor)}
                 changed = True
-        pending = rest
-    return subst, tuple(pending)
+            elif not (isinstance(topic, Atom) and topic.name == functor):
+                return None
+        pending = tuple(rest)
+    return bindings, pending
 
 
 def _ground_instances(
@@ -863,6 +959,12 @@ def _ground_instances(
 ) -> list[Operator]:
     """All ground instantiations of op whose preconditions hold in the
     indexed (ground) state, in precondition-match order.
+
+    Each precondition in turn is matched one way against the candidate
+    facts the index gives for it under the bindings so far
+    (:meth:`_FactIndex.candidates`), and the topic and positivity
+    constraints resolve as bindings land, pruning early and binding topics
+    before the preconditions that mention them are matched.
 
     With ``delta``, which holds some of the indexed facts (those new in the
     last round of a fixpoint), only the instances with a precondition in
@@ -878,20 +980,18 @@ def _ground_instances(
     results: list[Operator] = []
     pre = op.preconditions
 
-    def match(
+    def join(
         order: tuple[tuple[int, _FactIndex, _FactIndex | None], ...],
         k: int,
-        s: Substitution,
+        bindings: dict[str, Term],
         constraints: tuple[Constraint, ...],
     ) -> None:
-        # constraints resolve as bindings land, pruning early and binding
-        # topics before the preconditions that mention them are matched
-        propagated = _propagate_constraints(s, constraints)
+        propagated = _propagate_constraints(bindings, constraints)
         if propagated is None:
             return
-        s, constraints = propagated
+        bindings, constraints = propagated
         if k == len(order):
-            inst = op.substituted(s)
+            inst = op.substituted(Substitution(bindings))
             if any(_depth(e) > MAX_DERIVED_DEPTH for e in inst.add):
                 raise TermError(
                     f"operator {op.name} derives a fact nested deeper than "
@@ -904,15 +1004,15 @@ def _ground_instances(
                 results.append(inst)
             return
         i, source, excluded = order[k]
-        for f in source.matching(apply(s, pre[i])):
+        for f in source.candidates(pre[i], bindings):
             if excluded is not None and f in excluded.members:
                 continue
-            u = unify(pre[i], f, s)
-            if u is not None:
-                match(order, k + 1, u, constraints)
+            extended = _match(pre[i], f, bindings)
+            if extended is not None:
+                join(order, k + 1, extended, constraints)
 
     if delta is None:
-        match(tuple((i, index, None) for i in range(len(pre))), 0, EMPTY_SUBST, _constraints_of(op))
+        join(tuple((i, index, None) for i in range(len(pre))), 0, {}, _constraints_of(op))
         return results
     for pivot in range(len(pre)):
         key = _key(pre[pivot])
@@ -923,7 +1023,7 @@ def _ground_instances(
             *((i, index, delta) for i in range(pivot)),
             *((i, index, None) for i in range(pivot + 1, len(pre))),
         )
-        match(order, 0, EMPTY_SUBST, _constraints_of(op))
+        join(order, 0, {}, _constraints_of(op))
     return results
 
 
@@ -1049,13 +1149,13 @@ class Closure:
 
 def _chain_depth(goal: Term, start: tuple[Term, ...], actions: Iterable[Operator]) -> int | None:
     """The first layer of the chain from ``start`` over ``actions`` with a
-    fact that unifies with ``goal``, or None."""
+    fact that ``goal`` matches, or None."""
     layer = set(start)
     seen = set(layer)
     pending = actions
     depth = 0
     while layer:
-        if any(unify(goal, f) is not None for f in layer):
+        if any(_match(goal, f, {}) is not None for f in layer):
             return depth
         nxt: set[Term] = set()
         rest: list[Operator] = []
@@ -1202,8 +1302,8 @@ def complete_from(
     `ambient` must be ground; the goals need not be.  The first action
     must have `state` among its preconditions; every action executes in
     the ambient context.  A goal may contain variables; it is reached when
-    it unifies with a fact of a generated state (the least such fact in
-    render order instantiates it).
+    it matches a fact of a generated state (the least such fact in render
+    order is the goal's instance).
 
     One breadth-first search serves every goal.  Its expansion order
     (frontier, operators, ground instances, visited states) does not depend
@@ -1242,9 +1342,9 @@ def complete_from(
     found: list[Completion | None] = [None] * len(goals)
     pending = list(range(len(goals)))
     start = table.start
-    at_start: list[list[Term]] = []  # the ambient facts each goal unifies with
-    # (instance, goal index) -> the instance's add-effects that unify with
-    # the goal; the table keeps every instance alive, so ids stay unique
+    at_start: list[list[Term]] = []  # the ambient facts each goal matches
+    # (instance, goal index) -> the instance's add-effects that the goal
+    # matches; the table keeps every instance alive, so ids stay unique
     hits: dict[tuple[int, int], list[Term]] = {}
     frontier: list[tuple[frozenset[Term], tuple[Operator, ...]]] = [(start, ())]
     visited: set[frozenset[Term]] = {start}
@@ -1262,7 +1362,7 @@ def complete_from(
                         continue
                     if not seq and not at_start:
                         at_start = [
-                            [f for f in start if unify(g, f) is not None] for g in goals
+                            [f for f in start if _match(g, f, {}) is not None] for g in goals
                         ]
                     deleted = set(inst.delete)
                     new_seq = seq + (inst,)
@@ -1270,17 +1370,16 @@ def complete_from(
                         goal = goals[i]
                         reached = hits.get((id(inst), i))
                         if reached is None:
-                            reached = [e for e in inst.add if unify(goal, e) is not None]
+                            reached = [e for e in inst.add if _match(goal, e, {}) is not None]
                             hits[id(inst), i] = reached
                         if not seq:
                             reached = reached + [f for f in at_start[i] if f not in deleted]
                         if reached:
-                            u = unify(goal, min(reached, key=render))
-                            assert u is not None
+                            # a matched fact is the goal's instance under the match
                             found[i] = Completion(
                                 actions=new_seq,
                                 entry_state=state,
-                                achieved_goal=apply(u, goal),
+                                achieved_goal=min(reached, key=render),
                             )
                             pending.remove(i)
                     if not pending:

@@ -3,24 +3,160 @@
 Everything here deliberately avoids the planner's search machinery: plans
 are checked against exhaustive breadth-first search over ground action
 sequences, and random domains are generated from a seeded RNG so failures
-reproduce.  The naive relevance closure and the per-state completion
-search reuse the planner's plain matcher and term helpers, but neither
-the semi-naive rounds, the per-turn closure of the gate nor the instance
-table of completion search that they check.
+reproduce.  :func:`naive_ground_instances` is the reference grounder: the
+nested-loop join by two-way unification that the planner's one-way
+matcher over a first-argument index replaced.  The naive relevance closure
+and the per-state completion search ground with it, and use neither the
+semi-naive rounds, the per-turn closure of the gate nor the instance table
+of completion search that they check.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Collection, Sequence
 
 from implicature.planner import (
+    MAX_DERIVED_DEPTH,
     Completion,
     Operator,
+    PlannerError,
     _check_ground,
-    _FactIndex,
-    _ground_instances,
 )
-from implicature.terms import Atom, Substitution, Term, apply, render, struct, unify, var
+from implicature.terms import (
+    EMPTY_SUBST,
+    Atom,
+    Compound,
+    Substitution,
+    Term,
+    TermError,
+    Var,
+    apply,
+    is_ground,
+    render,
+    struct,
+    unify,
+    var,
+)
+
+
+def _root(t: Term) -> tuple[str, int] | None:
+    if isinstance(t, Compound):
+        return t.functor, len(t.args)
+    if isinstance(t, Atom):
+        return t.name, 0
+    return None
+
+
+def _depth(t: Term) -> int:
+    depth, level = 0, [t]
+    while level:
+        depth += 1
+        level = [a for c in level if isinstance(c, Compound) for a in c.args]
+    return depth
+
+
+def _propagate(
+    s: Substitution, constraints: list[tuple[str, Term, Term | None]]
+) -> tuple[Substitution, list] | None:
+    """Resolve topic/positivity constraints under ``s`` by unification;
+    None on a clash."""
+    changed = True
+    while changed:
+        changed = False
+        rest = []
+        for kind, p, t in constraints:
+            w = s.walk(p)
+            if kind == "topic":
+                while isinstance(w, Compound) and w.functor == "not" and len(w.args) == 1:
+                    w = s.walk(w.args[0])
+            if isinstance(w, Var):
+                rest.append((kind, p, t))
+                continue
+            if kind == "positive":
+                if isinstance(w, Compound) and w.functor == "not" and len(w.args) == 1:
+                    return None
+                continue
+            u = unify(t, Atom(w.functor if isinstance(w, Compound) else w.name), s)
+            if u is None:
+                return None
+            if u is not s:
+                s, changed = u, True
+        constraints = rest
+    return s, constraints
+
+
+def naive_ground_instances(
+    op: Operator, facts: Sequence[Term], delta: Collection[Term] | None = None
+) -> list[Operator]:
+    """The reference for :func:`implicature.planner._ground_instances`.
+
+    ``facts`` is the ground state in index order, ``delta`` the facts of
+    it new in the last round, which are matched in render order.  Each
+    precondition in turn is instantiated under the substitution so far
+    (``apply``), its candidates are the facts sharing its root (only
+    itself, when it is ground; every fact, when it is a variable), and
+    each candidate is unified with it.  Constraints
+    resolve as bindings land.  With ``delta``, the pivot scheme of the
+    semi-naive rounds: the first precondition ``delta`` holds is matched
+    first, against ``delta``, the earlier ones against the other facts and
+    the later ones against every fact.  Same errors as the planner: a
+    :class:`TermError` for an instance adding a fact deeper than
+    ``MAX_DERIVED_DEPTH``, a :class:`PlannerError` for a non-ground one.
+    """
+    members = set(facts)
+    buckets: dict[tuple[str, int] | None, list[Term]] = {}
+    for f in facts:
+        buckets.setdefault(_root(f), []).append(f)
+    constraints = [("topic", p, t) for p, t in op.topic_constraints]
+    constraints += [("positive", p, None) for p in op.positive_constraints]
+    pre = op.preconditions
+    results: list[Operator] = []
+
+    def candidates(source: Sequence[Term], pattern: Term) -> Sequence[Term]:
+        if source is not facts:
+            return source
+        if _root(pattern) is None:
+            return facts
+        if is_ground(pattern):
+            return [pattern] if pattern in members else []
+        return buckets.get(_root(pattern), [])
+
+    def match(order, k: int, s: Substitution, pending) -> None:
+        propagated = _propagate(s, pending)
+        if propagated is None:
+            return
+        s, pending = propagated
+        if k == len(order):
+            inst = op.substituted(s)
+            if any(_depth(e) > MAX_DERIVED_DEPTH for e in inst.add):
+                raise TermError(f"operator {op.name} derives too deep a fact")
+            if pending or not all(map(is_ground, (inst.head(), *inst.add))):
+                raise PlannerError(f"operator {op.name}: an instance is not ground")
+            if inst not in results:
+                results.append(inst)
+            return
+        i, source, excluded = order[k]
+        for f in candidates(source, apply(s, pre[i])):
+            if f in excluded:
+                continue
+            u = unify(pre[i], f, s)
+            if u is not None:
+                match(order, k + 1, u, pending)
+
+    if delta is None:
+        match(tuple((i, facts, ()) for i in range(len(pre))), 0, EMPTY_SUBST, constraints)
+        return results
+    delta_set = set(delta)
+    new = sorted(delta_set, key=render)
+    for pivot in range(len(pre)):
+        order = (
+            (pivot, new, ()),
+            *((i, facts, delta_set) for i in range(pivot)),
+            *((i, facts, ()) for i in range(pivot + 1, len(pre))),
+        )
+        match(order, 0, EMPTY_SUBST, constraints)
+    return results
 
 
 def applicable(op: Operator, state: frozenset[Term]) -> bool:
@@ -117,9 +253,9 @@ def per_state_completion(
             break
         nxt = []
         for current, seq in frontier:
-            index = _FactIndex(current)
+            facts = sorted(current, key=render)
             for op in ops:
-                for inst in _ground_instances(op, index):
+                for inst in naive_ground_instances(op, facts):
                     if not seq and all(unify(p, state) is None for p in inst.preconditions):
                         continue
                     kept = current - set(inst.delete)
@@ -210,10 +346,10 @@ def _naive_rounds(
     fact; adds the instances to ``actions`` and their effects to
     ``facts``.  True when a round derived no new fact."""
     for _ in range(rounds):
-        index = _FactIndex(facts)
+        ordered = sorted(facts, key=render)
         new: set[Term] = set()
         for op in ops:
-            for inst in _ground_instances(op, index):
+            for inst in naive_ground_instances(op, ordered):
                 actions.setdefault(inst)
                 new.update(e for e in inst.add if e not in facts)
         if not new:

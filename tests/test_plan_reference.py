@@ -14,6 +14,7 @@ After a deliberate change of behaviour, regenerate the file with
     PYTHONPATH=src python tests/test_plan_reference.py
 """
 
+import functools
 import hashlib
 import json
 import random
@@ -69,11 +70,17 @@ def digest(p) -> str:
     return hashlib.sha256(to_dot(p).encode("utf-8")).hexdigest()[:16]
 
 
-def digests() -> list[str]:
-    return [
-        digest(plan(initial, goal, ops, bound=bound, required_step=step))
+@functools.cache
+def plans() -> tuple:
+    """The plan, or None, of every call of :func:`calls`, in order."""
+    return tuple(
+        plan(initial, goal, ops, bound=bound, required_step=step)
         for initial, goal, ops, bound, step in calls()
-    ]
+    )
+
+
+def digests() -> list[str]:
+    return [digest(p) for p in plans()]
 
 
 def test_plans_match_the_frozen_reference():
@@ -85,6 +92,37 @@ def test_plans_match_the_frozen_reference():
     # the reference must hold real plans, lifted goals and conjunctions among them
     assert sum(d != "none" for d in frozen[:2400]) >= 700
     assert sum(d != "none" for d in frozen[2400:]) >= 100
+
+
+def _after(orderings, a: int) -> set[int]:
+    """The steps the orderings put after step ``a``."""
+    seen, stack = set(), [a]
+    while stack:
+        node = stack.pop()
+        for x, y in orderings:
+            if x == node and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def test_no_step_threatens_a_link():
+    """A step other than a link's ends that adds or deletes its condition
+    is ordered before the producer or after the consumer, in every plan."""
+    checked = 0
+    for p in plans():
+        if p is None:
+            continue
+        for link in p.links:
+            for sid, step in p.steps.items():
+                if sid in (link.producer, link.consumer):
+                    continue
+                if link.condition in step.add or link.condition in step.delete:
+                    checked += 1
+                    assert link.producer in _after(p.orderings, sid) or sid in _after(
+                        p.orderings, link.consumer
+                    ), (link, sid)
+    assert checked >= 100
 
 
 if __name__ == "__main__":
