@@ -70,7 +70,6 @@ from .terms import (
     render,
     variables,
 )
-from .trace import Trace
 
 INIT_ID = 0
 GOAL_ID = 1
@@ -342,9 +341,6 @@ class _Node:
     orderings: frozenset[tuple[int, int]]
     links: tuple[CausalLink, ...]
     threats: tuple[tuple[CausalLink, int, Operator], ...]
-    #: the orderings and steps under which every agenda entry last passed
-    #: :func:`_may_close`
-    checked: tuple[frozenset[tuple[int, int]], tuple] | None = None
 
 
 @dataclass
@@ -356,7 +352,6 @@ class _Problem:
     limit: int
     #: ``initial`` bucketed by root (:func:`_buckets`)
     facts: dict[tuple[str, int] | None, list[Term]]
-    hit_limit: bool = False
     #: id of a condition -> whether an initial fact equals it, and the
     #: instances that add it; every condition is a goal or a precondition
     #: of an instance the closure or the call keeps alive, so ids are unique
@@ -434,28 +429,20 @@ def _with_link(
 
 def _may_close(prob: _Problem, node: _Node, consumer: int, cond: Term) -> bool:
     """Whether some refinement of ``node`` may still close the open condition
-    ``cond`` of step ``consumer``: a new step may (the step limit is not
-    reached and an instance of the closure adds the condition), or an
-    initial fact equals it, or a step other than the consumer that is not
-    ordered after it adds it.
+    ``cond`` of step ``consumer``: an initial fact equals it, a new step
+    within the step limit adds it (an instance of the closure does), or a
+    step other than the consumer that is not ordered after it adds it.
 
     Along a branch orderings and steps only grow, so a False answer stays
-    False in every descendant.  When the step limit is all that keeps a new
-    step from closing the condition, a False answer sets
-    ``prob.hit_limit``, as refining a first condition at the limit does in
-    :func:`_expand`.
+    False in every descendant.
     """
     initial, achievers = prob.closers(cond)
-    if achievers and len(node.steps) < prob.limit:
-        return True
-    if initial:
+    if initial or (achievers and len(node.steps) < prob.limit):
         return True
     after = _reachable(node.orderings, consumer)
     for sid, op in node.steps:
         if sid != consumer and sid not in after and cond in op.add:
             return True
-    if achievers:
-        prob.hit_limit = True
     return False
 
 
@@ -468,11 +455,9 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
     refinement (:func:`_may_close`); a first condition with none yields no
     child anyway.  No complete plan lies below a dropped node, and the live
     nodes keep their order, so the search finds the same plans.  The check
-    reruns only when the orderings or steps differ from those it last
-    passed under on this branch.  The condition is closed by an equal
-    initial fact, by a step that adds it and may come before its consumer,
-    or by a new step from the instances that add it
-    (:meth:`Closure.achievers`).
+    runs at every expansion.  The condition is closed by an equal initial
+    fact, by a step that adds it and may come before its consumer, or by a
+    new step from the instances that add it (:meth:`Closure.achievers`).
     """
     # resolve threats first
     while node.threats:
@@ -490,12 +475,10 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
         return children
     if not node.agenda:
         return None
-    state = (node.orderings, node.steps)
-    if node.checked is None or any(a is not b for a, b in zip(state, node.checked)):
-        if not all(_may_close(prob, node, c, cond) for c, cond in node.agenda[1:]):
-            return []
+    if not all(_may_close(prob, node, c, cond) for c, cond in node.agenda[1:]):
+        return []
     (consumer, cond), agenda = node.agenda[0], node.agenda[1:]
-    node = replace(node, agenda=agenda, checked=state)
+    node = replace(node, agenda=agenda)
     children: list[_Node] = []
     initial, achievers = prob.closers(cond)
     producers = [INIT_ID] if initial else []
@@ -523,8 +506,6 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
             child = _with_link(base, sid, cond, consumer, inst)
             if child is not None:
                 children.append(child)
-    elif achievers:
-        prob.hit_limit = True
     return children
 
 
@@ -612,7 +593,6 @@ def plan(
     ops: list[Operator] | tuple[Operator, ...],
     bound: int = DEFAULT_BOUND,
     required_step: Operator | None = None,
-    trace: Trace | None = None,
     *,
     min_cost: int = 0,
     closure: Closure | None = None,
@@ -676,26 +656,6 @@ def plan(
         inst.preconditions
         for inst in _ground_instances(Operator("goal", preconditions=goals), closure.index)
     ]
-    capped = False
-    if not (groundings or closure.closed):
-        # a larger bound may ground the goal if some operator adds a fact
-        # with the root (functor, arity) of a goal that no closure fact
-        # equals (a ground goal) or shares a root with
-        index = closure.index
-        missing = {
-            _key(g)
-            for g in goals
-            if not (
-                g in index.members
-                if is_ground(g)
-                else index.facts if isinstance(g, Var) else _key(g) in index.buckets
-            )
-        }
-        capped = any(
-            None in missing or _key(e) in missing or _key(e) is None
-            for op in ops
-            for e in op.add
-        )
     if required_step is not None and _propagate_constraints(
         {}, _constraints_of(required_step)
     ) is None:
@@ -708,7 +668,6 @@ def plan(
     connected_from = FIRST_STEP_ID if required_step is not None else None
     for limit in range(start, bound + 1):
         prob.limit = limit
-        prob.hit_limit = False
         best = None
         for grounding in groundings:
             prob.goal = grounding
@@ -721,22 +680,7 @@ def plan(
             )
             best = _search_depth(prob, root, connected_from, best)
         if best is not None:
-            found = best[1]
-            if trace:
-                trace.emit(
-                    "planner",
-                    "plan-found",
-                    cost=cost(found),
-                    steps=[render(found.steps[s].head()) for s in linearize(found)],
-                )
-            return found
-    if trace:
-        trace.emit(
-            "planner",
-            "plan-none",
-            cause="bound-exceeded" if prob.hit_limit or capped else "unsolvable",
-            bound=bound,
-        )
+            return best[1]
     return None
 
 

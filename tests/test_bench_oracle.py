@@ -10,10 +10,18 @@ dialogue through ``bench/run.py``'s ``run_dialogue`` and requires
 ``bench/check.py``'s ``check_dialogue`` against ``oracle.read`` to report
 nothing.  A draw the oracle cannot read (``OracleError``) or the generator
 cannot build (``StopIteration``) is skipped.
+
+Warnings drawn at ``bound = depth + 1`` are one step short of the
+no-answer plan, so the engine falls through to the library's templates,
+which the oracle cannot read.  For those the test requires that both
+answer candidates are skipped as ``unreachable`` and that the same
+dialogue at ``depth + 2`` agrees with the oracle.
 """
 
 import json
 import random
+
+import pytest
 
 from implicature import inference, scenario, terms, trace
 
@@ -33,6 +41,11 @@ ENGINE = run.Engine(
     Trace=trace.Trace,
     render=terms.render,
 )
+
+
+def events_of(d: gen.Dialogue) -> tuple[run.Result, list[dict]]:
+    result = run.run_dialogue(ENGINE, d, probed=False)
+    return result, json.loads(result.json_text)["events"]
 
 
 def draw(rng: random.Random, name: str) -> gen.Dialogue:
@@ -62,9 +75,34 @@ def test_random_dialogues_match_the_oracle():
             readings = [None if turn is None else read(turn[0]) for turn in d.turns]
         except (OracleError, StopIteration):
             continue
-        result = run.run_dialogue(ENGINE, d, probed=False)
-        events = json.loads(result.json_text)["events"]
+        result, events = events_of(d)
         problems += [f"{d.name}: {p}" for p in check_dialogue(ENGINE, d, readings, result, events)]
         checked += 1
     assert not problems, problems[:5]
     assert checked >= 50
+
+
+def test_warning_one_step_past_the_bound_skips_both_answers():
+    rng = random.Random(1901)
+    for depth in [*range(1, 8)] * 2:
+        seed, failing, unreachable = rng.random(), rng.randint(0, 3), rng.randint(0, 4)
+
+        def warning(bound: int) -> gen.Dialogue:
+            return gen.warning_dialogue(
+                random.Random(seed), f"warning-{depth}-{bound}", depth, bound=bound,
+                failing=failing, unreachable=unreachable,
+            )
+
+        short = warning(depth + 1)
+        spec = short.turns[1][0]
+        with pytest.raises(OracleError, match="template candidate"):
+            read(spec)
+        _, events = events_of(short)
+        skipped = [(e["payload"]["goal"], e["payload"]["cause"])
+                   for e in events if e["kind"] == "candidate-skipped"]
+        assert skipped[:2] == [(c.goal, "unreachable") for c in spec.candidates[:2]]
+
+        fits = warning(depth + 2)
+        readings = [None if turn is None else read(turn[0]) for turn in fits.turns]
+        result, events = events_of(fits)
+        assert check_dialogue(ENGINE, fits, readings, result, events) == []

@@ -6,6 +6,7 @@ import pytest
 
 from implicature import planner
 from implicature.planner import (
+    DEFAULT_BOUND,
     MAX_DERIVED_DEPTH,
     Closure,
     Completion,
@@ -656,65 +657,53 @@ class TestDotExport:
         assert "c0" not in to_dot(p)
 
 
-class TestTraceReporting:
-    def test_bound_exceeded_reported_distinctly(self):
-        from implicature.trace import Trace
+class TestBoundAnswers:
+    """What ``plan`` answers at the bound a case tests, and past it: a plan
+    cut only by the bound appears at the next bound, and an unsolvable goal
+    has none at ``DEFAULT_BOUND`` either."""
 
+    def test_chain_past_the_bound_is_found_at_the_next_bound(self):
         ops = [op("a", add=["x"]), op("b", pre=["x"], add=["y"]), op("c", pre=["y"], add=["g"])]
-        trace = Trace()
-        assert plan([], t("g"), ops, bound=2, trace=trace) is None
-        assert trace.events[-1].kind == "plan-none"
-        assert trace.events[-1].payload["cause"] == "bound-exceeded"
+        assert plan([], t("g"), ops, bound=2) is None
+        assert cost(plan([], t("g"), ops, bound=3)) == 3
 
-    def test_unsolvable_reported_distinctly(self):
-        from implicature.trace import Trace
+    def test_unsolvable_has_no_plan_at_the_default_bound(self):
+        ops = [op("other", add=["h"])]
+        assert plan([], t("g"), ops, bound=3) is None
+        assert plan([], t("g"), ops, bound=DEFAULT_BOUND) is None
 
-        trace = Trace()
-        assert plan([], t("g"), [op("other", add=["h"])], bound=3, trace=trace) is None
-        assert trace.events[-1].payload["cause"] == "unsolvable"
-
-    def test_second_goal_closable_only_past_the_bound_is_bound_exceeded(self):
+    def test_second_goal_past_the_step_limit_is_found_at_next_bound(self):
         # with the required step the root already holds the step limit, so
-        # forward checking drops it for ``h`` before any expansion: the
-        # prune itself must report the limit
-        from implicature.trace import Trace
-
+        # forward checking drops it for ``h`` before any expansion
         required = op("r", add=["g"])
-        trace = Trace()
-        assert plan([], [t("g"), t("h")], [op("make_h", add=["h"])], bound=1,
-                    required_step=required, trace=trace) is None
-        assert trace.events[-1].payload["cause"] == "bound-exceeded"
-        assert plan([], [t("g"), t("h")], [op("make_h", add=["h"])], bound=2,
-                    required_step=required) is not None
+        goals = [t("g"), t("h")]
+        ops = [op("make_h", add=["h"])]
+        assert plan([], goals, ops, bound=1, required_step=required) is None
+        p = plan([], goals, ops, bound=2, required_step=required)
+        assert sorted(s.name for s in p.steps.values()) == ["make_h", "r"]
 
     def test_second_goal_closable_at_no_bound_is_unsolvable(self):
         # nothing adds ``h``, so the root is dropped before any node reaches
-        # the step limit: no larger bound would help
-        from implicature.trace import Trace
-
-        trace = Trace()
-        assert plan([], [t("g"), t("h")], [op("make_g", add=["g"])], bound=1,
-                    trace=trace) is None
-        assert trace.events[-1].payload["cause"] == "unsolvable"
+        # the step limit: no larger bound helps
+        goals = [t("g"), t("h")]
+        ops = [op("make_g", add=["g"])]
+        assert plan([], goals, ops, bound=1) is None
+        assert plan([], goals, ops, bound=DEFAULT_BOUND) is None
 
     def test_condition_no_schema_adds_at_the_step_limit_is_unsolvable(self):
         # the required step fills the one-step limit and ``h`` is refined
         # there, first on the agenda; only a schema that adds ``h`` would
         # make the limit the cause
-        from implicature.trace import Trace
+        ops = [op("make_g", add=["g"])]
+        required = op("r", add=["z"])
+        assert plan([], t("h"), ops, bound=1, required_step=required) is None
+        assert plan([], t("h"), ops, bound=DEFAULT_BOUND, required_step=required) is None
 
-        trace = Trace()
-        assert plan([], t("h"), [op("make_g", add=["g"])], bound=1,
-                    required_step=op("r", add=["z"]), trace=trace) is None
-        assert trace.events[-1].payload["cause"] == "unsolvable"
-
-    def test_plan_found_traced(self):
-        from implicature.trace import Trace
-
-        trace = Trace()
-        plan([], t("g"), [op("make", add=["g"])], bound=2, trace=trace)
-        assert trace.events[-1].kind == "plan-found"
-        assert trace.events[-1].payload["cost"] == 1
+    def test_plan_found_at_its_cost(self):
+        ops = [op("make", add=["g"])]
+        for bound in (1, 2):
+            p = plan([], t("g"), ops, bound=bound)
+            assert cost(p) == 1 and p.steps[2].name == "make"
 
 
 class TestAgainstOracle:
@@ -853,3 +842,32 @@ class TestForwardChecking:
         _unpruned(monkeypatch)
         found, unpruned = self._expansions(monkeypatch, *args, bound=1, required_step=step)
         assert found is None and unpruned > 1
+
+
+class TestInstanceOrder:
+    def test_plans_do_not_depend_on_instance_order(self):
+        # the search takes each condition's achievers in the order the
+        # closure found them; reversing every operator's instances must
+        # leave the plan and its DOT export as they were
+        rng = random.Random(1919)
+        cases = []
+        for _ in range(300):
+            initial, goal, ops = random_ground_domain(rng)
+            cases.append((initial, goal, ops, rng.choice(ops)))
+        for _ in range(150):
+            cases.append(random_lifted_domain(rng))
+        found = 0
+        for initial, goal, ops, u in cases:
+            for step in (None, u):
+                facts = list(initial) + (list(step.add) if step else [])
+                answers = []
+                for flip in (False, True):
+                    closure = Closure(facts, ops, 4)
+                    if flip:
+                        closure.actions = [row[::-1] for row in closure.actions]
+                        closure._achievers = None
+                    p = plan(initial, goal, ops, bound=4, required_step=step, closure=closure)
+                    answers.append((p, None if p is None else to_dot(p)))
+                assert answers[0] == answers[1]
+                found += answers[0][0] is not None
+        assert found >= 300
