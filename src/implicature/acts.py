@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 from .beliefs import Attitude, BeliefStore, Expectation, assert_attitude, default_ascribe
 from .planner import Operator
-from .terms import Atom, Compound, Substitution, Term, apply, render, struct, var
+from .terms import Atom, Compound, Term, render, struct, var
 from .trace import Trace
 
 SPEAKER = var("speaker")
@@ -108,17 +108,6 @@ ACTS: MappingProxyType[str, ActSchema] = MappingProxyType(
 )
 
 
-def role_subst(act: ActInstance) -> Substitution:
-    """The act's speaker, hearer and content bound to the schema roles."""
-    return Substitution(
-        {
-            SPEAKER.name: Atom(act.speaker),
-            HEARER.name: Atom(act.hearer),
-            CONTENT.name: act.content,
-        }
-    )
-
-
 def _schema_for(act: ActInstance) -> ActSchema:
     try:
         return ACTS[act.schema]
@@ -154,18 +143,20 @@ def act_operator(schema: ActSchema) -> Operator:
 
 
 def utterance_operator(act: ActInstance) -> Operator:
-    """Ground planner step for one performed act."""
-    return act_operator(_schema_for(act)).substituted(role_subst(act))
+    """Ground planner step for one performed act: its roles bound in the schema."""
+    return act_operator(_schema_for(act)).substituted(
+        {SPEAKER.name: Atom(act.speaker), HEARER.name: Atom(act.hearer), CONTENT.name: act.content}
+    )
 
 
 def instantiated_preconditions(act: ActInstance) -> tuple[Attitude, ...]:
-    """The act's preconditions with roles and content filled in.
+    """The act's preconditions with roles and content filled in, read off
+    :func:`utterance_operator`'s first preconditions C(speaker, content).
 
     Each is an attitude of the speaker; the stored form omits the speaker.
     """
-    schema = _schema_for(act)
-    s = role_subst(act)
-    return tuple(Attitude(c.kind, apply(s, c.content)) for c in schema.preconditions)
+    attitudes = utterance_operator(act).preconditions[: len(_schema_for(act).preconditions)]
+    return tuple(Attitude(c.functor, c.args[1]) for c in attitudes)
 
 
 def _expectation_for(act: ActInstance, store: BeliefStore) -> Expectation | None:

@@ -46,7 +46,9 @@ one matcher and one closure routine: each precondition is matched one way
 against ground facts, binding variables in a plain dict, and the
 candidate facts come from an index on root and first argument (Warren
 1983; Ramakrishnan, Sekar & Voronkov 2001, "Term indexing").  The goal
-tests of the gate and of completion search use the same matcher.
+tests of the gate and of completion search use the same matcher.  Each
+instance is built once from its bindings by :func:`_instantiate`, the
+module's only substitution.
 """
 
 from __future__ import annotations
@@ -55,17 +57,15 @@ import heapq
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import itemgetter
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .terms import (
     MAX_TERM_DEPTH,
     Atom,
     Compound,
-    Substitution,
     Term,
     TermError,
     Var,
-    apply,
     is_ground,
     render,
     variables,
@@ -109,10 +109,10 @@ class Operator:
     """An action schema or instance.
 
     ``args`` may contain variables (schema) or be ground (instance); every
-    variable in the effects must appear in the args or be bound by a topic
-    constraint, and every precondition variable must too or be anonymous.
-    Every arg and add-effect variable must also occur in a precondition
-    or in a topic constraint over bound variables.
+    variable in the effects and the actor must appear in the args or be
+    bound by a topic constraint, and every precondition variable must too
+    or be anonymous.  Every arg and add-effect variable must also occur in
+    a precondition or in a topic constraint over bound variables.
     ``actor`` names the agent that performs the action (used by the
     causality side-condition).
     ``topic_constraints`` are (proposition, topic) pairs where the topic
@@ -137,20 +137,25 @@ class Operator:
             return Compound(self.name, self.args)
         return Atom(self.name)
 
-    def substituted(self, s: Substitution) -> "Operator":
+    def substituted(self, bindings: Mapping[str, Term]) -> Operator:
+        """The instance under the ground ``bindings``; a PlannerError when
+        they leave a variable of any field free."""
+
+        def ground(t: Term) -> Term:
+            out = _instantiate(t, bindings)
+            if out is None:
+                raise PlannerError(f"operator {self.name}: an instance is not ground")
+            return out
+
         return Operator(
             name=self.name,
-            args=tuple(apply(s, a) for a in self.args),
-            preconditions=tuple(apply(s, p) for p in self.preconditions),
-            add=tuple(apply(s, e) for e in self.add),
-            delete=tuple(apply(s, e) for e in self.delete),
-            actor=apply(s, self.actor) if self.actor is not None else None,
-            topic_constraints=tuple(
-                (apply(s, p), apply(s, t)) for p, t in self.topic_constraints
-            ),
-            positive_constraints=tuple(
-                apply(s, p) for p in self.positive_constraints
-            ),
+            args=tuple(map(ground, self.args)),
+            preconditions=tuple(map(ground, self.preconditions)),
+            add=tuple(map(ground, self.add)),
+            delete=tuple(map(ground, self.delete)),
+            actor=None if self.actor is None else ground(self.actor),
+            topic_constraints=tuple((ground(p), ground(t)) for p, t in self.topic_constraints),
+            positive_constraints=tuple(map(ground, self.positive_constraints)),
         )
 
 
@@ -171,11 +176,11 @@ def _unbound_variable(op: Operator) -> str | None:
 
 
 def validate_operator(op: Operator) -> None:
-    """Raise PlannerError unless every variable of op's effects is among its
-    args or bound by a topic constraint, every precondition variable is too
-    or is anonymous, every arg and add-effect variable occurs in a
-    precondition or a topic constraint over bound variables, and no term
-    is both added and deleted.
+    """Raise PlannerError unless every variable of op's effects and actor is
+    among its args or bound by a topic constraint, every precondition
+    variable is too or is anonymous, every arg and add-effect variable
+    occurs in a precondition or a topic constraint over bound variables,
+    and no term is both added and deleted.
 
     The third rule is Datalog's safety (range restriction): matching the
     preconditions against ground facts grounds every instance, so forward
@@ -185,7 +190,8 @@ def validate_operator(op: Operator) -> None:
     allowed = variables(op.head())
     for _, t in op.topic_constraints:
         allowed |= variables(t)
-    for group, anonymous_ok in ((op.preconditions, True), (op.add + op.delete, False)):
+    effects_and_actor = op.add + op.delete + ((op.actor,) if op.actor is not None else ())
+    for group, anonymous_ok in ((op.preconditions, True), (effects_and_actor, False)):
         for t in group:
             for v in variables(t):
                 if v not in allowed and not (anonymous_ok and v.startswith("_a")):
@@ -784,19 +790,22 @@ class _FactIndex:
         return found
 
 
-def _instantiate(t: Term, bindings: dict[str, Term]) -> Term | None:
+def _instantiate(t: Term, bindings: Mapping[str, Term]) -> Term | None:
     """``t`` under the ground ``bindings``, or None when they leave one of
-    its variables free."""
+    its variables free.  A subterm the bindings leave unchanged (ground, or
+    a bound variable's value) is returned as the same object, not rebuilt."""
     if isinstance(t, Var):
         return bindings.get(t.name)
     if isinstance(t, Compound):
         args = []
+        changed = False
         for a in t.args:
             arg = _instantiate(a, bindings)
             if arg is None:
                 return None
+            changed = changed or arg is not a
             args.append(arg)
-        return Compound(t.functor, tuple(args))
+        return Compound(t.functor, tuple(args)) if changed else t
     return t
 
 
@@ -916,10 +925,11 @@ def _ground_instances(
     (the pivot) is matched first, against ``delta``; the preconditions
     before the pivot then match the other indexed facts, and those after
     it match every indexed fact.  An operator without preconditions has no
-    such instance.  Raises :class:`TermError` for an instance that would
-    add a fact nested deeper than ``MAX_DERIVED_DEPTH``, and
-    :class:`PlannerError` for one that the match leaves non-ground (an
-    operator that :func:`validate_operator` would reject).
+    such instance.  No instance is found twice: its preconditions are the
+    facts it matched.  Raises :class:`PlannerError` for an instance the
+    match leaves non-ground (an operator that :func:`validate_operator`
+    would reject), then :class:`TermError` for one that would add a fact
+    nested deeper than ``MAX_DERIVED_DEPTH``.
     """
     results: list[Operator] = []
     pre = op.preconditions
@@ -935,17 +945,14 @@ def _ground_instances(
             return
         bindings, constraints = propagated
         if k == len(order):
-            inst = op.substituted(Substitution(bindings))
+            # a pending constraint's variable is free, which substituted rejects
+            inst = op.substituted(bindings)
             if any(_depth(e) > MAX_DERIVED_DEPTH for e in inst.add):
                 raise TermError(
                     f"operator {op.name} derives a fact nested deeper than "
                     f"{MAX_DERIVED_DEPTH} levels"
                 )
-            # a constraint still pending is on a variable the match left free
-            if constraints or not all(map(is_ground, (inst.head(), *inst.add))):
-                raise PlannerError(f"operator {op.name}: an instance is not ground")
-            if inst not in results:
-                results.append(inst)
+            results.append(inst)
             return
         i, source, excluded = order[k]
         for f in source.candidates(pre[i], bindings):

@@ -5,10 +5,12 @@ are checked against exhaustive breadth-first search over ground action
 sequences, and random domains are generated from a seeded RNG so failures
 reproduce.  :func:`naive_ground_instances` is the reference grounder: the
 nested-loop join by two-way unification that the planner's one-way
-matcher over a first-argument index replaced.  The naive relevance closure
-and the per-state completion search ground with it, and use neither the
-semi-naive rounds, the per-turn closure of the gate nor the instance table
-of completion search that they check.
+matcher over a first-argument index replaced; it builds each instance
+with its own copy of the ``apply``-based build that the planner's one-pass
+instantiation replaced.  The naive relevance closure and the per-state
+completion search ground with it, and use neither the semi-naive rounds,
+the per-turn closure of the gate nor the instance table of completion
+search that they check.
 """
 
 from __future__ import annotations
@@ -86,6 +88,22 @@ def _propagate(
     return s, constraints
 
 
+def _substituted(op: Operator, s: Substitution) -> Operator:
+    """``op`` under ``s``, field by field through ``apply``, which resolves
+    chains and leaves free variables as they are: the instance build that
+    the planner's one-pass ``Operator.substituted`` replaced."""
+    return Operator(
+        name=op.name,
+        args=tuple(apply(s, a) for a in op.args),
+        preconditions=tuple(apply(s, p) for p in op.preconditions),
+        add=tuple(apply(s, e) for e in op.add),
+        delete=tuple(apply(s, e) for e in op.delete),
+        actor=apply(s, op.actor) if op.actor is not None else None,
+        topic_constraints=tuple((apply(s, p), apply(s, t)) for p, t in op.topic_constraints),
+        positive_constraints=tuple(apply(s, p) for p in op.positive_constraints),
+    )
+
+
 def naive_ground_instances(
     op: Operator, facts: Sequence[Term], delta: Collection[Term] | None = None
 ) -> list[Operator]:
@@ -100,9 +118,12 @@ def naive_ground_instances(
     resolve as bindings land.  With ``delta``, the pivot scheme of the
     semi-naive rounds: the first precondition ``delta`` holds is matched
     first, against ``delta``, the earlier ones against the other facts and
-    the later ones against every fact.  Same errors as the planner: a
-    :class:`TermError` for an instance adding a fact deeper than
-    ``MAX_DERIVED_DEPTH``, a :class:`PlannerError` for a non-ground one.
+    the later ones against every fact.  Each instance is built by
+    :func:`_substituted`, not by the planner's ``Operator.substituted``,
+    and checked after it is built: first a :class:`TermError` for an
+    instance adding a fact deeper than ``MAX_DERIVED_DEPTH``, then a
+    :class:`PlannerError` for a pending constraint or a non-ground head or
+    add-effect.  The instances are deduplicated.
     """
     members = set(facts)
     buckets: dict[tuple[str, int] | None, list[Term]] = {}
@@ -128,7 +149,7 @@ def naive_ground_instances(
             return
         s, pending = propagated
         if k == len(order):
-            inst = op.substituted(s)
+            inst = _substituted(op, s)
             if any(_depth(e) > MAX_DERIVED_DEPTH for e in inst.add):
                 raise TermError(f"operator {op.name} derives too deep a fact")
             if pending or not all(map(is_ground, (inst.head(), *inst.add))):
@@ -334,7 +355,7 @@ def random_lifted_domain(rng: random.Random):
         )
     initial = [fact(consts) for _ in range(rng.randint(1, 4))]
     u_op = rng.choice(ops)
-    u = u_op.substituted(Substitution({v.name: rng.choice(consts) for v in u_op.args}))
+    u = u_op.substituted({v.name: rng.choice(consts) for v in u_op.args})
     goal = fact(consts + [var("z")]) if rng.random() < 0.5 else fact(consts)
     return initial, goal, ops, u
 

@@ -19,7 +19,7 @@ from implicature.beliefs import (
     assert_attitude,
     holds,
 )
-from implicature.terms import parse_term, struct
+from implicature.terms import Substitution, apply, parse_term, struct
 from implicature.trace import Trace
 
 t = parse_term
@@ -73,6 +73,15 @@ class TestSchemas:
         assert pre == (
             goal(struct("bel", t("system"), struct("not", P))),
             bel(struct("not", P)),
+        )
+
+    @pytest.mark.parametrize("name", sorted(ACTS))
+    def test_preconditions_are_the_schema_attitudes_under_the_roles(self, name):
+        # read off the utterance operator, they equal each schema attitude
+        # with its roles replaced by unification's substitution
+        roles = Substitution({"speaker": t("expert"), "hearer": t("system"), "content": Q})
+        assert instantiated_preconditions(ActInstance(name, "expert", "system", Q)) == tuple(
+            Attitude(c.kind, apply(roles, c.content)) for c in ACTS[name].preconditions
         )
 
     def test_unknown_schema_rejected(self):

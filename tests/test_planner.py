@@ -1,6 +1,7 @@
 """Tests for the partial-order causal-link planner and plan comparisons."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -27,7 +28,6 @@ from implicature.planner import (
 )
 from implicature.terms import (
     Atom,
-    Substitution,
     TermError,
     parse_term,
     render,
@@ -134,7 +134,7 @@ class TestBasics:
 
         ops = [lifted("o0", "h(?x)", "g(a, b)"), lifted("o1", "h(?y)", "f(a)"),
                lifted("o2", "f(a)", "g(?x, c)")]
-        required = ops[2].substituted(Substitution({"x": Atom("c"), "y": Atom("b")}))
+        required = ops[2].substituted({"x": Atom("c"), "y": Atom("b")})
         initial = [t("f(a)"), t("f(c)"), t("f(c)"), t("g(c, b)")]
         goals = [t("f(c)"), t("f(?w)"), t("f(?z)")]
         p = plan(initial, goals, ops, bound=4, required_step=required)
@@ -279,7 +279,7 @@ class TestCanonicalOrderings:
             Operator("o1", args=(x, y), preconditions=(t("g(?x, ?y)"),), add=(t("h(c)"), t("h(?x)"))),
             Operator("o2", args=(x,), preconditions=(t("h(?x)"),), add=(t("g(a, a)"),)),
         ]
-        required = ops[2].substituted(Substitution({"x": Atom("a")}))
+        required = ops[2].substituted({"x": Atom("a")})
         p = plan([t("g(a, b)"), t("g(c, b)")], t("h(?z)"), ops, bound=3, required_step=required)
         assert [render(p.steps[i].head()) for i in linearize(p)] == ["o1(a, b)", "o2(a)", "o1(a, a)"]
         assert (4, 3) not in p.orderings
@@ -589,6 +589,65 @@ def random_deleting_domain(rng: random.Random):
         )
     initial = list(dict.fromkeys(fact(consts) for _ in range(rng.randint(1, 5))))
     return initial, ops, lambda ground: fact(consts if ground else consts + [var("z")])
+
+
+class TestInstantiate:
+    """``planner._instantiate`` is the planner's one substitution, and
+    ``Operator.substituted`` builds every field of an instance with it."""
+
+    def test_unchanged_subterms_are_the_same_object(self):
+        ground, value = t("bel(a, f(b))"), t("g(c)")
+        out = planner._instantiate(struct("h", ground, var("x")), {"x": value})
+        assert out == struct("h", ground, value)
+        assert out.args[0] is ground and out.args[1] is value
+        assert planner._instantiate(ground, {"x": value}) is ground
+        assert planner._instantiate(var("x"), {"x": value}) is value
+
+    def test_a_free_variable_gives_none(self):
+        assert planner._instantiate(t("h(a, f(?y))"), {"x": Atom("a")}) is None
+        assert planner._instantiate(var("y"), {}) is None
+
+    def test_substituted_fills_every_field_and_keeps_ground_parts(self):
+        schema = Operator(
+            "o",
+            args=(var("x"),),
+            preconditions=(t("g(?x)"), t("k(a)")),
+            add=(t("h(?x)"),),
+            delete=(t("d(?x)"),),
+            actor=Atom("spk"),
+            topic_constraints=((var("x"), Atom("b")),),
+            positive_constraints=(var("x"),),
+        )
+        inst = schema.substituted({"x": Atom("b")})
+        assert inst == Operator(
+            "o",
+            args=(Atom("b"),),
+            preconditions=(t("g(b)"), t("k(a)")),
+            add=(t("h(b)"),),
+            delete=(t("d(b)"),),
+            actor=Atom("spk"),
+            topic_constraints=((Atom("b"), Atom("b")),),
+            positive_constraints=(Atom("b"),),
+        )
+        assert inst.preconditions[1] is schema.preconditions[1]
+        assert inst.actor is schema.actor
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("args", (var("x"), var("y"))),
+            ("preconditions", (t("g(?x)"), t("k(?y)"))),
+            ("add", (t("h(?x)"), t("h(f(?y))"))),
+            ("delete", (t("d(?y)"),)),
+            ("actor", var("y")),
+            ("topic_constraints", ((var("y"), Atom("bel")),)),
+            ("positive_constraints", (var("y"),)),
+        ],
+    )
+    def test_substituted_rejects_a_free_variable(self, field, value):
+        schema = Operator("o", args=(var("x"),), preconditions=(t("g(?x)"),), add=(t("h(?x)"),))
+        with pytest.raises(PlannerError, match="operator o: an instance is not ground"):
+            replace(schema, **{field: value}).substituted({"x": Atom("a")})
 
 
 class TestInstanceTable:

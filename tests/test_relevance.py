@@ -30,7 +30,7 @@ from implicature.planner import (
     plan,
 )
 from implicature.scenario import ScenarioError, load_scenario, run, run_detailed
-from implicature.terms import Atom, Substitution, TermError, parse_term, render, struct, var
+from implicature.terms import Atom, TermError, parse_term, render, struct, var
 from implicature.trace import Trace
 
 from oracles import bfs_min_cost, naive_relevance_depth, random_ground_domain, random_lifted_domain
@@ -378,7 +378,7 @@ def random_nesting_domain(rng: random.Random):
         )
     initial = [fact(rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
     u_op = rng.choice(ops)
-    u = u_op.substituted(Substitution({v.name: nested(rng.randint(1, 3)) for v in u_op.args}))
+    u = u_op.substituted({v.name: nested(rng.randint(1, 3)) for v in u_op.args})
     return initial, ops, u, lambda: fact(rng.randint(1, 6))
 
 

@@ -173,6 +173,22 @@ class TestParsing:
         ):
             load_scenario(f"(agents a b)\n(operator f(?x) (pre g(?, ?x)) {clause})")
 
+    @pytest.mark.parametrize(
+        "actor, name", [("?who", "who"), ("?", "_a1"), ("bel(?x, ?y)", "y")]
+    )
+    def test_operator_actor_variable_outside_head_rejected(self, actor, name):
+        # every instance would keep the actor free, and the causality
+        # check compares it with the speaker
+        with pytest.raises(
+            ScenarioError, match=rf"bad operator f\(\?x\): operator f: variable \?{name} "
+        ):
+            load_scenario(f"(agents a b)\n(operator f(?x) (actor {actor}) (pre g(?x)) (add h(?x)))")
+
+    @pytest.mark.parametrize("actor", ["?x", "a", "bel(?x, b)"])
+    def test_operator_actor_over_the_head_loads(self, actor):
+        text = f"(agents a b)\n(operator f(?x) (actor {actor}) (pre g(?x)) (add h(?x)))"
+        assert [op.actor for op in load_scenario(text).operators] == [parse_term(actor)]
+
     @pytest.mark.parametrize("actor", ["(actor a b)", "(actor a) (actor b)"])
     def test_operator_with_two_actors_rejected(self, actor):
         with pytest.raises(ScenarioError, match=r"operator f takes one \(actor ...\) clause"):
@@ -427,6 +443,17 @@ class TestCli:
             capsys.readouterr().err
         )
 
+    def test_operator_free_actor_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "actor.vgs"
+        bad.write_text(
+            scenario_text("computer_off")
+            + "(operator ascribe(?x) (actor ?who) (pre seen(?x)) (add told(?x)))\n"
+        )
+        assert cli_main(["run", str(bad)]) == 1
+        assert "bad operator ascribe(?x): operator ascribe: variable ?who not among parameters" in (
+            capsys.readouterr().err
+        )
+
     def test_operator_anonymous_effect_variable_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "anon.vgs"
         bad.write_text(
@@ -663,7 +690,9 @@ def appended_operator(draw, name, agents):
     any of the add and del clauses; ?_a may sit in a precondition alone),
     and then, half the time, added to or dropped from one place at
     random.  Each clause is one bel/goal term over its variables and the
-    scenario's agents, as constants."""
+    scenario's agents, as constants.  Half the operators name an actor:
+    an agent, or one of the three variables, whether the head binds it or
+    not."""
     places: dict[str, list[str]] = {"head": [], "pre": [], "add": [], "del": []}
     for v in ("?x", "?y", "?_a"):
         if not draw(st.booleans()):
@@ -685,6 +714,8 @@ def appended_operator(draw, name, agents):
 
     head = f"{name}({', '.join(places['head'])})" if places["head"] else name
     clauses = [f"(pre {term(places['pre'])})", f"(add {term(places['add'])})"]
+    if draw(st.booleans()):
+        clauses.insert(0, f"(actor {draw(st.sampled_from(agents + ['?x', '?y', '?_a']))})")
     if places["del"] or draw(st.booleans()):
         clauses.append(f"(del {term(places['del'])})")
     return f"(operator {head} {' '.join(clauses)})\n"
