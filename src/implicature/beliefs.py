@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .terms import Atom, Compound, Term, is_ground, render
+from .terms import Atom, Compound, Term, _compound, is_ground, render
 from .trace import Trace
 
 ATTITUDE_KINDS = ("bel", "goal", "int")
@@ -111,9 +111,9 @@ def render_attitude(path: Path, att: Attitude) -> Term:
 
     (system, expert) with goal(X) renders as bel(system, goal(expert, X)).
     """
-    t: Term = Compound(att.kind, (Atom(path[-1]), att.content))
+    t: Term = _compound(att.kind, (Atom(path[-1]), att.content))
     for agent in reversed(path[:-1]):
-        t = Compound("bel", (Atom(agent), t))
+        t = _compound("bel", (Atom(agent), t))
     return t
 
 

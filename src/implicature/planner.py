@@ -66,6 +66,7 @@ from .terms import (
     Term,
     TermError,
     Var,
+    _compound,
     is_ground,
     render,
     variables,
@@ -805,7 +806,7 @@ def _instantiate(t: Term, bindings: Mapping[str, Term]) -> Term | None:
                 return None
             changed = changed or arg is not a
             args.append(arg)
-        return Compound(t.functor, tuple(args)) if changed else t
+        return _compound(t.functor, tuple(args)) if changed else t
     return t
 
 

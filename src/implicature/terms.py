@@ -4,6 +4,13 @@ Everything the engine manipulates (propositions, attitudes, actions, plan
 states) is a term.  The canonical text syntax is ``functor(arg1, arg2)``
 with lowercase atoms and ``?name`` variables; a bare ``?`` is an anonymous
 variable, fresh per occurrence.  Terms are immutable and hashable.
+
+Every belief, operator instance and plan state lives in hashed sets and
+dicts, so a :class:`Compound` computes its hash once, when it is built, and
+stores it: a lookup reads one attribute instead of walking the term.  The
+stored value is the one the dataclass hash would compute,
+``hash((functor, args))``, so set and dict order is as before.  It depends
+on the process's string-hash seed, so it is never pickled.
 """
 
 from __future__ import annotations
@@ -61,19 +68,49 @@ class Var:
 
 @dataclass(frozen=True)
 class Compound:
-    """A functor applied to one or more argument terms. Arity is fixed."""
+    """A functor applied to one or more argument terms. Arity is fixed.
+
+    The hash, ``hash((functor, args))``, is computed once at construction
+    and stored; pickling and copying rebuild the term through the
+    constructor, so the stored hash always belongs to this process.
+    """
 
     functor: str
     args: tuple["Term", ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "functor", _check_name(self.functor, "functor"))
-        object.__setattr__(self, "args", tuple(self.args))
-        if not self.args:
-            raise TermError(f"compound {self.functor!r} needs at least one argument")
+        functor = _check_name(self.functor, "functor")
+        args = tuple(self.args)
+        if not args:
+            raise TermError(f"compound {functor!r} needs at least one argument")
+        object.__setattr__(self, "functor", functor)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_hash", hash((functor, args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Compound, (self.functor, self.args))
 
     def __str__(self) -> str:
         return f"{self.functor}({', '.join(str(a) for a in self.args)})"
+
+
+def _compound(functor: str, args: tuple["Term", ...]) -> Compound:
+    """A :class:`Compound` built without validation, for engine-internal terms.
+
+    Contract: ``functor`` is copied from a valid :class:`Compound` or is a
+    literal lowercase name, and ``args`` is a non-empty tuple of terms.
+    Names from outside the program go through the constructor, which
+    checks and lowercases them.
+    """
+    c = object.__new__(Compound)
+    d = c.__dict__
+    d["functor"] = functor
+    d["args"] = args
+    d["_hash"] = hash((functor, args))
+    return c
 
 
 Term = Union[Atom, Var, Compound]

@@ -1,8 +1,19 @@
 """Tests for the term layer: parsing, unification, substitution."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import implicature
+from implicature import terms as terms_module
+from implicature.planner import _instantiate
 from implicature.terms import (
     Atom,
     Compound,
@@ -11,6 +22,7 @@ from implicature.terms import (
     Substitution,
     TermError,
     Var,
+    _compound,
     apply,
     atom,
     parse_term,
@@ -43,6 +55,78 @@ class TestConstruction:
     def test_compound_needs_args(self):
         with pytest.raises(TermError):
             Compound("f", ())
+
+
+def _compounds(term):
+    """Every compound subterm of term, term itself included."""
+    stack = [term]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, Compound):
+            yield cur
+            stack.extend(cur.args)
+
+
+def _hash_is_stored_value(term):
+    return all(hash(c) == hash((c.functor, c.args)) for c in _compounds(term))
+
+
+class TestStoredHash:
+    def test_replace_lowercases_and_rehashes(self):
+        c = t("f(a, g(b))")
+        r = dataclasses.replace(c, functor="FOO")
+        assert r.functor == "foo"
+        assert r == t("foo(a, g(b))")
+        assert hash(r) == hash(("foo", c.args)) == hash(t("foo(a, g(b))"))
+
+    def test_instantiate_skips_name_check(self, monkeypatch):
+        calls = []
+        check = terms_module._check_name
+
+        def counted(name, what):
+            calls.append(name)
+            return check(name, what)
+
+        monkeypatch.setattr(terms_module, "_check_name", counted)
+        schema = Compound("bel", (Var("h"), Compound("knows", (Var("h"), Var("p")))))
+        bindings = {"h": atom("b"), "p": t("f(a)")}
+        expected = t("bel(b, knows(b, f(a)))")
+        calls.clear()
+        out = _instantiate(schema, bindings)
+        assert calls == []
+        assert out == expected
+        assert _hash_is_stored_value(out)
+        Compound("probe", (expected,))
+        assert calls == ["probe"]  # the patch reaches the constructor
+
+    def test_pickle_across_hash_seeds(self, tmp_path):
+        src = str(Path(implicature.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        text = "bel(system, goal(expert, know(user, cause(switch(off), damage(disk)))))"
+        dump = tmp_path / "term.pickle"
+        write = (
+            "import pickle, sys\n"
+            "from implicature.terms import parse_term\n"
+            "open(sys.argv[1], 'wb').write(pickle.dumps(parse_term(sys.argv[2])))\n"
+        )
+        read = (
+            "import pickle, sys\n"
+            "from implicature.terms import parse_term\n"
+            "loaded = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "assert loaded in {parse_term(sys.argv[2])}\n"
+            "assert loaded in {parse_term(sys.argv[2]): 1}\n"
+            "assert hash(loaded) == hash((loaded.functor, loaded.args))\n"
+        )
+        for seed, code in (("1", write), ("2", read)):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(dump), text],
+                env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
 
 
 class TestParse:
@@ -137,13 +221,12 @@ _names = st.sampled_from(["a", "b", "c", "f", "g", "p"])
 _varnames = st.sampled_from(["x", "y", "z"])
 
 
-def _terms(depth):
+def _terms(depth, leaves=st.one_of(_names.map(Atom), _varnames.map(Var))):
     if depth == 0:
-        return st.one_of(_names.map(Atom), _varnames.map(Var))
-    sub = _terms(depth - 1)
+        return leaves
+    sub = _terms(depth - 1, leaves)
     return st.one_of(
-        _names.map(Atom),
-        _varnames.map(Var),
+        leaves,
         st.builds(
             lambda f, args: Compound(f, tuple(args)),
             _names,
@@ -153,6 +236,52 @@ def _terms(depth):
 
 
 terms = _terms(3)
+ground_terms = _terms(3, _names.map(Atom))
+
+
+def _rebuild(term, make):
+    """term rebuilt bottom-up, every compound through ``make``."""
+    if isinstance(term, Compound):
+        return make(term.functor, tuple(_rebuild(a, make) for a in term.args))
+    return type(term)(term.name)
+
+
+def _lifted(term):
+    """term with every atom a replaced by the variable ?k_a."""
+    if isinstance(term, Compound):
+        return Compound(term.functor, tuple(_lifted(a) for a in term.args))
+    return Var("k_" + term.name)
+
+
+@given(ground_terms)
+def test_equal_terms_hash_equal_however_built(term):
+    """Every way the engine builds a term gives an equal term with the
+    dataclass hash, ``hash((functor, args))``, at every compound."""
+    bindings = {"k_" + a.name: a for a in _leaves(term)}
+    built = [
+        parse_term(render(term)),
+        _rebuild(term, lambda f, args: struct(f.upper(), *args)),
+        _instantiate(_lifted(term), bindings),
+        copy.deepcopy(term),
+        pickle.loads(pickle.dumps(term)),
+        _rebuild(term, _compound),
+    ]
+    if isinstance(term, Compound):
+        built.append(dataclasses.replace(term, functor=term.functor.upper()))
+        built.append(dataclasses.replace(term, args=list(term.args)))
+    for other in built:
+        assert other == term
+        assert hash(other) == hash(term)
+        assert _hash_is_stored_value(other)
+    assert len(set(built)) == 1
+
+
+def _leaves(term):
+    if isinstance(term, Compound):
+        for a in term.args:
+            yield from _leaves(a)
+    else:
+        yield term
 
 
 @given(terms, terms)
