@@ -2,16 +2,13 @@
 
 import copy
 import dataclasses
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-import implicature
 from implicature import terms as terms_module
 from implicature.planner import _instantiate
 from implicature.terms import (
@@ -31,6 +28,7 @@ from implicature.terms import (
     unify,
     var,
 )
+from test_scenario import cli_env
 
 
 def t(text):
@@ -100,9 +98,6 @@ class TestStoredHash:
         assert calls == ["probe"]  # the patch reaches the constructor
 
     def test_pickle_across_hash_seeds(self, tmp_path):
-        src = str(Path(implicature.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         text = "bel(system, goal(expert, know(user, cause(switch(off), damage(disk)))))"
         dump = tmp_path / "term.pickle"
         write = (
@@ -121,7 +116,7 @@ class TestStoredHash:
         for seed, code in (("1", write), ("2", read)):
             proc = subprocess.run(
                 [sys.executable, "-c", code, str(dump), text],
-                env={**env, "PYTHONHASHSEED": seed},
+                env={**cli_env(), "PYTHONHASHSEED": seed},
                 capture_output=True,
                 text=True,
                 timeout=60,
@@ -217,7 +212,8 @@ class TestApply:
 
 # -- property tests ----------------------------------------------------------
 
-_names = st.sampled_from(["a", "b", "c", "f", "g", "p"])
+_NAMES = ["a", "b", "c", "f", "g", "p"]
+_names = st.sampled_from(_NAMES)
 _varnames = st.sampled_from(["x", "y", "z"])
 
 
@@ -257,7 +253,7 @@ def _lifted(term):
 def test_equal_terms_hash_equal_however_built(term):
     """Every way the engine builds a term gives an equal term with the
     dataclass hash, ``hash((functor, args))``, at every compound."""
-    bindings = {"k_" + a.name: a for a in _leaves(term)}
+    bindings = {"k_" + name: Atom(name) for name in _NAMES}
     built = [
         parse_term(render(term)),
         _rebuild(term, lambda f, args: struct(f.upper(), *args)),
@@ -274,14 +270,6 @@ def test_equal_terms_hash_equal_however_built(term):
         assert hash(other) == hash(term)
         assert _hash_is_stored_value(other)
     assert len(set(built)) == 1
-
-
-def _leaves(term):
-    if isinstance(term, Compound):
-        for a in term.args:
-            yield from _leaves(a)
-    else:
-        yield term
 
 
 @given(terms, terms)
