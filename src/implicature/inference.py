@@ -44,7 +44,6 @@ from .planner import (
     DEFAULT_BOUND,
     Closure,
     Completion,
-    InstanceTable,
     Operator,
     Plan,
     RelevanceGate,
@@ -136,8 +135,9 @@ class RecognitionResult:
     #: goal-hypothesis seeds); the audit replans from the same state.
     initial: tuple[Term, ...]
     #: The relevance gate's closure for the recognized candidate, which the
-    #: audit and joint planning search over; :func:`infer` drops it before
-    #: returning, so no closure outlives its turn.
+    #: audit and joint planning search over, and completion search too when
+    #: it reached its fixpoint; :func:`infer` drops it before returning, so
+    #: no closure outlives its turn.
     closure: Closure | None = field(default=None, compare=False, repr=False)
 
 
@@ -388,6 +388,16 @@ def _terminal_state(initial: tuple[Term, ...], p: Plan) -> set[Term]:
     return simulate(initial, [p.steps[sid] for sid in linearize(p)])
 
 
+def _completion_closure(r: RecognitionResult, ambient: set[Term], domain: Domain) -> Closure:
+    """The closure one rule's completion searches share: the candidate's,
+    which holds every fact of ``ambient``, when it reached its fixpoint;
+    else, as a capped closure can miss instances applicable past its cap,
+    a closure of ``ambient`` that completion search grows."""
+    if r.closure is not None and r.closure.closed:
+        return r.closure
+    return Closure(ambient, domain.operators, 1)
+
+
 def ascribe_conjunctive(
     store: BeliefStore,
     r: RecognitionResult,
@@ -399,12 +409,11 @@ def ascribe_conjunctive(
 
     Searches (exclusive state of the recognized plan) x (goal library) for a
     completion: one completion search per exclusive state serves every
-    template of the library, and the searches share one
-    :class:`planner.InstanceTable` over the recognized plan's terminal
-    state.  Each entry state comes from
-    :func:`planner.exclusive_states` of the two complete plans, so it is
-    asserted by the recognized plan and not by the optimal one:
-    exclusiveness holds by construction.  Each (state, template) pair with
+    template of the library, from the recognized plan's terminal state, and
+    the searches share one closure (:func:`_completion_closure`).  Each
+    entry state comes from :func:`planner.exclusive_states` of the two
+    complete plans, so it is asserted by the recognized plan and not by the
+    optimal one: exclusiveness holds by construction.  Each (state, template) pair with
     a completion is then checked in library order for the efficiency
     condition, by planning the goal conjunction.  On success the goal and
     the completion's actions (as intentions) are ascribed into the hearer's
@@ -431,11 +440,11 @@ def ascribe_conjunctive(
         assert g2_parts is not None
         contents.append(g2_parts[1])
     ambient = _terminal_state(r.initial, pr)
-    table = InstanceTable(domain.operators, ambient)
+    closure = _completion_closure(r, ambient, domain)
     winner: AscriptionReport | None = None
     for s_state in exclusive_states(pr, po):
         comps = complete_from(
-            s_state, contents, domain.operators, domain.bound, ambient, table=table
+            s_state, contents, domain.operators, domain.bound, ambient, closure=closure
         )
         for g2, comp in zip(library, comps):
             if comp is None:
@@ -522,12 +531,11 @@ def ascribe_avoidance(
 
     Searches (exclusive state of the optimal plan) x (avoidance library) for
     a completion: one completion search per exclusive state serves every
-    avoid-goal, and the searches share one :class:`planner.InstanceTable`
-    over the optimal plan's terminal state.  Each entry state comes from
-    :func:`planner.exclusive_states` of the two complete plans, so it is
-    asserted by the optimal plan and not by the recognized one:
-    exclusiveness holds by construction.  The
-    pairs are then checked in library order for the causality condition
+    avoid-goal, from the optimal plan's terminal state, and the searches
+    share one closure (:func:`_completion_closure`).  Each entry state
+    comes from :func:`planner.exclusive_states` of the two complete plans,
+    so it is asserted by the optimal plan and not by the recognized one:
+    exclusiveness holds by construction.  The pairs are then checked in library order for the causality condition
     (the speaker is never the completion's actor).  The first pair that
     passes wins, and the negated goal is ascribed into the hearer's view of
     the speaker.
@@ -540,10 +548,10 @@ def ascribe_avoidance(
     if not domain.avoid_goals:
         return store, None
     ambient = _terminal_state(r.initial, po)
-    table = InstanceTable(domain.operators, ambient)
+    closure = _completion_closure(r, ambient, domain)
     for s_state in exclusive_states(po, pr):
         comps = complete_from(
-            s_state, domain.avoid_goals, domain.operators, domain.bound, ambient, table=table
+            s_state, domain.avoid_goals, domain.operators, domain.bound, ambient, closure=closure
         )
         for ag, comp in zip(domain.avoid_goals, comps):
             if comp is None:

@@ -56,7 +56,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from operator import itemgetter
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .terms import (
@@ -693,8 +692,8 @@ def plan(
 
 # ---------------------------------------------------------------------------
 # Ground matching and the delete-relaxed closure: one one-way matcher over
-# an indexed ground state and one semi-naive closure routine serve the
-# relevance gate, plan's goal groundings and completion search
+# an indexed ground state and one semi-naive closure, grown round by round,
+# serve the relevance gate, plan's goal groundings and completion search
 # ---------------------------------------------------------------------------
 
 
@@ -730,8 +729,8 @@ class _FactIndex:
     batch of added facts hold distinct facts.  The states are ground
     because the callers check their input facts and
     :func:`validate_operator` keeps every instance's effects ground.  An
-    index lives as long as the closure or table that owns it, and holds
-    nothing but facts.
+    index lives as long as the closure that owns it, and holds nothing but
+    facts.
     """
 
     __slots__ = ("facts", "members", "buckets", "firsts")
@@ -989,49 +988,22 @@ def _depth(t: Term) -> int:
     return depth
 
 
-def _close(
-    index: _FactIndex,
-    delta: _FactIndex | None,
-    ops: tuple[Operator, ...],
-    actions: list[list[Operator]],
-    rounds: int,
-) -> bool:
-    """Extend the delete-relaxed closure of the facts in ``index`` by at
-    most ``rounds`` rounds, semi-naively.
-
-    ``delta`` holds the indexed facts no round has matched yet (None: all
-    of them, and the first round is one plain pass).  Each round grounds
-    only the instances with a precondition in the last round's delta, so
-    no instance is found twice; it appends each to ``actions[i]``, ``i``
-    its operator's position in ``ops``, and indexes their new add-effects.
-    Returns True when a round derived no new fact, i.e. the closure
-    reached its fixpoint.
-    """
-    for _ in range(rounds):
-        new: dict[Term, None] = {}
-        for op, found in zip(ops, actions):
-            for inst in _ground_instances(op, index, delta):
-                found.append(inst)
-                new.update((e, None) for e in inst.add if e not in index.members)
-        if not new:
-            return True
-        index.add(new)
-        delta = _FactIndex(new)
-    return False
-
-
 class Closure:
     """The delete-relaxed closure of the ground ``facts`` under ``ops``,
-    capped at ``bound`` rounds, with the ground instances it found.
+    grown semi-naively round by round, with the ground instances it found.
 
     ``index`` holds the facts and their consequences, ``actions[i]`` the
-    instances of ``ops[i]``, and ``closed`` whether a round derived no new
-    fact (the fixpoint).  The constructor checks that ``facts`` are ground;
+    instances of ``ops[i]``, ``rounds`` how many rounds have run and
+    ``closed`` whether a round derived no new fact (the fixpoint).  The
+    constructor runs :meth:`grow` to ``bound`` rounds, and so does
+    :meth:`with_facts`.  The constructor checks that ``facts`` are ground;
     so does :meth:`with_facts` for the facts it adds.  :meth:`achievers`
-    maps a fact to the instances that add it, for :func:`plan`.
+    maps a fact to the instances that add it, for :func:`plan`, and
+    :meth:`rows` sorts each operator's instances, for :func:`complete_from`.
     """
 
-    __slots__ = ("facts", "ops", "bound", "index", "actions", "closed", "_achievers")
+    __slots__ = ("facts", "ops", "bound", "index", "actions", "rounds", "closed", "_delta",
+                 "_achievers", "_rows")
 
     def __init__(
         self,
@@ -1052,8 +1024,36 @@ class Closure:
     ) -> None:
         self.index = index
         self.actions = actions
-        self.closed = _close(index, delta, self.ops, actions, self.bound)
-        self._achievers: dict[Term, list[Operator]] | None = None
+        self.rounds = 0
+        self.closed = False
+        self._delta = delta
+        self.grow(self.bound)
+
+    def grow(self, rounds: int) -> None:
+        """Run rounds until ``rounds`` have run in all or one derives no new
+        fact.
+
+        ``_delta`` holds the indexed facts no round has matched yet (None:
+        all of them, and the round is one plain pass).  Each round grounds
+        only the instances with a precondition in the last round's delta, so
+        no instance is found twice; it appends each to ``actions[i]``, ``i``
+        its operator's position in ``ops``, and indexes their new
+        add-effects.  After ``r`` rounds, ``actions`` hold every instance
+        whose preconditions all lie in the relaxed closure's level ``r - 1``.
+        """
+        while self.rounds < rounds and not self.closed:
+            new: dict[Term, None] = {}
+            for op, found in zip(self.ops, self.actions):
+                for inst in _ground_instances(op, self.index, self._delta):
+                    found.append(inst)
+                    new.update((e, None) for e in inst.add if e not in self.index.members)
+            self.rounds += 1
+            self._achievers = self._rows = None
+            if new:
+                self.index.add(new)
+                self._delta = _FactIndex(new)
+            else:
+                self.closed = True
 
     def with_facts(self, seeds: Iterable[Term]) -> Closure:
         """The closure of ``facts`` plus the ground ``seeds``.
@@ -1092,6 +1092,20 @@ class Closure:
                 for e in dict.fromkeys(inst.add):
                     self._achievers.setdefault(e, []).append(inst)
         return self._achievers.get(fact, ())
+
+    def rows(self) -> list[list[Operator]]:
+        """Each operator's instances, in ``ops`` order, sorted by their
+        preconditions' renders: the order in which matching a state's facts
+        sorted by render finds them.  No two instances of one operator share
+        their preconditions (:func:`validate_operator` puts every head
+        variable in one), so the instances a state admits come in one order
+        from any closure that holds them."""
+        if self._rows is None:
+            self._rows = [
+                sorted(found, key=lambda inst: tuple(map(render, inst.preconditions)))
+                for found in self.actions
+            ]
+        return self._rows
 
 
 # ---------------------------------------------------------------------------
@@ -1192,52 +1206,6 @@ class RelevanceGate:
 # ---------------------------------------------------------------------------
 
 
-class InstanceTable:
-    """The ground instances of ``ops`` over the delete-relaxed closure of
-    the ground ``ambient`` facts, grown a round at a time for completion
-    search.
-
-    ``rows[i]`` holds the instances of ``ops[i]`` found so far, each paired
-    with the tuple of its preconditions' renders and sorted by it.  Rows
-    follow operator positions, not names, so two operators that share a
-    name keep their own instances.  :meth:`extend` runs rounds of
-    :func:`_close`.  After ``r`` rounds the rows hold every instance whose
-    preconditions all lie in the relaxed closure's level ``r - 1``, and so
-    every instance applicable in a state that ``r - 1`` actions reach from
-    ``ambient``.  One table serves every completion search from the same
-    ``ambient`` over the same ``ops``.
-    """
-
-    __slots__ = ("start", "rows", "_ops", "_index", "_delta", "_found", "_rounds", "_closed")
-
-    def __init__(
-        self, ops: list[Operator] | tuple[Operator, ...], ambient: Collection[Term]
-    ) -> None:
-        self._ops = tuple(ops)
-        self.start = frozenset(ambient)
-        _check_ground(tuple(self.start), "ambient facts")
-        self.rows: list[list[tuple[tuple[str, ...], Operator]]] = [[] for _ in self._ops]
-        self._index = _FactIndex(self.start)
-        self._delta: _FactIndex | None = None
-        self._found: list[list[Operator]] = [[] for _ in self._ops]
-        self._rounds = 0
-        self._closed = False
-
-    def extend(self, rounds: int) -> None:
-        """Run closure rounds until ``rounds`` have run in all or one
-        derives no new fact."""
-        while self._rounds < rounds and not self._closed:
-            seen = len(self._index.facts)
-            self._closed = _close(self._index, self._delta, self._ops, self._found, 1)
-            self._delta = _FactIndex(self._index.facts[seen:])
-            self._rounds += 1
-            for row, found in zip(self.rows, self._found):
-                if found:
-                    row.extend((tuple(map(render, i.preconditions)), i) for i in found)
-                    row.sort(key=itemgetter(0))
-                    found.clear()
-
-
 def complete_from(
     state: Term,
     goals: list[Term] | tuple[Term, ...],
@@ -1245,7 +1213,7 @@ def complete_from(
     bound: int,
     ambient: set[Term] | frozenset[Term],
     *,
-    table: InstanceTable | None = None,
+    closure: Closure | None = None,
 ) -> tuple[Completion | None, ...]:
     """Shortest nonempty action sequence from `state` to each of `goals`.
 
@@ -1264,21 +1232,21 @@ def complete_from(
     A one-goal search stops at that same first hit, so each answer is
     exactly the one a search for that goal alone returns.
 
-    Applicable instances come from `table`, an :class:`InstanceTable` of
-    `ops` over `ambient` (built here when None; a caller searching from
-    several entry states shares one and checks `ambient` once).  Before
-    the search expands level ``d`` (the states ``d`` actions reach), the
-    table is extended to ``d + 1`` rounds, so it holds every instance
-    applicable there; a state's instances are the table's instances whose
-    preconditions all belong to it.  Each operator's instances are in
-    precondition-render order, the order in which matching against the
-    state's facts sorted by render would find them, so the search expands
-    exactly as one that grounds every operator at every state.  Only the
-    rounds of levels the search expands run: a search that settles every
-    goal at level ``d`` grounds nothing deeper.  :class:`TermError` fires
-    when one of those rounds derives a fact nested deeper than
-    ``MAX_DERIVED_DEPTH``.  The closure ignores deletes, so that instance
-    need not apply in any state the search visits.
+    Applicable instances come from `closure`: either closed and holding
+    every ambient fact, or a closure of exactly `ambient` under `ops`
+    (built here at one round when None).  A closed closure holds every
+    instance applicable in a state the search reaches, and maybe more that
+    no state admits.  A closure of `ambient` grows lazily: before the
+    search expands level ``d`` (the states ``d`` actions reach), it grows
+    to ``d + 1`` rounds, so it holds every instance applicable there, and
+    a search that settles every goal at level ``d`` grounds nothing
+    deeper.  :class:`TermError` fires when one of those rounds derives a
+    fact nested deeper than ``MAX_DERIVED_DEPTH``; the closure ignores
+    deletes, so that instance need not apply in any state the search
+    visits.  A caller searching from several entry states shares one
+    closure and checks `ambient` once.  A state's instances are those of
+    :meth:`Closure.rows` whose preconditions it holds, so the search
+    expands exactly as one that grounds every operator at every state.
 
     The goal test looks only at facts that can be new.  A frontier state
     past the start was tested when it was generated, so a pending goal
@@ -1289,25 +1257,26 @@ def complete_from(
     if bound < 1:
         raise PlannerError("bound must be >= 1")
     _check_ground((state,), "entry state")
-    if table is None:
-        table = InstanceTable(ops, ambient)
+    if closure is None:
+        closure = Closure(ambient, ops, 1)
     found: list[Completion | None] = [None] * len(goals)
     pending = list(range(len(goals)))
-    start = table.start
+    start = frozenset(ambient)
     at_start: list[list[Term]] = []  # the ambient facts each goal matches
     # (instance, goal index) -> the instance's add-effects that the goal
-    # matches; the table keeps every instance alive, so ids stay unique
+    # matches; the closure keeps every instance alive, so ids stay unique
     hits: dict[tuple[int, int], list[Term]] = {}
     frontier: list[tuple[frozenset[Term], tuple[Operator, ...]]] = [(start, ())]
     visited: set[frozenset[Term]] = {start}
     for level in range(bound):
         if not frontier or not pending:
             break
-        table.extend(level + 1)
+        closure.grow(level + 1)
+        rows = closure.rows()
         nxt: list[tuple[frozenset[Term], tuple[Operator, ...]]] = []
         for current, seq in frontier:
-            for row in table.rows:
-                for _, inst in row:
+            for row in rows:
+                for inst in row:
                     if not seq and state not in inst.preconditions:
                         continue
                     if not current.issuperset(inst.preconditions):

@@ -8,9 +8,9 @@ nested-loop join by two-way unification that the planner's one-way
 matcher over a first-argument index replaced; it builds each instance
 with its own copy of the ``apply``-based build that the planner's one-pass
 instantiation replaced.  The naive relevance closure and the per-state
-completion search ground with it, and use neither the semi-naive rounds,
-the per-turn closure of the gate nor the instance table of completion
-search that they check.
+completion search ground with it.  They use neither the semi-naive rounds
+nor the closure that the gate and completion search read, which is what
+they check.
 """
 
 from __future__ import annotations

@@ -17,9 +17,9 @@ from implicature.inference import (
     infer,
     recognize,
 )
-from implicature.planner import Operator, cost, linearize, plan, validate_operator
+from implicature.planner import Closure, Operator, cost, linearize, plan, validate_operator
 from implicature.scenario import load_scenario, run_detailed, setup
-from implicature.terms import parse_term, render
+from implicature.terms import TermError, parse_term, render, var
 from implicature.trace import Trace
 
 t = parse_term
@@ -319,6 +319,97 @@ class TestAvoidanceRule:
         store, _ = setup(load_scenario("(agents spk hrr)"))
         store, report = ascribe_avoidance(store, r, verdict, domain)
         assert report is None
+
+
+def nest(depth, inner="a"):
+    """``inner`` wrapped in ``depth`` levels of f()."""
+    return "f(" * depth + inner + ")" * depth
+
+
+class TestCappedClosure:
+    """When the candidate's closure stopped at its round cap, the ascription
+    rules search completions over a closure of the plan's terminal state,
+    grown only as far as each search needs."""
+
+    def _case(self):
+        # echo nests n's argument 20 levels a round and never reaches a
+        # fixpoint; deny's n fact nests 62 levels
+        echo = Operator(
+            "echo", args=(var("x"),), preconditions=(t("n(?x)"),),
+            add=(t(f"n({nest(20, '?x')})"),), actor=t("hrr"),
+        )
+        warn = ground_op("warn", pre=["start"], add=["mid"], actor="spk")
+        deduce = ground_op("deduce", pre=["mid"], add=["g1"])
+        deny = ground_op("deny", pre=["start"], add=["g1", "admission", f"n({nest(60)})"], actor="spk")
+        blame = ground_op("blame", pre=["admission"], add=["blamed"])
+        # mid -> c1 -> ... -> c4 -> g2, one action a link
+        links = ["mid", "c1", "c2", "c3", "c4", "g2"]
+        chain = tuple(
+            ground_op(f"m{i}", pre=[links[i - 1]], add=[links[i]], actor="spk") for i in range(1, 6)
+        )
+        ops = (warn, deduce, deny, echo, blame) + chain
+        domain = Domain(
+            operators=ops,
+            declared_goals=(t("goal(spk, g2)"),),
+            avoid_goals=(t("blamed"),),
+            bound=5,
+        )
+        initial = (t("start"),)
+        closure = Closure(initial, ops, domain.bound)
+        # c4 joins the closure in its last round, so m5 lies past the cap
+        assert not closure.closed and chain[-1] not in list(closure.instances())
+        pr = plan(initial, t("g1"), ops, bound=5, required_step=warn, closure=closure)
+        po = plan(initial, t("g1"), ops, bound=5, closure=closure)
+        assert cost(pr) == 2 and cost(po) == 1
+        r = RecognitionResult(
+            utterance=ActInstance("inform", "spk", "hrr", t("irrelevant(x)")),
+            ascribed_goal=t("goal(spk, g1)"),
+            plan_r=pr,
+            candidate_rank=0,
+            initial=initial,
+            closure=closure,
+        )
+        verdict = EfficiencyVerdict(kind="inefficient", plan_o=po, cost_r=2, cost_o=1)
+        return r, verdict, domain, chain
+
+    def test_conjunctive_finds_a_completion_past_the_cap(self):
+        r, verdict, domain, chain = self._case()
+        store, _ = setup(load_scenario("(agents spk hrr)"))
+        trace = Trace()
+        _, report = ascribe_conjunctive(store, r, verdict, domain, trace=trace)
+        # the joint plan needs 7 steps, more than the bound
+        assert report is None
+        assert [(e.kind, e.payload) for e in trace.events] == [
+            (
+                "efficiency-check",
+                {
+                    "goal": "goal(spk, g2)",
+                    "exclusive_state": "mid",
+                    "joint_optimum": None,
+                    "recognized_plus_completion": 7,
+                    "passed": False,
+                },
+            ),
+            (
+                "candidate-skipped",
+                {"goal": "goal(spk, g2)", "exclusive_state": "mid", "cause": "efficiency-condition"},
+            ),
+        ]
+
+    def test_avoidance_grounds_only_the_rounds_it_searches(self):
+        r, verdict, domain, _ = self._case()
+        po_end = {t("start"), t("g1"), t("admission"), t(f"n({nest(60)})")}
+        # all five rounds over the optimal plan's terminal state nest past
+        # MAX_DERIVED_DEPTH; the search settles blamed before they run
+        with pytest.raises(TermError, match="operator echo derives a fact nested deeper"):
+            Closure(po_end, domain.operators, domain.bound)
+        store, _ = setup(load_scenario("(agents spk hrr)"))
+        store, report = ascribe_avoidance(store, r, verdict, domain)
+        assert report is not None and report.kind == "avoidance"
+        assert render(report.goal) == "not(blamed)"
+        assert render(report.exclusive_state) == "admission"
+        assert [a.name for a in report.completion.actions] == ["blame"]
+        assert holds(store, ("hrr", "spk"), Attitude("goal", t("not(blamed)")))
 
 
 class TestUnpromptedInform:

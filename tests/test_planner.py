@@ -12,7 +12,6 @@ from implicature.planner import (
     Closure,
     Completion,
     CycleError,
-    InstanceTable,
     Operator,
     Plan,
     PlannerError,
@@ -517,7 +516,7 @@ class TestCompleteFrom:
 
     def test_operators_sharing_a_name_keep_their_positions(self):
         # by precondition render, second's instance sorts before first's:
-        # a table keyed by name would expand it first and answer g with it
+        # rows keyed by name would expand it first and answer g with it
         first = op("o", pre=["t", "s"], add=["g"])
         second = op("o", pre=["a", "s"], add=["g", "h"])
         ambient = {t("a"), t("s"), t("t")}
@@ -526,7 +525,7 @@ class TestCompleteFrom:
         assert [c.actions for c in found] == [(first,), (second,)]
         assert found == per_state_completion(t("s"), goals, [first, second], 2, ambient)
 
-    def test_shared_table_checks_ambient_once(self, monkeypatch):
+    def test_shared_closure_checks_ambient_once(self, monkeypatch):
         checked: list[tuple] = []
         check = planner._check_ground
 
@@ -536,14 +535,25 @@ class TestCompleteFrom:
 
         monkeypatch.setattr(planner, "_check_ground", recording)
         ambient = {t("seen(item)"), t("held(item)"), t("x")}
-        table = InstanceTable(self.OPS, ambient)
+        closure = Closure(ambient, self.OPS, 1)
         for entry in ("seen(item)", "held(item)", "x"):
-            complete_from(t(entry), (t("stored(item)"),), self.OPS, 3, ambient, table=table)
+            complete_from(t(entry), (t("stored(item)"),), self.OPS, 3, ambient, closure=closure)
         assert sorted(map(len, checked)) == [1, 1, 1, 3]
-        with pytest.raises(PlannerError, match=r"ambient facts must be ground, got held\(\?x\)"):
-            InstanceTable(self.OPS, {t("held(?x)")})
+        with pytest.raises(PlannerError, match=r"initial facts must be ground, got held\(\?x\)"):
+            complete_from(t("seen(item)"), (t("g"),), self.OPS, 3, {t("held(?x)")})
         with pytest.raises(PlannerError, match=r"entry state must be ground, got seen\(\?x\)"):
-            complete_from(t("seen(?x)"), (t("g"),), self.OPS, 3, ambient, table=table)
+            complete_from(t("seen(?x)"), (t("g"),), self.OPS, 3, ambient, closure=closure)
+
+    def test_fresh_closure_grows_one_round_past_the_settling_level(self):
+        # wrap nests p's argument once a level, so p(f^(d+1)(a)) settles at
+        # level d, and the closure grown for it has run d + 1 rounds at most
+        wrap = op("wrap", pre=["p(?x)"], add=["p(f(?x))"], delete=["p(?x)"])
+        for d in range(5):
+            goal = t("p(" + "f(" * (d + 1) + "a" + ")" * (d + 1) + ")")
+            closure = Closure({t("p(a)")}, [wrap], 1)
+            (c,) = complete_from(t("p(a)"), (goal,), [wrap], 200, {t("p(a)")}, closure=closure)
+            assert len(c.actions) == d + 1 and c.achieved_goal == goal
+            assert closure.rounds <= d + 1 and not closure.closed
 
     def test_completions_are_nonempty(self):
         with pytest.raises(PlannerError):
@@ -650,24 +660,32 @@ class TestInstantiate:
             replace(schema, **{field: value}).substituted({"x": Atom("a")})
 
 
-class TestInstanceTable:
-    """Completion search over one shared instance table answers exactly as
-    the search that grounds every operator at every state."""
+class TestCompletionClosure:
+    """Completion search over a shared closure answers exactly as the search
+    that grounds every operator at every state, whether the closure is one
+    of the ambient facts grown as the search needs it or a closed one of a
+    strict superset of them: precondition-render order puts the instances a
+    state admits in one order whichever closure holds them."""
 
-    def _check(self, rng, initial, ops, entries, goals):
+    def _check(self, rng, initial, ops, entries, goals, extra):
         ambient = set(initial)
-        table = InstanceTable(ops, ambient)
+        lazy = Closure(ambient, ops, 1)
+        closed = Closure(list(initial) + [f for f in extra if f not in ambient], ops, 100)
+        assert closed.closed and set(closed.facts) > ambient
         answers = []
         for entry in entries:
             bound = rng.randint(1, 4)
-            got = complete_from(entry, goals, ops, bound, ambient, table=table)
-            assert got == per_state_completion(entry, goals, ops, bound, ambient)
-            answers.extend(got)
+            expected = per_state_completion(entry, goals, ops, bound, ambient)
+            for closure in (lazy, closed):
+                assert complete_from(entry, goals, ops, bound, ambient, closure=closure) == expected
+            answers.extend(expected)
+        self.wider += len(list(closed.instances())) > len(list(Closure(ambient, ops, 100).instances()))
         return answers
 
     def test_random_ground_domains(self):
-        rng = random.Random(20261019)
+        rng, spare = random.Random(20261019), random.Random(22)
         answers = []
+        self.wider = 0
         for _ in range(300):
             initial, _, ops = random_ground_domain(rng)
             atoms = sorted(
@@ -676,20 +694,28 @@ class TestInstanceTable:
             )
             entries = list(dict.fromkeys(initial + [rng.choice(atoms)]))
             goals = atoms + [t("never"), var("x")]
-            answers += self._check(rng, initial, ops, entries, goals)
+            extra = spare.sample(atoms, min(2, len(atoms))) + [t("spare")]
+            answers += self._check(rng, initial, ops, entries, goals, extra)
+        assert self.wider > 80
         assert sum(c is not None for c in answers) > 500
         assert sum(c is None for c in answers) > 2000
         assert sum(c is not None and len(c.actions) > 1 for c in answers) > 50
         assert sum(c is not None and any(a.delete for a in c.actions) for c in answers) > 200
 
     def test_random_lifted_domains_with_deletes(self):
-        rng = random.Random(1019)
+        rng, spare = random.Random(1019), random.Random(22)
+        consts = [Atom(c) for c in ("a", "b", "c")]
+        facts = [struct(s, c) for s in "fh" for c in consts]
+        facts += [struct("g", c, d) for c in consts for d in consts]
         answers = []
+        self.wider = 0
         for _ in range(300):
             initial, ops, fact = random_deleting_domain(rng)
             entries = initial[:3] + [fact(True)]
             goals = [fact(False) for _ in range(4)] + [var("w")]
-            answers += self._check(rng, initial, ops, entries, goals)
+            extra = spare.sample(facts, 3) + [t("spare")]
+            answers += self._check(rng, initial, ops, entries, goals, extra)
+        assert self.wider > 150
         assert sum(c is not None for c in answers) > 900
         assert sum(c is None for c in answers) > 2500
         assert sum(c is not None and len(c.actions) > 1 for c in answers) > 90
