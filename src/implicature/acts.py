@@ -6,9 +6,9 @@ defined by its conventional preconditions (attitudes of the speaker)
 alone.  ``ACTS`` is the fixed table of the four acts; everything else is
 derived from it:
 
-* the planner operator (:func:`act_operator`) needs the preconditions and
-  adds the hearer-side facts bel(hearer, C(speaker, ...)) for each
-  precondition C;
+* the planner operator (:func:`act_operator`, compiled once into
+  ``ACT_OPERATORS``; a performed act builds its ground step once) needs the
+  preconditions and adds bel(hearer, C(speaker, ...)) for each one C;
 * speaker side: for every precondition C, the speaker's view of the hearer
   gains bel(C) (the speaker assumes the act communicated its preconditions);
 * hearer side: for every precondition C, the hearer's view of the speaker
@@ -18,17 +18,18 @@ Both updates use default-ascription semantics: attitudes blocked by
 contrary evidence or the nesting cap are skipped and traced.  Hearer
 acceptance of a communicated proposition is not an update here: it is the
 planner operator ``inference.accept_belief_operator``.  An act name outside
-``ACTS`` raises :class:`ActError`.
+``ACTS`` raises :class:`ActError` at first use, a bad role name at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 from .beliefs import Attitude, BeliefStore, Expectation, assert_attitude, default_ascribe
 from .planner import Operator
-from .terms import Atom, Compound, Term, render, struct, var
+from .terms import Compound, Term, TermError, _atom, _check_name, render, struct, var
 from .trace import Trace
 
 SPEAKER = var("speaker")
@@ -60,11 +61,25 @@ class ActInstance:
     content: Term
 
     def __post_init__(self) -> None:
+        try:
+            for role in ("speaker", "hearer"):
+                object.__setattr__(self, role, _check_name(getattr(self, role), role))
+        except TermError as e:
+            raise ActError(str(e)) from None
         if self.speaker == self.hearer:
             raise ActError("speaker and hearer must differ")
 
+    @cached_property
+    def step(self) -> Operator:
+        """The compiled operator with the roles bound, built on first use."""
+        return ACT_OPERATORS[_schema_for(self).name].substituted({
+            SPEAKER.name: _atom(self.speaker),
+            HEARER.name: _atom(self.hearer),
+            CONTENT.name: self.content,
+        })
+
     def term(self) -> Term:
-        return struct(self.schema, Atom(self.speaker), Atom(self.hearer), self.content)
+        return struct(self.schema, _atom(self.speaker), _atom(self.hearer), self.content)
 
     def __str__(self) -> str:
         return render(self.term())
@@ -142,31 +157,39 @@ def act_operator(schema: ActSchema) -> Operator:
     )
 
 
+#: Each act's planner operator, compiled once.
+ACT_OPERATORS: MappingProxyType[str, Operator] = MappingProxyType(
+    {name: act_operator(schema) for name, schema in ACTS.items()}
+)
+
+
 def utterance_operator(act: ActInstance) -> Operator:
     """Ground planner step for one performed act: its roles bound in the schema."""
-    return act_operator(_schema_for(act)).substituted(
-        {SPEAKER.name: Atom(act.speaker), HEARER.name: Atom(act.hearer), CONTENT.name: act.content}
-    )
+    return act.step
+
+
+def _speaker_preconditions(act: ActInstance) -> tuple[Term, ...]:
+    """The step's first preconditions: the act's C(speaker, content)."""
+    return act.step.preconditions[: len(_schema_for(act).preconditions)]
 
 
 def instantiated_preconditions(act: ActInstance) -> tuple[Attitude, ...]:
     """The act's preconditions with roles and content filled in, read off
-    :func:`utterance_operator`'s first preconditions C(speaker, content).
+    the step's first preconditions C(speaker, content).
 
     Each is an attitude of the speaker; the stored form omits the speaker.
     """
-    attitudes = utterance_operator(act).preconditions[: len(_schema_for(act).preconditions)]
-    return tuple(Attitude(c.functor, c.args[1]) for c in attitudes)
+    return tuple(Attitude(c.functor, c.args[1]) for c in _speaker_preconditions(act))
 
 
-def _expectation_for(act: ActInstance, store: BeliefStore) -> Expectation | None:
-    exp = Expectation(asker=act.hearer, answerer=act.speaker, content=act.content)
-    return exp if exp in store.expectations else None
+def _answered(act: ActInstance) -> Expectation:
+    """The expectation an answer act discharges."""
+    return Expectation(asker=act.hearer, answerer=act.speaker, content=act.content)
 
 
 def check_expectation(store: BeliefStore, act: ActInstance) -> None:
     """Raise unless a pending question licenses this answer act."""
-    if _schema_for(act).needs_expectation and _expectation_for(act, store) is None:
+    if _schema_for(act).needs_expectation and _answered(act) not in store.expectations:
         raise ActError(f"no pending question licenses {act}")
 
 
@@ -193,17 +216,15 @@ def apply_speaker_update(
     trace: Trace | None = None,
 ) -> BeliefStore:
     """For every precondition C: the speaker's view of the hearer gains bel(C)."""
-    for c in instantiated_preconditions(act):
-        c_term = Compound(c.kind, (Atom(act.speaker), c.content))
-        result = default_ascribe(
+    for c_term in _speaker_preconditions(act):
+        store = default_ascribe(
             store,
             (act.speaker,),
             (act.speaker, act.hearer),
             Attitude("bel", c_term),
             trace=trace,
             cause=f"speaker-update:{act.schema}",
-        )
-        store = result.store
+        ).store
     return store
 
 
@@ -216,15 +237,14 @@ def apply_hearer_update(
     register or discharge the act's discourse expectation."""
     schema = _schema_for(act)
     for c in instantiated_preconditions(act):
-        result = default_ascribe(
+        store = default_ascribe(
             store,
             (act.hearer,),
             (act.hearer, act.speaker),
             c,
             trace=trace,
             cause=f"hearer-update:{act.schema}",
-        )
-        store = result.store
+        ).store
     if schema.registers_expectation:
         exp = Expectation(asker=act.speaker, answerer=act.hearer, content=act.content)
         store = store.with_expectation(exp)
@@ -237,7 +257,5 @@ def apply_hearer_update(
                 content=render(exp.content),
             )
     if schema.needs_expectation:
-        exp = _expectation_for(act, store)
-        if exp is not None:
-            store = store.drop_expectation(exp)
+        store = store.drop_expectation(_answered(act))
     return store

@@ -8,8 +8,10 @@ the same fact has exactly one storage location.
 
 The store is ground: both writes, :func:`assert_attitude` and
 :func:`default_ascribe`, reject content with variables, so :func:`holds` is
-a membership test.  Default ascription copies an attitude one nesting level
-inward unless there is contrary evidence or the nesting cap blocks it.
+a membership test.  Agent names are checked and lowercased where they
+enter (the writes, :func:`holds`, reliability pairs), so snapshots build
+their atoms unchecked.  Default ascription copies an attitude one nesting
+level inward unless there is contrary evidence or the nesting cap blocks it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .terms import Atom, Compound, Term, _compound, is_ground, render
+from .terms import (
+    Atom, Compound, Term, TermError, _atom, _check_name, _compound, is_ground, render
+)
 from .trace import Trace
 
 ATTITUDE_KINDS = ("bel", "goal", "int")
@@ -111,9 +115,9 @@ def render_attitude(path: Path, att: Attitude) -> Term:
 
     (system, expert) with goal(X) renders as bel(system, goal(expert, X)).
     """
-    t: Term = _compound(att.kind, (Atom(path[-1]), att.content))
+    t: Term = _compound(att.kind, (_atom(path[-1]), att.content))
     for agent in reversed(path[:-1]):
-        t = _compound("bel", (Atom(agent), t))
+        t = _compound("bel", (_atom(agent), t))
     return t
 
 
@@ -138,7 +142,9 @@ class BeliefStore:
         return sorted(self.spaces)
 
     def with_reliability(self, pairs: Iterable[tuple[str, str]]) -> "BeliefStore":
-        return replace(self, reliability=self.reliability | frozenset(pairs))
+        """Adds (agent, topic) pairs, both names checked and lowercased."""
+        checked = {_checked(pair, "reliability") for pair in pairs}
+        return replace(self, reliability=self.reliability | checked)
 
     def with_actions(self, names: Iterable[str]) -> "BeliefStore":
         return replace(self, actions=self.actions | frozenset(names))
@@ -156,8 +162,16 @@ class BeliefStore:
         )
 
 
+def _checked(names: Iterable[str], what: str) -> tuple[str, ...]:
+    """``names`` checked and lowercased; BeliefError on a bad one."""
+    try:
+        return tuple(_check_name(name, what) for name in names)
+    except TermError as e:
+        raise BeliefError(str(e)) from None
+
+
 def _validate_path(path: Path) -> Path:
-    path = tuple(path)
+    path = _checked(path, "agent")
     if not path:
         raise BeliefError("viewpoint path must be nonempty")
     return path
@@ -177,7 +191,7 @@ def _validate_intention(store: BeliefStore, att: Attitude) -> None:
 def _ground_normalized(path: Path, att: Attitude) -> tuple[Path, Attitude]:
     if not is_ground(att.content):
         raise BeliefError(f"attitude content must be ground: {att}")
-    return normalize(_validate_path(path), att)
+    return normalize(path, att)
 
 
 def _block(trace: Trace | None, path: Path, att: Attitude, cause: str) -> None:
@@ -204,7 +218,7 @@ def assert_attitude(
     existing bel at the same path (explicit not(...) only, no entailment).
     Asserts past the nesting cap are skipped and traced, not fatal.
     """
-    path, att = _ground_normalized(path, att)
+    path, att = _ground_normalized(_validate_path(path), att)
     if len(path) > MAX_NESTING:
         _block(trace, path, att, "nesting-depth-cap")
         return store
@@ -292,7 +306,7 @@ def render_store(store: BeliefStore) -> list[Term]:
         for att in atts:
             out.append(render_attitude(path, att))
     for agent, topic in sorted(store.reliability):
-        out.append(Compound("reliable", (Atom(agent), Atom(topic))))
+        out.append(_compound("reliable", (_atom(agent), _atom(topic))))
     for exp in store.expectations:
         out.append(
             Compound(

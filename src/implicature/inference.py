@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .acts import (
-    ACTS,
+    ACT_OPERATORS,
     ActInstance,
     accommodate_preconditions,
-    act_operator,
     apply_hearer_update,
     apply_speaker_update,
     check_expectation,
@@ -98,7 +97,7 @@ def build_operators(extra: tuple[Operator, ...] = ()) -> tuple[Operator, ...]:
     """The full, deterministically ordered planner operator set: belief
     acceptance, the acts by name, then ``extra``."""
     ops = [accept_belief_operator()]
-    ops.extend(act_operator(ACTS[name]) for name in sorted(ACTS))
+    ops.extend(ACT_OPERATORS[name] for name in sorted(ACT_OPERATORS))
     ops.extend(extra)
     return tuple(ops)
 
@@ -218,15 +217,9 @@ def candidate_goals(
     """
     out: list[Term] = []
     for exp in store.expectations:
-        if exp.answerer != speaker or exp.asker != hearer:
-            continue
-        p = exp.content
-        out.append(struct("goal", Atom(speaker), struct("bel", Atom(exp.asker), p)))
-        out.append(
-            struct(
-                "goal", Atom(speaker), struct("bel", Atom(exp.asker), struct("not", p))
-            )
-        )
+        if exp.answerer == speaker and exp.asker == hearer:
+            for answer in (exp.content, struct("not", exp.content)):
+                out.append(struct("goal", Atom(speaker), struct("bel", Atom(hearer), answer)))
     return list(_dedupe(out + _library_goals(domain, speaker)))
 
 
@@ -360,14 +353,9 @@ def efficiency_audit(
     # instances than the audit needs, and the same plans
     po = plan(r.initial, content, domain.operators, bound=domain.bound, closure=r.closure)
     cr = cost(r.plan_r)
-    if po is None or cost(po) >= cr:
-        verdict = EfficiencyVerdict(
-            kind="optimal", plan_o=po, cost_r=cr, cost_o=cost(po) if po else None
-        )
-    else:
-        verdict = EfficiencyVerdict(
-            kind="inefficient", plan_o=po, cost_r=cr, cost_o=cost(po)
-        )
+    co = None if po is None else cost(po)
+    kind = "optimal" if co is None or co >= cr else "inefficient"
+    verdict = EfficiencyVerdict(kind=kind, plan_o=po, cost_r=cr, cost_o=co)
     if trace:
         trace.emit(
             _MODULE,
@@ -434,11 +422,7 @@ def ascribe_conjunctive(
     assert parts is not None
     _, g1_content = parts
     # every template is goal(speaker, content): _library_goals keeps no other
-    contents: list[Term] = []
-    for g2 in library:
-        g2_parts = _goal_parts(g2)
-        assert g2_parts is not None
-        contents.append(g2_parts[1])
+    contents = [g2.args[1] for g2 in library]
     ambient = _terminal_state(r.initial, pr)
     closure = _completion_closure(r, ambient, domain)
     winner: AscriptionReport | None = None

@@ -37,24 +37,24 @@ from below).  The gate builds one relaxed closure per turn, semi-naively
 and for at most ``bound`` rounds, and extends it with each candidate
 goal's seeds; recognition and the efficiency audit plan over the
 recognized candidate's closure, and joint planning over that closure
-extended with the second goal's seeds.  Completion search grounds the
-relaxed closure of its ambient facts instead of each state it visits: one
-round per search level it reaches, shared by the searches from every
-entry state of an ascription rule; a state's applicable instances are
-those whose preconditions it holds.  All of them ground operators with
-one matcher and one closure routine: each precondition is matched one way
-against ground facts, binding variables in a plain dict, and the
-candidate facts come from an index on root and first argument (Warren
-1983; Ramakrishnan, Sekar & Voronkov 2001, "Term indexing").  The goal
-tests of the gate and of completion search use the same matcher.  Each
-instance is built once from its bindings by :func:`_instantiate`, the
-module's only substitution.
+extended with the second goal's seeds.  Completion search reads the
+candidate's closure when that reached its fixpoint, and otherwise grows a
+closure of its ambient facts, one round per search level it reaches; the
+searches from every entry state of an ascription rule share it, and a
+state's applicable instances are those whose preconditions it holds.  All
+of them ground operators with one matcher and one closure routine: each
+precondition is matched one way against ground facts, binding variables in
+a plain dict, and the candidate facts come from an index on root and first
+argument (Warren 1983; Ramakrishnan, Sekar & Voronkov 2001, "Term
+indexing").  The goal tests of the gate and of completion search use the
+same matcher.  Each instance is built once from its bindings by
+:func:`_instantiate`, the module's only substitution.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -65,6 +65,7 @@ from .terms import (
     Term,
     TermError,
     Var,
+    _atom,
     _compound,
     is_ground,
     render,
@@ -351,26 +352,14 @@ class _Node:
 
 @dataclass
 class _Problem:
+    """One :func:`plan` call: its initial facts (``facts`` as a set), the
+    closure new steps come from, and the goal and step limit under way."""
+
     initial: tuple[Term, ...]
-    #: the ground goal conditions of the search under way
     goal: tuple[Term, ...]
     closure: Closure
     limit: int
-    #: ``initial`` bucketed by root (:func:`_buckets`)
-    facts: dict[tuple[str, int] | None, list[Term]]
-    #: id of a condition -> whether an initial fact equals it, and the
-    #: instances that add it; every condition is a goal or a precondition
-    #: of an instance the closure or the call keeps alive, so ids are unique
-    closers_of: dict[int, tuple[bool, Sequence[Operator]]] = field(default_factory=dict)
-
-    def closers(self, cond: Term) -> tuple[bool, Sequence[Operator]]:
-        found = self.closers_of.get(id(cond))
-        if found is None:
-            found = self.closers_of[id(cond)] = (
-                cond in self.facts.get(_key(cond), ()),
-                self.closure.achievers(cond),
-            )
-        return found
+    facts: frozenset[Term]
 
 
 def _is_threat(node: _Node, link: CausalLink, sid: int, op: Operator) -> bool:
@@ -442,8 +431,7 @@ def _may_close(prob: _Problem, node: _Node, consumer: int, cond: Term) -> bool:
     Along a branch orderings and steps only grow, so a False answer stays
     False in every descendant.
     """
-    initial, achievers = prob.closers(cond)
-    if initial or (achievers and len(node.steps) < prob.limit):
+    if cond in prob.facts or (len(node.steps) < prob.limit and prob.closure.achievers(cond)):
         return True
     after = _reachable(node.orderings, consumer)
     for sid, op in node.steps:
@@ -486,8 +474,7 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
     (consumer, cond), agenda = node.agenda[0], node.agenda[1:]
     node = replace(node, agenda=agenda)
     children: list[_Node] = []
-    initial, achievers = prob.closers(cond)
-    producers = [INIT_ID] if initial else []
+    producers = [INIT_ID] if cond in prob.facts else []
     producers += [
         sid
         for sid, op in node.steps
@@ -502,7 +489,7 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
     if len(node.steps) < prob.limit:
         sid = FIRST_STEP_ID + len(node.steps)
         orderings = node.orderings | {(INIT_ID, sid), (sid, GOAL_ID)}
-        for inst in achievers:
+        for inst in prob.closure.achievers(cond):
             base = replace(
                 node,
                 steps=node.steps + ((sid, inst),),
@@ -668,7 +655,7 @@ def plan(
         # the step breaks its own topic or positivity constraint
         groundings = []
     prob = _Problem(
-        initial=initial, goal=goals, closure=closure, limit=0, facts=_buckets(initial)
+        initial=initial, goal=goals, closure=closure, limit=0, facts=frozenset(initial)
     )
     start = max(len(steps), min_cost)
     connected_from = FIRST_STEP_ID if required_step is not None else None
@@ -703,15 +690,6 @@ def _key(t: Term) -> tuple[str, int] | None:
     if isinstance(t, Atom):
         return t.name, 0
     return None
-
-
-def _buckets(facts: Iterable[Term]) -> dict[tuple[str, int] | None, list[Term]]:
-    """``facts`` grouped by root (functor, arity), each group in the given
-    order."""
-    buckets: dict[tuple[str, int] | None, list[Term]] = {}
-    for f in facts:
-        buckets.setdefault(_key(f), []).append(f)
-    return buckets
 
 
 class _FactIndex:
@@ -899,7 +877,7 @@ def _propagate_constraints(
             assert t is not None
             topic = bindings.get(t.name, t) if isinstance(t, Var) else t
             if isinstance(topic, Var):
-                bindings = {**bindings, topic.name: Atom(functor)}
+                bindings = {**bindings, topic.name: _atom(functor)}
                 changed = True
             elif not (isinstance(topic, Atom) and topic.name == functor):
                 return None

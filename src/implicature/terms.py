@@ -103,7 +103,7 @@ def _compound(functor: str, args: tuple["Term", ...]) -> Compound:
     Contract: ``functor`` is copied from a valid :class:`Compound` or is a
     literal lowercase name, and ``args`` is a non-empty tuple of terms.
     Names from outside the program go through the constructor, which
-    checks and lowercases them.
+    checks and lowercases them; :func:`_atom` is the same for atoms.
     """
     c = object.__new__(Compound)
     d = c.__dict__
@@ -111,6 +111,14 @@ def _compound(functor: str, args: tuple["Term", ...]) -> Compound:
     d["args"] = args
     d["_hash"] = hash((functor, args))
     return c
+
+
+def _atom(name: str) -> Atom:
+    """An :class:`Atom` built without validation: ``name`` is copied from a
+    valid term or was checked by :func:`_check_name` where it entered."""
+    a = object.__new__(Atom)
+    a.__dict__["name"] = name
+    return a
 
 
 Term = Union[Atom, Var, Compound]

@@ -93,6 +93,36 @@ class TestSchemas:
             ActInstance("inform", "a", "a", t("p"))
 
 
+class TestActInstance:
+    def test_role_names_lowercased_before_compare(self):
+        with pytest.raises(ActError, match="must differ"):
+            ActInstance("inform", "A", "a", t("p"))
+        act = ActInstance("inform", "Expert", "SYSTEM", Q)
+        assert (act.speaker, act.hearer) == ("expert", "system")
+        assert act == INFORM and hash(act) == hash(INFORM)
+
+    @pytest.mark.parametrize("speaker, hearer", [("", "b"), ("a", "?x")])
+    def test_bad_role_name_rejected(self, speaker, hearer):
+        with pytest.raises(ActError):
+            ActInstance("inform", speaker, hearer, t("p"))
+
+    def test_step_built_once(self):
+        act = ActInstance("inform", "expert", "system", Q)
+        assert act.step is act.step
+        assert act.step.preconditions[:2] == tuple(
+            struct(c.kind, t("expert"), c.content) for c in instantiated_preconditions(act)
+        )
+        # the cached step stays out of equality and hashing
+        assert act == ActInstance("inform", "expert", "system", Q)
+        assert hash(act) == hash(ActInstance("inform", "expert", "system", Q))
+
+    def test_unknown_act_raises_at_first_use(self):
+        act = ActInstance("shout", "a", "b", t("p"))
+        for _ in range(2):
+            with pytest.raises(ActError, match="unknown act schema"):
+                act.step
+
+
 class TestQuestionTurn:
     def test_footnote_disjunction_lands_in_askers_view(self):
         store = store_after_question()

@@ -196,6 +196,51 @@ class TestDefaultAscribe:
             default_ascribe(BeliefStore(), ("a",), ("b", "c"), bel(t("p")))
 
 
+class TestAgentNames:
+    """Agent names are checked and lowercased where they enter the store,
+    so a snapshot never meets a bad one."""
+
+    @pytest.mark.parametrize("name", ["", "?x"])
+    def test_bad_name_rejected_by_assert(self, name):
+        with pytest.raises(BeliefError, match="agent name"):
+            assert_attitude(BeliefStore(), (name,), bel(t("p")))
+        with pytest.raises(BeliefError, match="agent name"):
+            assert_attitude(BeliefStore(), ("system", name), bel(t("p")))
+
+    @pytest.mark.parametrize("name", ["", "?x"])
+    def test_bad_name_rejected_by_ascribe(self, name):
+        with pytest.raises(BeliefError, match="agent name"):
+            default_ascribe(BeliefStore(), (name,), (name, "b"), bel(t("p")))
+        with pytest.raises(BeliefError, match="agent name"):
+            default_ascribe(BeliefStore(), ("a",), ("a", name), bel(t("p")))
+
+    @pytest.mark.parametrize("name", ["", "?x"])
+    def test_bad_name_rejected_by_holds(self, name):
+        with pytest.raises(BeliefError, match="agent name"):
+            holds(BeliefStore(), (name,), bel(t("p")))
+
+    @pytest.mark.parametrize("pair", [("", "cause"), ("expert", "?t")])
+    def test_bad_reliability_name_rejected(self, pair):
+        with pytest.raises(BeliefError):
+            BeliefStore().with_reliability([pair])
+
+    def test_case_variants_share_one_space(self):
+        store = assert_attitude(BeliefStore(), ("Expert",), bel(CAUSE))
+        store = assert_attitude(store, ("expert",), bel(CAUSE))
+        store = default_ascribe(store, ("SYSTEM",), ("System", "EXPERT"), bel(t("p"))).store
+        assert store.paths() == [("expert",), ("system", "expert")]
+        assert holds(store, ("EXPERT",), bel(CAUSE))
+        assert [render(x) for x in render_store(store)] == [
+            "bel(expert, cause(switch(system, computer_off), damage(hard_drive)))",
+            "bel(system, bel(expert, p))",
+        ]
+
+    def test_reliability_names_lowercased(self):
+        store = BeliefStore().with_reliability([("Expert", "Cause"), ("expert", "cause")])
+        assert store.reliability == {("expert", "cause")}
+        assert [render(x) for x in render_store(store)] == ["reliable(expert, cause)"]
+
+
 class TestRenderStore:
     def test_deterministic_and_complete(self):
         store = BeliefStore().with_reliability([("expert", "cause")])

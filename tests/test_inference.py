@@ -2,7 +2,8 @@
 
 import pytest
 
-from implicature.acts import ActError, ActInstance, utterance_operator
+from implicature import acts, planner
+from implicature.acts import ACT_OPERATORS, ACTS, ActError, ActInstance, utterance_operator
 from implicature.beliefs import Attitude, holds, render_store
 from implicature.inference import (
     Domain,
@@ -551,6 +552,51 @@ class TestUtteranceOperator:
         with pytest.raises(ActError, match="unknown act schema 'shout'"):
             infer(store, ActInstance("shout", "a", "b", t("p")), domain, trace=trace)
         assert trace.events == []
+
+
+class TestBuildOnce:
+    """The act operators are compiled once per process, and a performed
+    act's ground step once."""
+
+    def test_build_operators_returns_the_compiled_acts(self):
+        ops = build_operators()
+        assert [op.name for op in ops[1:5]] == sorted(ACTS)
+        assert all(op is ACT_OPERATORS[op.name] for op in ops[1:5])
+
+    def test_infer_substitutes_the_act_schema_once(self, monkeypatch):
+        # grounding (the closures' instances of every operator, the acts
+        # included) is not counted: only substitutions made around it
+        calls = []
+        grounding = [0]
+        substituted = Operator.substituted
+        ground_instances = planner._ground_instances
+
+        def counted(op, bindings):
+            if not grounding[0] and op is ACT_OPERATORS.get(op.name):
+                calls.append(op.name)
+            return substituted(op, bindings)
+
+        def uncounted(*args):
+            grounding[0] += 1
+            try:
+                return ground_instances(*args)
+            finally:
+                grounding[0] -= 1
+
+        def recompiled(schema):
+            raise AssertionError(f"act {schema.name} compiled again")
+
+        monkeypatch.setattr(Operator, "substituted", counted)
+        monkeypatch.setattr(planner, "_ground_instances", uncounted)
+        monkeypatch.setattr(acts, "act_operator", recompiled)
+        s = load_scenario(scenario_text("computer_off"))
+        store, domain = setup(s)
+        for turn in s.turns:
+            calls.clear()
+            outcome = infer(store, turn, domain)
+            assert calls == [turn.schema]
+            store = outcome.store
+        assert outcome.recognition is not None
 
 
 class TestActOperators:

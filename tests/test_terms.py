@@ -19,6 +19,7 @@ from implicature.terms import (
     Substitution,
     TermError,
     Var,
+    _atom,
     _compound,
     apply,
     atom,
@@ -235,11 +236,12 @@ terms = _terms(3)
 ground_terms = _terms(3, _names.map(Atom))
 
 
-def _rebuild(term, make):
-    """term rebuilt bottom-up, every compound through ``make``."""
+def _rebuild(term, make, leaf=None):
+    """term rebuilt bottom-up, every compound through ``make`` and every
+    leaf through ``leaf`` (its constructor by default)."""
     if isinstance(term, Compound):
-        return make(term.functor, tuple(_rebuild(a, make) for a in term.args))
-    return type(term)(term.name)
+        return make(term.functor, tuple(_rebuild(a, make, leaf) for a in term.args))
+    return (leaf or type(term))(term.name)
 
 
 def _lifted(term):
@@ -261,6 +263,7 @@ def test_equal_terms_hash_equal_however_built(term):
         copy.deepcopy(term),
         pickle.loads(pickle.dumps(term)),
         _rebuild(term, _compound),
+        _rebuild(term, _compound, _atom),
     ]
     if isinstance(term, Compound):
         built.append(dataclasses.replace(term, functor=term.functor.upper()))
