@@ -9,20 +9,23 @@ the same fact has exactly one storage location.
 The store is ground: both writes, :func:`assert_attitude` and
 :func:`default_ascribe`, reject content with variables, so :func:`holds` is
 a membership test.  Agent names are checked and lowercased where they
-enter (the writes, :func:`holds`, reliability pairs), so snapshots build
-their atoms unchecked.  Default ascription copies an attitude one nesting
+enter (the writes, :func:`holds`, ``attitudes_at``, reliability pairs,
+expectations), so snapshots build their atoms unchecked.  Default ascription copies an attitude one nesting
 level inward unless there is contrary evidence or the nesting cap blocks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .terms import (
     Atom, Compound, Term, TermError, _atom, _check_name, _compound, is_ground, render
 )
 from .trace import Trace
+
+if TYPE_CHECKING:
+    from .planner import Closure
 
 ATTITUDE_KINDS = ("bel", "goal", "int")
 
@@ -128,15 +131,25 @@ class BeliefStore:
     Also carries the scenario-level context the dialogue machinery needs:
     reliability declarations, registered action functors, and pending
     discourse expectations.  All updates return a new store.
+
+    ``carried`` is opaque to the store: the relevance closure the last
+    gate turn of this store's lineage left for the next one to extend
+    (:attr:`planner.RelevanceGate.carried`).  Every update keeps it;
+    :func:`inference.infer` replaces it, and the gate checks it against
+    the snapshot before it extends it, so a store edited in any other way
+    still gives exact answers.  It takes no part in equality or ``repr``.
     """
 
     spaces: dict[Path, frozenset[Attitude]] = field(default_factory=dict)
     reliability: frozenset[tuple[str, str]] = frozenset()
     actions: frozenset[str] = frozenset()
     expectations: tuple[Expectation, ...] = ()
+    carried: Closure | None = field(default=None, compare=False, repr=False)
 
     def attitudes_at(self, path: Path) -> frozenset[Attitude]:
-        return self.spaces.get(tuple(path), frozenset())
+        """The attitudes stored at ``path``, whose agent names are checked
+        and lowercased as the writes and :func:`holds` check them."""
+        return self.spaces.get(_validate_path(path), frozenset())
 
     def paths(self) -> list[Path]:
         return sorted(self.spaces)
@@ -150,6 +163,10 @@ class BeliefStore:
         return replace(self, actions=self.actions | frozenset(names))
 
     def with_expectation(self, exp: Expectation) -> "BeliefStore":
+        """Adds a pending expectation, its two agent names checked and
+        lowercased; BeliefError on a bad one."""
+        asker, answerer = _checked((exp.asker, exp.answerer), "agent")
+        exp = replace(exp, asker=asker, answerer=answerer)
         if exp in self.expectations:
             return self
         return replace(self, expectations=self.expectations + (exp,))
@@ -199,9 +216,14 @@ def _block(trace: Trace | None, path: Path, att: Attitude, cause: str) -> None:
         trace.emit("belief-spaces", "block", path=list(path), attitude=str(att), cause=cause)
 
 
+def _stored(store: BeliefStore, path: Path) -> frozenset[Attitude]:
+    """The attitudes at a path already checked, without checking it again."""
+    return store.spaces.get(path, frozenset())
+
+
 def _insert(store: BeliefStore, path: Path, att: Attitude) -> BeliefStore:
     spaces = dict(store.spaces)
-    spaces[path] = store.attitudes_at(path) | {att}
+    spaces[path] = _stored(store, path) | {att}
     return replace(store, spaces=spaces)
 
 
@@ -223,7 +245,7 @@ def assert_attitude(
         _block(trace, path, att, "nesting-depth-cap")
         return store
     _validate_intention(store, att)
-    if att in store.attitudes_at(path):
+    if att in _stored(store, path):
         return store
     if att.kind == "bel" and contrary_evidence(store, path, att.content):
         raise ContradictionError(
@@ -239,7 +261,7 @@ def assert_attitude(
 def holds(store: BeliefStore, path: Path, att: Attitude) -> bool:
     """True iff the attitude, normalized, is stored at its path."""
     path, att = normalize(_validate_path(path), att)
-    return att in store.attitudes_at(path)
+    return att in _stored(store, path)
 
 
 def contrary_evidence(store: BeliefStore, path: Path, content: Term) -> bool:
@@ -283,7 +305,7 @@ def default_ascribe(
         _block(trace, path, att, reason)
         return AscribeResult(store, blocked=True)
     _validate_intention(store, att)
-    if att not in store.attitudes_at(path):
+    if att not in _stored(store, path):
         store = _insert(store, path, att)
         if trace:
             trace.emit(
@@ -302,16 +324,13 @@ def render_store(store: BeliefStore) -> list[Term]:
     """
     out: list[Term] = []
     for path in store.paths():
-        atts = sorted(store.attitudes_at(path), key=lambda a: (a.kind, render(a.content)))
+        atts = sorted(_stored(store, path), key=lambda a: (a.kind, render(a.content)))
         for att in atts:
             out.append(render_attitude(path, att))
     for agent, topic in sorted(store.reliability):
         out.append(_compound("reliable", (_atom(agent), _atom(topic))))
     for exp in store.expectations:
         out.append(
-            Compound(
-                "answer_expected",
-                (Atom(exp.answerer), Atom(exp.asker), exp.content),
-            )
+            _compound("answer_expected", (_atom(exp.answerer), _atom(exp.asker), exp.content))
         )
     return out

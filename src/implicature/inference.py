@@ -136,8 +136,13 @@ class RecognitionResult:
     #: The relevance gate's closure for the recognized candidate, which the
     #: audit and joint planning search over, and completion search too when
     #: it reached its fixpoint; :func:`infer` drops it before returning, so
-    #: no closure outlives its turn.
+    #: the only closure that outlives its turn is the one the next store
+    #: carries (:attr:`beliefs.BeliefStore.carried`).
     closure: Closure | None = field(default=None, compare=False, repr=False)
+    #: The gate's closure for the next gate turn to extend
+    #: (:attr:`planner.RelevanceGate.carried`); :func:`infer` moves it onto
+    #: the store it returns.
+    carried: Closure | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -259,12 +264,43 @@ def _dedupe(terms: list[Term]) -> tuple[Term, ...]:
     return tuple(dict.fromkeys(terms))
 
 
+def _expected(fact: Term) -> bool:
+    """An answer_expected fact: the one relation whose facts a store loses
+    (an answer discharges its question's expectation)."""
+    return isinstance(fact, Compound) and fact.functor == "answer_expected"
+
+
+def relevance_gate(
+    snapshot: tuple[Term, ...],
+    utterance: ActInstance,
+    domain: Domain,
+    carried: Closure | None = None,
+) -> RelevanceGate:
+    """The relevance gate of a turn (see :func:`recognize`).
+
+    Its closure extends ``carried``, the closure an earlier turn's gate
+    left (:attr:`planner.RelevanceGate.carried`), when that gives what a
+    fresh closure gives.  The answer_expected facts of the snapshot and
+    the utterance's preconditions are the gate's ``volatile`` facts: the
+    closure holds them and their consequences, the carried part does not.
+    """
+    u_op = utterance_operator(utterance)
+    lasting: list[Term] = []
+    volatile: list[Term] = []
+    for f in _dedupe(list(snapshot) + list(u_op.preconditions)):
+        (volatile if _expected(f) else lasting).append(f)
+    return RelevanceGate(
+        lasting, domain.operators, u_op, domain.bound, volatile=tuple(volatile), carried=carried
+    )
+
+
 def recognize(
     snapshot: tuple[Term, ...],
     utterance: ActInstance,
     candidates: list[Term],
     domain: Domain,
     trace: Trace | None = None,
+    carried: Closure | None = None,
 ) -> RecognitionResult | None:
     """Cheapest plan containing the utterance that reaches a candidate goal.
 
@@ -276,8 +312,9 @@ def recognize(
     causal-link path from the utterance step to the goal, not merely
     contain it.
 
-    Before planning, a relevance gate (:class:`planner.RelevanceGate`,
-    built once per turn) looks for the shortest chain of ground operator
+    Before planning, a relevance gate (:func:`relevance_gate`, built once
+    per turn, over ``carried``: the closure the store carries from the
+    last gate turn) looks for the shortest chain of ground operator
     instances from the utterance's add-effects to the goal content, within
     ``domain.bound`` rounds of the delete-relaxed closure of the
     candidate's facts.  A connected plan runs through such a chain, so
@@ -295,7 +332,7 @@ def recognize(
     if not candidates:
         return None
     base = _dedupe(list(snapshot) + list(u_op.preconditions))
-    gate = RelevanceGate(base, domain.operators, u_op, domain.bound)
+    gate = relevance_gate(snapshot, utterance, domain, carried)
     for rank, g in enumerate(candidates):
         parts = _goal_parts(g)
         if parts is None:
@@ -336,6 +373,7 @@ def recognize(
                 candidate_rank=rank,
                 initial=initial,
                 closure=closure,
+                carried=gate.carried,
             )
         if trace:
             trace.emit(_MODULE, "candidate-skipped", goal=render(g), cause="unreachable")
@@ -590,7 +628,9 @@ def infer(
     Applies the act-level belief updates, recognizes the dialogue plan,
     audits it against the re-planned optimum, and on an inefficient verdict
     tries the ascription rules in the configured order.  Recognition failure
-    is reported but act-level ascriptions stay applied.
+    is reported but act-level ascriptions stay applied.  A recognized turn
+    leaves its gate's carried closure on the returned store, for the next
+    gate turn to extend; any other turn keeps the store's.
     """
     snapshot = tuple(render_store(store))
     check_expectation(store, utterance)
@@ -598,7 +638,10 @@ def infer(
     store = accommodate_preconditions(store, utterance, trace=trace)
     store = apply_speaker_update(store, utterance, trace=trace)
     store = apply_hearer_update(store, utterance, trace=trace)
-    recognition = recognize(snapshot, utterance, candidates, domain, trace=trace)
+    # the act updates keep the closure carried from the last gate turn
+    recognition = recognize(
+        snapshot, utterance, candidates, domain, trace=trace, carried=store.carried
+    )
     if recognition is None:
         if trace:
             trace.emit(
@@ -614,6 +657,7 @@ def infer(
             verdict=None,
             report=AscriptionReport(kind="none"),
         )
+    store = replace(store, carried=recognition.carried)
     verdict = efficiency_audit(recognition, domain, trace=trace)
     report: AscriptionReport | None = None
     if verdict.kind == "inefficient":
@@ -649,7 +693,7 @@ def infer(
         )
     return InferenceOutcome(
         store=store,
-        recognition=replace(recognition, closure=None),
+        recognition=replace(recognition, closure=None, carried=None),
         verdict=verdict,
         report=report,
     )

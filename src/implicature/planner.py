@@ -34,8 +34,9 @@ recognition runs before planning (delete-relaxed reachability over ground
 operator instances, then the shortest chain of those instances from the
 utterance's add-effects to the goal, which also bounds the plan's cost
 from below).  The gate builds one relaxed closure per turn, semi-naively
-and for at most ``bound`` rounds, and extends it with each candidate
-goal's seeds; recognition and the efficiency audit plan over the
+and for at most ``bound`` rounds, or extends the one an earlier turn's
+gate carried when that gives the same closure, and extends it with each
+candidate goal's seeds; recognition and the efficiency audit plan over the
 recognized candidate's closure, and joint planning over that closure
 extended with the second goal's seeds.  Completion search reads the
 candidate's closure when that reached its fixpoint, and otherwise grows a
@@ -730,12 +731,20 @@ class _FactIndex:
                 self.firsts.setdefault((key, f.args[0]), []).append(f)
         self.members.update(facts)
 
-    def copy(self) -> _FactIndex:
+    def copy(self, size: int | None = None) -> _FactIndex:
+        """A copy of the index of its first ``size`` facts (all by default):
+        the later facts are the last of every list they are in."""
         twin = _FactIndex()
-        twin.facts = list(self.facts)
-        twin.members = set(self.members)
+        twin.facts = self.facts[:size]
         twin.buckets = {k: list(v) for k, v in self.buckets.items()}
         twin.firsts = {k: list(v) for k, v in self.firsts.items()}
+        dropped = self.facts[len(twin.facts):]
+        for f in reversed(dropped):
+            key = _key(f)
+            twin.buckets[key].pop()
+            if isinstance(f, Compound):
+                twin.firsts[key, f.args[0]].pop()
+        twin.members = self.members.difference(dropped) if dropped else set(self.members)
         return twin
 
     def candidates(self, pattern: Term, bindings: dict[str, Term]) -> Sequence[Term]:
@@ -956,6 +965,33 @@ def _ground_instances(
     return results
 
 
+def _relaxed_levels(
+    facts: tuple[Term, ...], instances: Iterable[Operator], size: int
+) -> dict[Term, int] | None:
+    """The relaxed level of each fact that ``instances`` derive from
+    ``facts`` (h_max over them), round by round, or None when they reach
+    fewer than ``size`` facts in all, ``facts`` included."""
+    known = set(facts)
+    levels: dict[Term, int] = {}
+    pending = list(instances)
+    level = 0
+    while pending:
+        level += 1
+        new: dict[Term, int] = {}
+        rest = []
+        for inst in pending:
+            if known.issuperset(inst.preconditions):
+                new.update((e, level) for e in inst.add if e not in known)
+            else:
+                rest.append(inst)
+        if not new:
+            break
+        known.update(new)
+        levels.update(new)
+        pending = rest
+    return levels if len(known) == size else None
+
+
 def _depth(t: Term) -> int:
     """Nesting depth (an atom or variable is 1), level by level, so that a
     fact past ``MAX_DERIVED_DEPTH`` is measured without recursion."""
@@ -973,15 +1009,23 @@ class Closure:
     ``index`` holds the facts and their consequences, ``actions[i]`` the
     instances of ``ops[i]``, ``rounds`` how many rounds have run and
     ``closed`` whether a round derived no new fact (the fixpoint).  The
-    constructor runs :meth:`grow` to ``bound`` rounds, and so does
-    :meth:`with_facts`.  The constructor checks that ``facts`` are ground;
-    so does :meth:`with_facts` for the facts it adds.  :meth:`achievers`
-    maps a fact to the instances that add it, for :func:`plan`, and
-    :meth:`rows` sorts each operator's instances, for :func:`complete_from`.
+    constructor runs :meth:`grow` to ``bound`` rounds, and so do
+    :meth:`with_facts` and :meth:`extend`.  The constructor checks that
+    ``facts`` are ground; so do :meth:`with_facts` and :meth:`extend` for
+    the facts they add.  :meth:`achievers` maps a fact to the instances
+    that add it, for :func:`plan`, and :meth:`rows` sorts each operator's
+    instances, for :func:`complete_from`.
+
+    Levels: ``levels`` maps each derived fact to an upper bound on its
+    relaxed level from ``facts`` (h_max, Bonet & Geffner 2001: the round in
+    which a fresh closure of ``facts`` derives it); a fact of ``facts`` has
+    level 0 and no entry, and ``height`` is the largest level.  Both stay
+    None until :meth:`extend` needs them.  An entry never changes:
+    ``facts`` only grow, and more facts only lower a level.
     """
 
-    __slots__ = ("facts", "ops", "bound", "index", "actions", "rounds", "closed", "_delta",
-                 "_achievers", "_rows")
+    __slots__ = ("facts", "ops", "bound", "index", "actions", "rounds", "closed", "levels",
+                 "height", "_delta", "_achievers", "_rows", "_mark")
 
     def __init__(
         self,
@@ -995,6 +1039,9 @@ class Closure:
         _check_ground(self.facts, "initial facts")
         self.ops = tuple(ops)
         self.bound = bound
+        self.levels: dict[Term, int] | None = None
+        self.height: int | None = None
+        self._mark: tuple[int, int, list[int], int | None] | None = None
         self._run(_FactIndex(set(self.facts)), None, [[] for _ in self.ops])
 
     def _run(
@@ -1020,6 +1067,7 @@ class Closure:
         whose preconditions all lie in the relaxed closure's level ``r - 1``.
         """
         while self.rounds < rounds and not self.closed:
+            starts = None if self.levels is None else [len(found) for found in self.actions]
             new: dict[Term, None] = {}
             for op, found in zip(self.ops, self.actions):
                 for inst in _ground_instances(op, self.index, self._delta):
@@ -1030,8 +1078,23 @@ class Closure:
             if new:
                 self.index.add(new)
                 self._delta = _FactIndex(new)
+                if starts is not None:
+                    self._level(new, starts)
             else:
                 self.closed = True
+
+    def _level(self, new: dict[Term, None], starts: list[int]) -> None:
+        """Record the levels of the facts ``new`` in the last round, whose
+        instances come after ``starts`` in ``actions``."""
+        levels = self.levels
+        assert levels is not None and self.height is not None
+        for found, start in zip(self.actions, starts):
+            for inst in found[start:]:
+                level = 1 + max([levels.get(p, 0) for p in inst.preconditions], default=0)
+                for e in inst.add:
+                    if e in new and level < levels.get(e, level + 1):
+                        levels[e] = level
+        self.height = max(self.height, max(levels[e] for e in new))
 
     def with_facts(self, seeds: Iterable[Term]) -> Closure:
         """The closure of ``facts`` plus the ground ``seeds``.
@@ -1048,6 +1111,7 @@ class Closure:
             return self
         twin = Closure.__new__(Closure)
         twin.ops, twin.bound = self.ops, self.bound
+        twin.levels = twin.height = twin._mark = None
         if self.closed:
             twin.facts = self.facts + tuple(fresh)
             index = self.index.copy()
@@ -1056,6 +1120,73 @@ class Closure:
         else:
             twin.facts = self.facts + seeds
             twin._run(_FactIndex(set(twin.facts)), None, [[] for _ in self.ops])
+        return twin
+
+    def extend(self, facts: Iterable[Term]) -> None:
+        """Add the ground ``facts`` to ``facts`` in place, and continue this
+        closed closure with those it lacks as the first delta (as
+        :meth:`with_facts` does on a copy).  A fact it derives is one level
+        above the highest precondition of an instance that adds it; levels
+        not recorded yet are found first (:func:`_relaxed_levels`)."""
+        if not self.closed:
+            raise PlannerError("only a closed closure is extended")
+        if self.levels is None:
+            levels = _relaxed_levels(self.facts, self.instances(), len(self.index.facts))
+            assert levels is not None, "a closure derives every fact it holds"
+            self.levels, self.height = levels, max(levels.values(), default=0)
+        inputs = set(self.facts)
+        added = tuple(f for f in dict.fromkeys(facts) if f not in inputs)
+        fresh = tuple(f for f in added if f not in self.index.members)
+        _check_ground(fresh, "added facts")
+        self.facts += added
+        if fresh:
+            self.index.add(fresh)
+            self._run(self.index, _FactIndex(fresh), self.actions)
+
+    def checkpoint(self) -> None:
+        """Mark this closure as it stands, closed, for :meth:`resumed`."""
+        if not self.closed:
+            raise PlannerError("only a closed closure is marked")
+        self._mark = (
+            len(self.facts), len(self.index.facts), [len(f) for f in self.actions], self.height
+        )
+
+    def resumed(self, facts: Iterable[Term]) -> Closure | None:
+        """A copy of this closure as it stood at its :meth:`checkpoint`,
+        extended with ``facts``; None without a checkpoint.
+
+        What came after the checkpoint ends every list, so the copy cuts
+        each list there.  A fact it was closed over that ``facts`` lack is
+        dropped from its facts when its instances derive it from the rest
+        (a deletion with nothing to delete, in Gupta, Mumick & Subrahmanian
+        1993's terms), and the copy is None when they do not.  The levels
+        are then found again, as when none were recorded."""
+        if self._mark is None:
+            return None
+        count, size, lengths, height = self._mark
+        facts = tuple(facts)
+        given = set(facts)
+        kept = self.facts[:count]
+        actions = [found[:n] for found, n in zip(self.actions, lengths)]
+        if height is not None and given.issuperset(kept):
+            assert self.levels is not None
+            levels = dict(self.levels)
+            for f in self.index.facts[size:]:
+                levels.pop(f, None)
+        else:
+            kept = tuple(f for f in kept if f in given)
+            found = _relaxed_levels(kept, chain.from_iterable(actions), size)
+            if found is None:
+                return None
+            levels, height = found, max(found.values(), default=0)
+        twin = Closure.__new__(Closure)
+        twin.facts, twin.ops, twin.bound = kept, self.ops, self.bound
+        twin.index = self.index.copy(size)
+        twin.actions = actions
+        twin.levels, twin.height, twin._mark = levels, height, None
+        twin.rounds, twin.closed, twin._delta = 0, True, None
+        twin._achievers = twin._rows = None
+        twin.extend(facts)
         return twin
 
     def instances(self) -> Iterable[Operator]:
@@ -1150,6 +1281,18 @@ class RelevanceGate:
     With no chain, ``depth`` is None when the candidate's closure reached
     its fixpoint, else ``bound``: no plan within ``bound`` steps exists,
     and ``plan`` never searches the cost ``1 + bound``.
+
+    Carrying across turns: ``volatile`` holds facts that candidates also
+    plan from but a later turn may lack.  :attr:`carried` is this turn's
+    closure, marked (:meth:`Closure.checkpoint`) where it held every fact
+    but ``volatile``, or None.  Given an earlier gate's ``carried`` over
+    the same operators and bound, a gate resumes it (:meth:`Closure.resumed`)
+    with ``initial`` and the step's add-effects, marks it and extends it
+    with ``volatile``.  That is this turn's closure when it is closed with
+    ``height`` below ``bound``: a fresh capped closure then holds the same
+    facts and instances (in another order, which no answer depends on).
+    Otherwise the closure is built fresh (Bancilhon & Ramakrishnan 1986,
+    with the facts that can be retracted kept out of the carried part).
     """
 
     def __init__(
@@ -1158,10 +1301,35 @@ class RelevanceGate:
         ops: list[Operator] | tuple[Operator, ...],
         step: Operator,
         bound: int,
+        volatile: tuple[Term, ...] = (),
+        carried: Closure | None = None,
     ) -> None:
         self.step = step
         self.bound = bound
-        self.closure = Closure(tuple(initial) + step.add, ops, bound)
+        lasting = tuple(initial) + step.add
+        #: Whether this turn's closure extends ``carried``.
+        self.from_carried = False
+        closure = None
+        if carried is not None and carried.bound == bound and (
+            carried.ops is ops or carried.ops == tuple(ops)
+        ):
+            closure = carried.resumed(lasting)
+            self.from_carried = closure is not None and closure.closed
+            if not self.from_carried:
+                # close the part to carry on its own, for the next turn
+                closure = Closure(lasting, ops, bound)
+            if closure.closed:
+                closure.checkpoint()
+                closure.extend(volatile)
+            if not (closure.closed and closure.height < bound):
+                self.from_carried, closure = False, None
+        if closure is None:
+            closure = Closure(lasting + tuple(volatile), ops, bound)
+            if closure.closed:
+                closure.checkpoint()
+        self.closure = closure
+        #: This turn's closure if it is marked, for the next turn's gate.
+        self.carried = closure if closure._mark is not None else None
 
     def depth(self, goal: Term, seeds: Iterable[Term] = ()) -> int | None:
         """The chain depth for the candidate with ``goal`` and ``seeds``."""

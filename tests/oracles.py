@@ -379,6 +379,20 @@ def _naive_rounds(
     return False
 
 
+def naive_levels(facts: list[Term], ops: list[Operator], rounds: int) -> dict[Term, int]:
+    """The relaxed level of every fact at most ``rounds`` naive rounds
+    reach from ``facts``: the round it first holds in (0 for ``facts``)."""
+    levels = dict.fromkeys(facts, 0)
+    for level in range(1, rounds + 1):
+        ordered = sorted(levels, key=render)
+        new = [e for op in ops for inst in naive_ground_instances(op, ordered) for e in inst.add]
+        new = [e for e in dict.fromkeys(new) if e not in levels]
+        if not new:
+            break
+        levels.update(dict.fromkeys(new, level))
+    return levels
+
+
 def naive_relevance_depth(
     base: list[Term],
     seeds: list[Term],

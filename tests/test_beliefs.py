@@ -8,6 +8,7 @@ from implicature.beliefs import (
     BeliefError,
     BeliefStore,
     ContradictionError,
+    Expectation,
     assert_attitude,
     contrary_evidence,
     default_ascribe,
@@ -16,6 +17,7 @@ from implicature.beliefs import (
     render_attitude,
     render_store,
 )
+from implicature.acts import ActInstance, check_expectation
 from implicature.terms import parse_term, render
 from implicature.trace import Trace
 
@@ -234,6 +236,28 @@ class TestAgentNames:
             "bel(expert, cause(switch(system, computer_off), damage(hard_drive)))",
             "bel(system, bel(expert, p))",
         ]
+
+    @pytest.mark.parametrize("name", ["", "?x"])
+    def test_bad_expectation_name_rejected(self, name):
+        for exp in (Expectation(name, "b", t("p")), Expectation("a", name, t("p"))):
+            with pytest.raises(BeliefError, match="agent name"):
+                BeliefStore().with_expectation(exp)
+
+    def test_expectation_names_lowercased(self):
+        store = BeliefStore().with_expectation(Expectation("Bob", "ANN", t("p")))
+        store = store.with_expectation(Expectation("bob", "ann", t("p")))
+        assert store.expectations == (Expectation("bob", "ann", t("p")),)
+        assert [render(x) for x in render_store(store)] == ["answer_expected(ann, bob, p)"]
+        # the answer act's roles are lowercased too, so it finds the question
+        check_expectation(store, ActInstance("yes_answer", "Ann", "Bob", t("p")))
+        assert store.drop_expectation(Expectation("bob", "ann", t("p"))).expectations == ()
+
+    def test_attitudes_at_matches_holds(self):
+        store = assert_attitude(BeliefStore(), ("expert",), bel(CAUSE))
+        assert holds(store, ("Expert",), bel(CAUSE))
+        assert store.attitudes_at(("Expert",)) == store.attitudes_at(("expert",)) == {bel(CAUSE)}
+        with pytest.raises(BeliefError, match="agent name"):
+            store.attitudes_at(("?x",))
 
     def test_reliability_names_lowercased(self):
         store = BeliefStore().with_reliability([("Expert", "Cause"), ("expert", "cause")])

@@ -7,33 +7,54 @@ cost from below by ``1 + d``, so planning from that cost on finds the same
 plan.
 """
 
+import gc
 import random
+from dataclasses import replace
 from importlib import resources
 
 import pytest
 
+from implicature import inference
 from implicature.acts import ActInstance, utterance_operator
+from implicature.beliefs import Attitude, render_attitude
 from implicature.cli import main as cli_main
 from implicature.inference import (
     Domain,
     _seeds_for,
     build_operators,
+    infer,
     recognize,
     utterance_operator,
 )
+from implicature.inference import relevance_gate as build_gate
 from implicature.planner import (
     MAX_DERIVED_DEPTH,
+    Closure,
     Operator,
     PlannerError,
     RelevanceGate,
     cost,
     plan,
 )
-from implicature.scenario import ScenarioError, load_scenario, run, run_detailed
+from implicature.scenario import (
+    ScenarioError,
+    emit_json,
+    load_scenario,
+    run,
+    run_detailed,
+    setup,
+)
 from implicature.terms import Atom, TermError, parse_term, render, struct, var
 from implicature.trace import Trace
 
-from oracles import bfs_min_cost, naive_relevance_depth, random_ground_domain, random_lifted_domain
+from oracles import (
+    bfs_min_cost,
+    naive_levels,
+    naive_relevance_depth,
+    random_ground_domain,
+    random_lifted_domain,
+)
+from test_bench_golden import load_run
 
 t = parse_term
 BOUND = 4
@@ -476,6 +497,63 @@ class TestSharedClosure:
         assert answers.count("irrelevant") >= 100
 
 
+class TestCarriedGate:
+    """A gate that resumes the closure an earlier gate carried answers as a
+    fresh gate and the naive reference do: over turns whose facts grow
+    (the last step's add-effects only now and then) and whose one volatile
+    fact, like an answered question's ``answer_expected`` fact, is gone
+    the next turn."""
+
+    def test_random_nesting_domains(self):
+        rng = random.Random(2424)
+        taken = fallen_back = 0
+        for bound in (2, 3):
+            for _ in range(75):
+                initial, ops, u, fact = random_nesting_domain(rng)
+                lasting, carried, derived = list(initial), None, []
+                for _turn in range(4):
+                    lasting += [fact() for _ in range(rng.randint(0, 2))]
+                    base = list(dict.fromkeys(lasting + list(u.preconditions)))
+                    # a random fact, or one that the last closure derived
+                    pool = [f for f in derived if f not in base]
+                    pick = rng.choice(pool) if pool and rng.random() < 0.5 else fact()
+                    volatile = () if pick in base else (pick,)
+                    facts = base + list(volatile)
+                    gate = RelevanceGate(base, ops, u, bound, volatile=volatile, carried=carried)
+                    fresh = RelevanceGate(facts, ops, u, bound)
+                    assert set(gate.closure.facts) == set(fresh.closure.facts)
+                    assert gate.closure.index.members == fresh.closure.index.members
+                    assert gate.closure.closed == fresh.closure.closed
+                    assert [set(a) for a in gate.closure.actions] == [
+                        set(a) for a in fresh.closure.actions
+                    ]
+                    if gate.closure.levels is not None:
+                        # every recorded level bounds the level from this turn's facts
+                        exact = naive_levels(facts + list(u.add), ops, bound)
+                        assert all(gate.closure.levels.get(f, 0) >= n for f, n in exact.items())
+                    goal, seeds = fact(), [fact() for _ in range(rng.randint(0, 2))]
+                    depth = gate.depth(goal, seeds)
+                    assert depth == fresh.depth(goal, seeds)
+                    # as joint planning extends a candidate's closure
+                    more = [fact(), fact()]
+                    joint, fresh_joint = (
+                        g.closure.with_facts(seeds).with_facts(more) for g in (gate, fresh)
+                    )
+                    assert joint.index.members == fresh_joint.index.members
+                    assert joint.closed == fresh_joint.closed
+                    if carried is not None:
+                        assert depth == naive_relevance_depth(facts, seeds, goal, ops, u, bound)
+                        taken += gate.from_carried
+                        fallen_back += not gate.from_carried
+                    carried = gate.carried
+                    derived = sorted(fresh.closure.index.members - set(facts), key=render)
+                    lasting = base + (list(u.add) if rng.random() < 0.5 else [])
+                    op = rng.choice(ops)
+                    u = op.substituted({v.name: fact().args[0] for v in op.args})
+        assert taken >= 90
+        assert fallen_back >= 50
+
+
 class TestClosureReuse:
     """``plan`` over a candidate's closure from the gate, or over that
     closure extended with more seeds, returns what ``plan`` over a closure
@@ -539,7 +617,69 @@ class TestClosureReuse:
         assert self.capped >= 100
 
     def test_no_closure_outlives_its_turn(self):
+        # but the one each store carries to the next turn's gate
         text = resources.files("implicature").joinpath("scenarios/computer_off.vgs").read_text()
-        _trace, _store, outcomes = run_detailed(load_scenario(text))
+        earlier = [c for c in gc.get_objects() if isinstance(c, Closure)]
+        _trace, store, outcomes = run_detailed(load_scenario(text))
         recognized = [o.recognition for o in outcomes if o.recognition is not None]
         assert recognized and all(r.closure is None for r in recognized)
+        gc.collect()
+        alive = {id(c) for c in gc.get_objects() if isinstance(c, Closure)}
+        alive -= {id(c) for c in earlier}
+        assert store.carried is not None
+        assert alive == {id(o.store.carried) for o in outcomes if o.store.carried is not None}
+
+
+def _dialogue(seed, name):
+    return next(d for d in load_run().build_round("dialogues", seed) if d.name == name)
+
+
+class TestCarriedClosure:
+    """``infer`` carries the gate's closure from turn to turn on the store."""
+
+    def _recording(self, monkeypatch):
+        gates = []
+
+        def relevance_gate(*args, **kwargs):
+            gates.append(build_gate(*args, **kwargs))
+            return gates[-1]
+
+        monkeypatch.setattr(inference, "relevance_gate", relevance_gate)
+        return gates
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_taken_on_every_gate_turn_after_the_first(self, monkeypatch, seed):
+        gates = self._recording(monkeypatch)
+        for d in load_run().build_round("dialogues", seed):
+            gates.clear()
+            run_detailed(load_scenario(d.text))
+            assert len(gates) >= 8
+            assert [g.from_carried for g in gates] == [False] + [True] * (len(gates) - 1)
+
+    def test_a_store_edited_out_of_its_lineage_is_closed_afresh(self, monkeypatch):
+        scenario = load_scenario(_dialogue(1, "dialogues-2x8").text)
+        store, domain = setup(scenario)
+        for turn in scenario.turns[:4]:
+            store = infer(store, turn, domain).store
+        assert store.carried is not None
+        # the answerer's own belief in the cause: no operator derives it
+        cause = Attitude("bel", t("cause(buvub(benat, dedeb), denul(depeb))"))
+        edited = replace(
+            store, spaces={**store.spaces, ("bivik",): store.spaces[("bivik",)] - {cause}}
+        )
+        gates = self._recording(monkeypatch)
+        outcomes = []
+        for start in (edited, replace(edited, carried=None)):
+            trace, s = Trace(), start
+            for turn in scenario.turns[4:6]:
+                s = infer(s, turn, domain, trace=trace).store
+            outcomes.append((emit_json(trace), s))
+        assert [g.from_carried for g in gates] == [False, False]
+        assert render_attitude(("bivik",), cause) not in gates[0].closure.index.members
+        assert outcomes[0][0] == outcomes[1][0] and outcomes[0][1] == outcomes[1][1]
+        # the edited store's own closure is carried from there on
+        gates.clear()
+        store = outcomes[0][1]
+        for turn in scenario.turns[6:8]:
+            store = infer(store, turn, domain).store
+        assert [g.from_carried for g in gates] == [True]
