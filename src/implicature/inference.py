@@ -270,30 +270,6 @@ def _expected(fact: Term) -> bool:
     return isinstance(fact, Compound) and fact.functor == "answer_expected"
 
 
-def relevance_gate(
-    snapshot: tuple[Term, ...],
-    utterance: ActInstance,
-    domain: Domain,
-    carried: Closure | None = None,
-) -> RelevanceGate:
-    """The relevance gate of a turn (see :func:`recognize`).
-
-    Its closure extends ``carried``, the closure an earlier turn's gate
-    left (:attr:`planner.RelevanceGate.carried`), when that gives what a
-    fresh closure gives.  The answer_expected facts of the snapshot and
-    the utterance's preconditions are the gate's ``volatile`` facts: the
-    closure holds them and their consequences, the carried part does not.
-    """
-    u_op = utterance_operator(utterance)
-    lasting: list[Term] = []
-    volatile: list[Term] = []
-    for f in _dedupe(list(snapshot) + list(u_op.preconditions)):
-        (volatile if _expected(f) else lasting).append(f)
-    return RelevanceGate(
-        lasting, domain.operators, u_op, domain.bound, volatile=tuple(volatile), carried=carried
-    )
-
-
 def recognize(
     snapshot: tuple[Term, ...],
     utterance: ActInstance,
@@ -312,9 +288,8 @@ def recognize(
     causal-link path from the utterance step to the goal, not merely
     contain it.
 
-    Before planning, a relevance gate (:func:`relevance_gate`, built once
-    per turn, over ``carried``: the closure the store carries from the
-    last gate turn) looks for the shortest chain of ground operator
+    Before planning, a relevance gate (:class:`planner.RelevanceGate`,
+    built once per turn) looks for the shortest chain of ground operator
     instances from the utterance's add-effects to the goal content, within
     ``domain.bound`` rounds of the delete-relaxed closure of the
     candidate's facts.  A connected plan runs through such a chain, so
@@ -327,12 +302,25 @@ def recognize(
     instances forward grounding finds.  The plan search runs over the
     ground instances of the candidate's closure from the gate, which the
     result keeps for the audit and joint planning.
+
+    The gate's closure extends ``carried``, the closure the store carries
+    from the last gate turn (:attr:`planner.RelevanceGate.carried`), when
+    that gives what a fresh closure gives.  The answer_expected facts, which
+    an answer retracts, are the gate's ``volatile`` facts: its closure
+    holds them and their consequences, and the next turn may lack them.
     """
     u_op = utterance_operator(utterance)
     if not candidates:
         return None
     base = _dedupe(list(snapshot) + list(u_op.preconditions))
-    gate = relevance_gate(snapshot, utterance, domain, carried)
+    gate = RelevanceGate(
+        [f for f in base if not _expected(f)],
+        domain.operators,
+        u_op,
+        domain.bound,
+        volatile=tuple(filter(_expected, base)),
+        carried=carried,
+    )
     for rank, g in enumerate(candidates):
         parts = _goal_parts(g)
         if parts is None:

@@ -1284,14 +1284,17 @@ class RelevanceGate:
 
     Carrying across turns: ``volatile`` holds facts that candidates also
     plan from but a later turn may lack.  :attr:`carried` is this turn's
-    closure, marked (:meth:`Closure.checkpoint`) where it held every fact
-    but ``volatile``, or None.  Given an earlier gate's ``carried`` over
-    the same operators and bound, a gate resumes it (:meth:`Closure.resumed`)
-    with ``initial`` and the step's add-effects, marks it and extends it
-    with ``volatile``.  That is this turn's closure when it is closed with
-    ``height`` below ``bound``: a fresh capped closure then holds the same
-    facts and instances (in another order, which no answer depends on).
-    Otherwise the closure is built fresh (Bancilhon & Ramakrishnan 1986,
+    closure, marked (:meth:`Closure.checkpoint`) for the next turn's gate,
+    or None when it is not closed.  Given an earlier gate's ``carried``
+    over the same operators and bound, a gate resumes it
+    (:meth:`Closure.resumed`) with ``initial`` and the step's add-effects,
+    marks it there and extends it with ``volatile``.  That is this turn's
+    closure when it is closed with ``height`` below ``bound``: a fresh
+    capped closure then holds the same facts and instances (in another
+    order, which no answer depends on).  Otherwise, as on a dialogue's
+    first gate turn, the closure of all the facts is built fresh and
+    marked whole; the next gate resumes it when its instances rederive
+    the volatile facts that turn lacks (Bancilhon & Ramakrishnan 1986,
     with the facts that can be retracted kept out of the carried part).
     """
 
@@ -1307,22 +1310,18 @@ class RelevanceGate:
         self.step = step
         self.bound = bound
         lasting = tuple(initial) + step.add
-        #: Whether this turn's closure extends ``carried``.
-        self.from_carried = False
         closure = None
         if carried is not None and carried.bound == bound and (
             carried.ops is ops or carried.ops == tuple(ops)
         ):
-            closure = carried.resumed(lasting)
-            self.from_carried = closure is not None and closure.closed
-            if not self.from_carried:
-                # close the part to carry on its own, for the next turn
-                closure = Closure(lasting, ops, bound)
-            if closure.closed:
-                closure.checkpoint()
-                closure.extend(volatile)
-            if not (closure.closed and closure.height < bound):
-                self.from_carried, closure = False, None
+            resumed = carried.resumed(lasting)
+            if resumed is not None and resumed.closed:
+                resumed.checkpoint()
+                resumed.extend(volatile)
+                if resumed.closed and resumed.height < bound:
+                    closure = resumed
+        #: Whether this turn's closure extends ``carried``.
+        self.from_carried = closure is not None
         if closure is None:
             closure = Closure(lasting + tuple(volatile), ops, bound)
             if closure.closed:
