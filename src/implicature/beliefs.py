@@ -124,6 +124,12 @@ def render_attitude(path: Path, att: Attitude) -> Term:
     return t
 
 
+#: A space, its facts in snapshot order, and each attitude's sort key and fact.
+_Rendered = tuple[
+    frozenset[Attitude], tuple[Term, ...], dict[Attitude, tuple[tuple[str, str], Term]]
+]
+
+
 @dataclass(frozen=True)
 class BeliefStore:
     """Immutable map from viewpoint paths to attitude sets.
@@ -138,6 +144,12 @@ class BeliefStore:
     :func:`inference.infer` replaces it, and the gate checks it against
     the snapshot before it extends it, so a store edited in any other way
     still gives exact answers.  It takes no part in equality or ``repr``.
+
+    ``rendered`` is :func:`render_store`'s memo, opaque and outside
+    equality and ``repr`` like ``carried``: per path, the space it last
+    rendered, that space's facts in snapshot order, and each attitude's
+    sort key and fact.  Every update passes the same dict on, so a
+    lineage's stores, and its branches, share it.
     """
 
     spaces: dict[Path, frozenset[Attitude]] = field(default_factory=dict)
@@ -145,6 +157,7 @@ class BeliefStore:
     actions: frozenset[str] = frozenset()
     expectations: tuple[Expectation, ...] = ()
     carried: Closure | None = field(default=None, compare=False, repr=False)
+    rendered: dict[Path, _Rendered] = field(default_factory=dict, compare=False, repr=False)
 
     def attitudes_at(self, path: Path) -> frozenset[Attitude]:
         """The attitudes stored at ``path``, whose agent names are checked
@@ -321,12 +334,28 @@ def render_store(store: BeliefStore) -> list[Term]:
     its fully agentified term; reliability pairs become reliable(agent,
     topic) facts and pending expectations become answer_expected(answerer,
     asker, content) facts.
+
+    Spaces render from the store's ``rendered`` memo: a space that is the
+    very set last rendered at its path gives the same facts again, and a
+    changed one renders only the attitudes it gained, reusing each kept
+    attitude's sort key and fact.  The output is the same whichever store
+    of the lineage rendered last; unchanged attitudes give the same fact
+    objects, so the carried closure's set lookups hit on identity.
     """
     out: list[Term] = []
     for path in store.paths():
-        atts = sorted(_stored(store, path), key=lambda a: (a.kind, render(a.content)))
-        for att in atts:
-            out.append(render_attitude(path, att))
+        space = _stored(store, path)
+        entry = store.rendered.get(path)
+        if entry is None or entry[0] is not space:
+            known = entry[2] if entry else {}
+            rows = {
+                att: known.get(att)
+                or ((att.kind, render(att.content)), render_attitude(path, att))
+                for att in space
+            }
+            facts = tuple(fact for _, fact in sorted(rows.values(), key=lambda row: row[0]))
+            entry = store.rendered[path] = (space, facts, rows)
+        out.extend(entry[1])
     for agent, topic in sorted(store.reliability):
         out.append(_compound("reliable", (_atom(agent), _atom(topic))))
     for exp in store.expectations:
