@@ -10,7 +10,8 @@ with its own copy of the ``apply``-based build that the planner's one-pass
 instantiation replaced.  The naive relevance closure and the per-state
 completion search ground with it.  They use neither the semi-naive rounds
 nor the closure that the gate and completion search read, which is what
-they check.
+they check.  :func:`reference_snapshot` is the belief snapshot as it was
+built before :func:`implicature.beliefs.render_store` kept a memo.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import random
 from typing import Collection, Sequence
 
+from implicature.beliefs import BeliefStore, render_attitude
 from implicature.planner import (
     MAX_DERIVED_DEPTH,
     Completion,
@@ -441,3 +443,20 @@ def naive_relevance_depth(
         layer = nxt
         depth += 1
     return None if closed else bound
+
+
+def reference_snapshot(store: BeliefStore) -> list[Term]:
+    """:func:`implicature.beliefs.render_store` without its memo: every
+    space sorted by kind and rendered content and every attitude rendered
+    afresh, then the reliability and expectation facts."""
+    out = [
+        render_attitude(path, att)
+        for path in store.paths()
+        for att in sorted(store.spaces[path], key=lambda a: (a.kind, render(a.content)))
+    ]
+    out += [Compound("reliable", (Atom(a), Atom(topic))) for a, topic in sorted(store.reliability)]
+    out += [
+        Compound("answer_expected", (Atom(e.answerer), Atom(e.asker), e.content))
+        for e in store.expectations
+    ]
+    return out

@@ -1,5 +1,7 @@
 """Tests for nested belief environments and ascription."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -20,6 +22,7 @@ from implicature.beliefs import (
 from implicature.acts import ActInstance, check_expectation
 from implicature.terms import parse_term, render
 from implicature.trace import Trace
+from oracles import reference_snapshot
 
 t = parse_term
 
@@ -277,6 +280,33 @@ class TestRenderStore:
             "reliable(expert, cause)",
         ]
 
+    def test_unchanged_attitudes_keep_their_fact_objects(self):
+        store = assert_attitude(BeliefStore(), ("expert",), bel(CAUSE))
+        store = assert_attitude(store, ("system",), bel(t("p")))
+        store = assert_attitude(store, ("system",), goal(t("q(a)")))
+        before = render_store(store)
+        after = render_store(assert_attitude(store, ("system",), bel(t("not(r)"))))
+        assert [render(x) for x in after] == [
+            "bel(expert, cause(switch(system, computer_off), damage(hard_drive)))",
+            "bel(system, not(r))",
+            "bel(system, p)",
+            "goal(system, q(a))",
+        ]
+        kept = after[:1] + after[2:]
+        assert all(new is old for new, old in zip(kept, before, strict=True))
+
+    def test_a_replace_that_drops_an_attitude_renders_as_the_reference(self):
+        store = assert_attitude(BeliefStore(), ("system",), bel(t("p")))
+        store = assert_attitude(store, ("system",), goal(t("q(a)")))
+        render_store(store)
+        space = store.spaces[("system",)] - {bel(t("p"))}
+        edited = replace(store, spaces={**store.spaces, ("system",): space})
+        assert edited.rendered is store.rendered
+        assert [render(x) for x in render_store(edited)] == ["goal(system, q(a))"]
+        # the older store renders as before once the newer one has rendered
+        for s in (store, edited):
+            assert render_store(s) == reference_snapshot(s)
+
 
 # -- property tests ----------------------------------------------------------
 
@@ -333,3 +363,79 @@ def test_no_store_contains_p_and_not_p(path, content):
                 space_path,
                 att.content,
             )
+
+
+names = st.sampled_from(["a", "b", "Ann"])
+edits = st.one_of(
+    st.tuples(st.just("assert"), paths, kinds, contents),
+    st.tuples(st.just("ascribe"), paths, kinds, contents),
+    st.tuples(st.just("reliability"), names, st.sampled_from(["p", "q"])),
+    st.tuples(st.just("expect"), names, names, contents),
+    st.tuples(st.just("drop"), st.integers(0, 3)),
+    st.tuples(st.just("forget"), st.integers(0, 20)),
+)
+
+
+def edited(store, edit):
+    """``store`` after one edit; an assert that would contradict leaves it
+    as it is, and "forget" drops an attitude by replacing the spaces."""
+    op, *args = edit
+    if op == "assert":
+        path, kind, content = args
+        try:
+            return assert_attitude(store, path, Attitude(kind, content))
+        except ContradictionError:
+            return store
+    if op == "ascribe":
+        path, kind, content = args
+        return default_ascribe(store, path, path + ("c",), Attitude(kind, content)).store
+    if op == "reliability":
+        return store.with_reliability([tuple(args)])
+    if op == "expect":
+        return store.with_expectation(Expectation(*args))
+    if op == "drop":
+        if not store.expectations:
+            return store
+        return store.drop_expectation(store.expectations[args[0] % len(store.expectations)])
+    stored = [(p, a) for p in store.paths() for a in sorted(store.spaces[p], key=str)]
+    if not stored:
+        return store
+    path, att = stored[args[0] % len(stored)]
+    return replace(store, spaces={**store.spaces, path: store.spaces[path] - {att}})
+
+
+@given(
+    st.lists(edits, max_size=6),
+    st.lists(st.lists(edits, max_size=6), min_size=1, max_size=3),
+    st.data(),
+)
+def test_snapshot_memo_matches_reference(common, branches, data):
+    """Stores of one lineage, branched from a common parent and rendered
+    in any order, some as they are made, render as the memo-free
+    reference, and rendering changes neither equality nor ``repr``."""
+
+    def check(store):
+        assert [render(x) for x in render_store(store)] == [
+            render(x) for x in reference_snapshot(store)
+        ]
+
+    parent = BeliefStore()
+    for edit in common:
+        parent = edited(parent, edit)
+    stores = [parent]
+    for branch in branches:
+        store = parent
+        for edit in branch:
+            store = edited(store, edit)
+            stores.append(store)
+            if data.draw(st.booleans()):
+                check(store)
+    assert all(s.rendered is parent.rendered for s in stores)
+    seen = [(repr(s), replace(s, rendered={})) for s in stores]
+    for i in data.draw(st.permutations(range(len(stores)))):
+        check(stores[i])
+    for i in data.draw(st.lists(st.integers(0, len(stores) - 1), max_size=len(stores))):
+        check(stores[i])
+    for store, (text, fresh) in zip(stores, seen):
+        assert repr(store) == text
+        assert store == fresh

@@ -14,6 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from implicature.beliefs import render_store
 from implicature.cli import main as cli_main
 from implicature.planner import MAX_DERIVED_DEPTH
 from implicature.scenario import (
@@ -540,6 +541,15 @@ class TestCli:
         code, out, _ = repl([f":dot {tmp_path}", ":quit"])
         assert code == 0
         assert f"cannot write {tmp_path}" in out
+
+    def test_repl_store_prints_the_snapshot(self):
+        _, store, _ = run_detailed(load_scenario(scenario_text("computer_off")))
+        code, out, _ = repl([":store", ":quit"])
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("enter acts as act(speaker, hearer, content); :quit to exit") + 1
+        snapshot = [render(f) for f in render_store(store)]
+        assert snapshot and lines[start:] == snapshot
 
     def test_bound_override(self, tmp_path, capsys):
         code = cli_main(["run", "computer_off", "--bound", "4", "--trace", str(tmp_path / "t.json")])
