@@ -50,7 +50,7 @@ from .planner import (
     to_dot,
 )
 from .scenario import Scenario, emit_dot, emit_json, load_scenario, parse_trace, run
-from .terms import Atom, Compound, Substitution, Term, Var, apply, parse_term, render, unify
+from .terms import Atom, Compound, Term, Var, parse_term, render
 from .trace import Trace
 
 __version__ = "0.1.0"
@@ -74,11 +74,9 @@ __all__ = [
     "RecognitionResult",
     "Scenario",
     "Stereotype",
-    "Substitution",
     "Term",
     "Trace",
     "Var",
-    "apply",
     "apply_hearer_update",
     "apply_speaker_update",
     "ascribe_avoidance",
@@ -106,5 +104,4 @@ __all__ = [
     "run",
     "simulate",
     "to_dot",
-    "unify",
 ]

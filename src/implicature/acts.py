@@ -163,11 +163,6 @@ ACT_OPERATORS: MappingProxyType[str, Operator] = MappingProxyType(
 )
 
 
-def utterance_operator(act: ActInstance) -> Operator:
-    """Ground planner step for one performed act: its roles bound in the schema."""
-    return act.step
-
-
 def _speaker_preconditions(act: ActInstance) -> tuple[Term, ...]:
     """The step's first preconditions: the act's C(speaker, content)."""
     return act.step.preconditions[: len(_schema_for(act).preconditions)]

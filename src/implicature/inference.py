@@ -30,7 +30,6 @@ from .acts import (
     apply_hearer_update,
     apply_speaker_update,
     check_expectation,
-    utterance_operator,
 )
 from .beliefs import (
     Attitude,
@@ -46,6 +45,7 @@ from .planner import (
     Operator,
     Plan,
     RelevanceGate,
+    _match,
     complete_from,
     cost,
     exclusive_states,
@@ -60,7 +60,6 @@ from .terms import (
     is_ground,
     render,
     struct,
-    unify,
     var,
 )
 from .trace import Trace
@@ -309,7 +308,7 @@ def recognize(
     an answer retracts, are the gate's ``volatile`` facts: its closure
     holds them and their consequences, and the next turn may lack them.
     """
-    u_op = utterance_operator(utterance)
+    u_op = utterance.step
     if not candidates:
         return None
     base = _dedupe(list(snapshot) + list(u_op.preconditions))
@@ -433,15 +432,23 @@ def ascribe_conjunctive(
     the completion's actions (as intentions) are ascribed into the hearer's
     view of the speaker.  Later candidates that also pass are traced as
     alternatives.
+
+    The library leaves out each template that the recognized goal's ground
+    instance, ``goal(speaker, G)`` for the goal condition G the recognized
+    plan reached, instantiates (:func:`planner._match`): the speaker already
+    pursues that goal.  For a ground recognized goal the instance is the
+    goal itself, and a template is left out exactly when it unifies with
+    the goal.  For a recognized template, only the library goals that the
+    plan's own goal instance satisfies are left out, not every goal that
+    unifies with the template.
     """
     if verdict.kind != "inefficient":
         raise InferenceError("conjunctive ascription needs an inefficient verdict")
     assert verdict.plan_o is not None
     speaker, hearer = r.utterance.speaker, r.utterance.hearer
     pr, po = r.plan_r, verdict.plan_o
-    library = [
-        g for g in _library_goals(domain, speaker) if unify(g, r.ascribed_goal) is None
-    ]
+    recognized = struct("goal", Atom(speaker), *pr.goal_conditions)
+    library = [g for g in _library_goals(domain, speaker) if _match(g, recognized, {}) is None]
     if not library:
         return store, None
     parts = _goal_parts(r.ascribed_goal)

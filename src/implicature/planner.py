@@ -313,12 +313,11 @@ def asserted_states(p: Plan) -> list[tuple[int, Term]]:
 
 
 def exclusive_states(a: Plan, b: Plan) -> list[Term]:
-    """States asserted in a that unify with no state asserted in b, in a's
-    order.
+    """States asserted in a and not asserted in b, in a's order.
 
     A complete plan's asserted states are ground (:func:`plan` takes ground
-    initial facts and its steps are ground instances), so "unifies with no
-    state of b" is "is not a state of b".
+    initial facts and its steps are ground instances), so a state of a
+    matches a state of b only when it is that state.
     """
     b_states = {t for _, t in asserted_states(b)}
     return [t for _, t in asserted_states(a) if t not in b_states]
@@ -1270,7 +1269,7 @@ class RelevanceGate:
     Chain: layer 0 is the step's add-effects, and layer d+1 holds the
     add-effects of every found instance with a precondition in layer d
     that no earlier layer holds.  ``depth`` is the first layer with a fact
-    that unifies with the goal.  A connected plan's causal-link path from
+    that the goal matches.  A connected plan's causal-link path from
     the step to the goal is such a chain, one action per link past the
     step, so the plan has at least ``1 + depth`` steps.  This verdict is
     that of backward relevance (from the goal facts, add the preconditions
@@ -1395,7 +1394,7 @@ def complete_from(
 
     The goal test looks only at facts that can be new.  A frontier state
     past the start was tested when it was generated, so a pending goal
-    unifies with none of its facts: at depth 2 and beyond only the action's
+    matches none of its facts: at depth 2 and beyond only the action's
     add-effects can reach it, and at depth 1 also the ambient facts the
     action does not delete.
     """

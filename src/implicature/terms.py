@@ -1,4 +1,4 @@
-"""First-order terms: atoms, compounds, variables, unification, substitution.
+"""First-order terms: atoms, variables, compounds, and their parser.
 
 Everything the engine manipulates (propositions, attitudes, actions, plan
 states) is a term.  The canonical text syntax is ``functor(arg1, arg2)``
@@ -16,7 +16,7 @@ on the process's string-hash seed, so it is never pickled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Union
 
 
 class TermError(ValueError):
@@ -155,94 +155,6 @@ def variables(t: Term) -> set[str]:
         elif isinstance(cur, Compound):
             stack.extend(cur.args)
     return out
-
-
-def occurs(name: str, t: Term, s: "Substitution") -> bool:
-    t = s.walk(t)
-    if isinstance(t, Var):
-        return t.name == name
-    if isinstance(t, Compound):
-        return any(occurs(name, a, s) for a in t.args)
-    return False
-
-
-class Substitution(Mapping[str, Term]):
-    """Immutable variable bindings.
-
-    Bindings may chain (?x -> ?y, ?y -> b); :func:`apply` resolves chains to
-    a fixpoint, so applying a substitution twice equals applying it once.
-    The occurs check in :func:`unify` guarantees chains are acyclic.
-    """
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: Mapping[str, Term] | None = None) -> None:
-        self._bindings: dict[str, Term] = dict(bindings or {})
-
-    def __getitem__(self, name: str) -> Term:
-        return self._bindings[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._bindings)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"?{k} -> {v}" for k, v in sorted(self._bindings.items()))
-        return "{" + inner + "}"
-
-    def bind(self, name: str, value: Term) -> "Substitution":
-        new = dict(self._bindings)
-        new[name] = value
-        return Substitution(new)
-
-    def walk(self, t: Term) -> Term:
-        """Follow variable bindings at the root until a non-var or free var."""
-        while isinstance(t, Var) and t.name in self._bindings:
-            t = self._bindings[t.name]
-        return t
-
-
-EMPTY_SUBST = Substitution()
-
-
-def unify(a: Term, b: Term, s: Substitution = EMPTY_SUBST) -> Substitution | None:
-    """Most general unifier of a and b extending s, or None.
-
-    Failure is a normal outcome (functor/arity clash or occurs check).
-    Returns ``s`` itself exactly when a and b are already equal under s.
-    """
-    a = s.walk(a)
-    b = s.walk(b)
-    if isinstance(a, Var):
-        if isinstance(b, Var) and a.name == b.name:
-            return s
-        if occurs(a.name, b, s):
-            return None
-        return s.bind(a.name, b)
-    if isinstance(b, Var):
-        return unify(b, a, s)
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        return s if a.name == b.name else None
-    if isinstance(a, Compound) and isinstance(b, Compound):
-        if a.functor != b.functor or len(a.args) != len(b.args):
-            return None
-        for x, y in zip(a.args, b.args):
-            s2 = unify(x, y, s)
-            if s2 is None:
-                return None
-            s = s2
-        return s
-    return None
-
-
-def apply(s: Substitution, t: Term) -> Term:
-    """Replace every bound variable in t, resolving chains to a fixpoint."""
-    t = s.walk(t)
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(apply(s, a) for a in t.args))
-    return t
 
 
 def render(t: Term) -> str:

@@ -24,9 +24,9 @@ from implicature.inference import (
 )
 from implicature.planner import Operator, cost, linearize, plan, simulate
 from implicature.scenario import emit_json, load_scenario, run, run_detailed
-from implicature.terms import Atom, parse_term, render, unify
+from implicature.terms import Atom, parse_term, render
 
-from oracles import bfs_min_cost, random_ground_domain
+from oracles import bfs_min_cost, random_ground_domain, unify
 
 t = parse_term
 

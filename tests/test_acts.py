@@ -19,8 +19,10 @@ from implicature.beliefs import (
     assert_attitude,
     holds,
 )
-from implicature.terms import Substitution, apply, parse_term, struct
+from implicature.terms import parse_term, struct
 from implicature.trace import Trace
+
+from oracles import Substitution, apply
 
 t = parse_term
 

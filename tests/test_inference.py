@@ -3,7 +3,7 @@
 import pytest
 
 from implicature import acts, planner
-from implicature.acts import ACT_OPERATORS, ACTS, ActError, ActInstance, utterance_operator
+from implicature.acts import ACT_OPERATORS, ACTS, ActError, ActInstance
 from implicature.beliefs import Attitude, holds, render_store
 from implicature.inference import (
     Domain,
@@ -221,7 +221,7 @@ class TestConjunctiveRule:
         report = outcomes[-1].report
         assert report.kind == "conjunctive"
         educate = t("goal(expert, bel(?h, cause(switch(?h, computer_off), damage(hard_drive))))")
-        from implicature.terms import unify
+        from oracles import unify
 
         assert unify(report.goal, educate) is not None
         assert [a.name for a in report.completion.actions] == ["accept_belief"]
@@ -241,6 +241,25 @@ class TestConjunctiveRule:
             ("system", "expert"),
             Attitude("int", t(f"accept_belief(system, expert, {q})")),
         )
+
+    def test_library_leaves_out_goals_the_recognized_goal_instantiates(self, computer_off):
+        # the recognized no-answer goal declared as a candidate, and a
+        # template it instantiates: the speaker already pursues both, so
+        # neither is checked as an extra goal and the report is unchanged
+        no_answer = "goal(expert, bel(system, not(permission(system, switch(system, computer_off)))))"
+        template = "goal(expert, bel(?h, not(permission(?h, switch(?h, computer_off)))))"
+        text = (
+            scenario_text("computer_off")
+            + f"\n(candidate-goal {no_answer})\n(candidate-goal {template})\n"
+        )
+        _, _, shipped = computer_off
+        trace, _, outcomes = run_detailed(load_scenario(text))
+        assert render(outcomes[-1].recognition.ascribed_goal) == no_answer
+        checked = {e.payload["goal"] for e in trace.find("efficiency-check")}
+        assert checked == {
+            "goal(expert, bel(?h, cause(switch(?h, computer_off), damage(hard_drive))))"
+        }
+        assert outcomes[-1].report == shipped[-1].report
 
     def test_passes_when_joint_plan_needs_the_detour(self):
         teach = ground_op("teach", pre=["mid"], add=["g2"], actor="spk")
@@ -512,7 +531,7 @@ class TestInferPipeline:
         # exclusive state recomputation
         r, v = outcomes[-1].recognition, outcomes[-1].verdict
         from implicature.planner import asserted_states
-        from implicature.terms import unify
+        from oracles import unify
 
         po_states = [x for _, x in asserted_states(v.plan_o)]
         assert all(unify(report.exclusive_state, x) is None for x in po_states)
@@ -538,13 +557,13 @@ class TestInferPipeline:
 
 class TestUtteranceOperator:
     def test_ground_instance(self):
-        u = utterance_operator(ActInstance("inform", "a", "b", t("p")))
+        u = ActInstance("inform", "a", "b", t("p")).step
         assert render(u.head()) == "inform(a, b, p)"
         assert t("bel(b, bel(a, p))") in u.add
 
     def test_unknown_schema(self):
         with pytest.raises(ActError, match="unknown act schema 'shout'"):
-            utterance_operator(ActInstance("shout", "a", "b", t("p")))
+            ActInstance("shout", "a", "b", t("p")).step
 
     def test_infer_rejects_unknown_act_before_any_event(self):
         store, domain = setup(load_scenario("(agents a b)"))

@@ -31,7 +31,6 @@ from implicature.terms import (
     parse_term,
     render,
     struct,
-    unify,
     var,
 )
 
@@ -40,6 +39,7 @@ from oracles import (
     per_state_completion,
     random_ground_domain,
     random_lifted_domain,
+    unify,
 )
 
 t = parse_term

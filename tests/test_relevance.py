@@ -15,7 +15,7 @@ from importlib import resources
 import pytest
 
 from implicature import inference
-from implicature.acts import ActInstance, utterance_operator
+from implicature.acts import ActInstance
 from implicature.beliefs import Attitude, render_attitude
 from implicature.cli import main as cli_main
 from implicature.inference import (
@@ -24,7 +24,6 @@ from implicature.inference import (
     build_operators,
     infer,
     recognize,
-    utterance_operator,
 )
 from implicature.planner import (
     MAX_DERIVED_DEPTH,
@@ -244,7 +243,7 @@ class TestGateFallback:
         domain = Domain(operators=build_operators(chain), bound=1)
         utterance = ActInstance("inform", "b", "a", t("q"))
         shallow, deep = t("goal(b, bel(a, q))"), t("goal(b, bel(a, k(k(q))))")
-        u = utterance_operator(utterance)
+        u = utterance.step
         gate = RelevanceGate((t("m0(c)"),) + u.preconditions, domain.operators, u, 1)
         for g in (shallow, deep):
             assert gate.depth(g.args[1], _seeds_for(g)) == 1

@@ -1,4 +1,6 @@
-"""Tests for the term layer: parsing, unification, substitution."""
+"""Tests for the term layer (construction, parsing, stored hash) and for
+the reference unifier in ``oracles`` that the engine's matcher is checked
+against."""
 
 import copy
 import dataclasses
@@ -10,25 +12,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from implicature import terms as terms_module
-from implicature.planner import _instantiate
+from implicature.planner import _instantiate, _match
 from implicature.terms import (
     Atom,
     Compound,
-    EMPTY_SUBST,
     MAX_TERM_DEPTH,
-    Substitution,
     TermError,
     Var,
     _atom,
     _compound,
-    apply,
     atom,
     parse_term,
     render,
     struct,
-    unify,
     var,
 )
+
+from oracles import EMPTY_SUBST, Substitution, apply, unify
 from test_scenario import cli_env
 
 
@@ -298,3 +298,18 @@ def test_apply_idempotent(a, b, target):
     if s is not None:
         once = apply(s, target)
         assert apply(s, once) == once
+
+
+@given(
+    terms, ground_terms, st.fixed_dictionaries({v: ground_terms for v in "xyz"}), st.booleans()
+)
+def test_match_against_a_ground_term_agrees_with_unify(g, other, fill, instance):
+    """The engine's one-way matcher succeeds on a ground term exactly when
+    the reference unifier does, and its bindings instantiate the template
+    to that term.  ``instance`` makes the term an instance of the template,
+    so both outcomes are drawn often."""
+    a = _instantiate(g, fill) if instance else other
+    match = _match(g, a, {})
+    assert (match is None) == (unify(g, a) is None)
+    if match is not None:
+        assert _instantiate(g, match) == a
