@@ -35,19 +35,17 @@ from .inference import (
     infer,
     recognize,
 )
+from .completion import Completion, complete_from, to_dot
 from .planner import (
     CausalLink,
-    Completion,
     Operator,
     Plan,
     asserted_states,
-    complete_from,
     cost,
     exclusive_states,
     linearize,
     plan,
     simulate,
-    to_dot,
 )
 from .scenario import Scenario, emit_dot, emit_json, load_scenario, parse_trace, run
 from .terms import Atom, Compound, Term, Var, parse_term, render

@@ -25,7 +25,7 @@ from .terms import (
 from .trace import Trace
 
 if TYPE_CHECKING:
-    from .planner import Closure
+    from .closure import Closure
 
 ATTITUDE_KINDS = ("bel", "goal", "int")
 
@@ -140,7 +140,7 @@ class BeliefStore:
 
     ``carried`` is opaque to the store: the relevance closure the last
     gate turn of this store's lineage left for the next one to extend
-    (:attr:`planner.RelevanceGate.carried`).  Every update keeps it;
+    (:attr:`closure.RelevanceGate.carried`).  Every update keeps it;
     :func:`inference.infer` replaces it, and the gate checks it against
     the snapshot before it extends it, so a store edited in any other way
     still gives exact answers.  It takes no part in equality or ``repr``.

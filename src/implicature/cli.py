@@ -13,8 +13,8 @@ from pathlib import Path
 
 from .acts import ActError
 from .beliefs import BeliefError, render_store
+from .completion import to_dot
 from .inference import InferenceOutcome, infer
-from .planner import to_dot
 from .scenario import (
     Scenario,
     ScenarioError,

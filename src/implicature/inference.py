@@ -38,15 +38,12 @@ from .beliefs import (
     default_ascribe,
     render_store,
 )
+from .closure import Closure, RelevanceGate, _match
+from .completion import Completion, complete_from
 from .planner import (
     DEFAULT_BOUND,
-    Closure,
-    Completion,
     Operator,
     Plan,
-    RelevanceGate,
-    _match,
-    complete_from,
     cost,
     exclusive_states,
     linearize,
@@ -139,7 +136,7 @@ class RecognitionResult:
     #: carries (:attr:`beliefs.BeliefStore.carried`).
     closure: Closure | None = field(default=None, compare=False, repr=False)
     #: The gate's closure for the next gate turn to extend
-    #: (:attr:`planner.RelevanceGate.carried`); :func:`infer` moves it onto
+    #: (:attr:`closure.RelevanceGate.carried`); :func:`infer` moves it onto
     #: the store it returns.
     carried: Closure | None = field(default=None, compare=False, repr=False)
 
@@ -287,7 +284,7 @@ def recognize(
     causal-link path from the utterance step to the goal, not merely
     contain it.
 
-    Before planning, a relevance gate (:class:`planner.RelevanceGate`,
+    Before planning, a relevance gate (:class:`closure.RelevanceGate`,
     built once per turn) looks for the shortest chain of ground operator
     instances from the utterance's add-effects to the goal content, within
     ``domain.bound`` rounds of the delete-relaxed closure of the
@@ -303,7 +300,7 @@ def recognize(
     result keeps for the audit and joint planning.
 
     The gate's closure extends ``carried``, the closure the store carries
-    from the last gate turn (:attr:`planner.RelevanceGate.carried`), when
+    from the last gate turn (:attr:`closure.RelevanceGate.carried`), when
     that gives what a fresh closure gives.  The answer_expected facts, which
     an answer retracts, are the gate's ``volatile`` facts: its closure
     holds them and their consequences, and the next turn may lack them.
@@ -435,7 +432,7 @@ def ascribe_conjunctive(
 
     The library leaves out each template that the recognized goal's ground
     instance, ``goal(speaker, G)`` for the goal condition G the recognized
-    plan reached, instantiates (:func:`planner._match`): the speaker already
+    plan reached, instantiates (:func:`closure._match`): the speaker already
     pursues that goal.  For a ground recognized goal the instance is the
     goal itself, and a template is left out exactly when it unifies with
     the goal.  For a recognized template, only the library goals that the

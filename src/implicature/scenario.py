@@ -30,9 +30,10 @@ from .beliefs import (
     Stereotype,
     assert_attitude,
 )
+from .closure import PlannerError
+from .completion import to_dot as emit_dot  # re-exported: DOT is part of the trace surface
 from .inference import DEFAULT_ASCRIPTION_ORDER, Domain, build_operators, infer
-from .planner import DEFAULT_BOUND, Operator, PlannerError, validate_operator
-from .planner import to_dot as emit_dot  # re-exported: DOT is part of the trace surface
+from .planner import DEFAULT_BOUND, Operator, validate_operator
 from .terms import (
     MAX_TERM_DEPTH,
     Atom,

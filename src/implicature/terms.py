@@ -26,7 +26,7 @@ class TermError(ValueError):
 #: Deepest nesting :func:`parse_term` accepts (an atom or variable is depth
 #: 1, ``f(a)`` depth 2).  Term functions recurse level by level, so the
 #: limit keeps every term the engine builds from its input, plus the levels
-#: planning and belief updates wrap around it (``planner.MAX_DERIVED_DEPTH``
+#: planning and belief updates wrap around it (``closure.MAX_DERIVED_DEPTH``
 #: caps the total), well inside Python's recursion limit.
 MAX_TERM_DEPTH = 100
 

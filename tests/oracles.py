@@ -6,7 +6,7 @@ sequences, and random domains are generated from a seeded RNG so failures
 reproduce.  :func:`unify` and :func:`apply` over a :class:`Substitution`
 are the reference unifier: a two-way term algebra with an occurs check,
 which the engine does not use (it grounds, plans and tests goals with the
-one-way matcher ``planner._match`` over ground facts) and which the tests
+one-way matcher ``closure._match`` over ground facts) and which the tests
 check that matcher against.  :func:`naive_ground_instances` is the
 reference grounder: the nested-loop join by two-way unification that the
 planner's one-way matcher over a first-argument index replaced; it builds
@@ -25,13 +25,9 @@ import random
 from typing import Collection, Iterator, Mapping, Sequence
 
 from implicature.beliefs import BeliefStore, render_attitude
-from implicature.planner import (
-    MAX_DERIVED_DEPTH,
-    Completion,
-    Operator,
-    PlannerError,
-    _check_ground,
-)
+from implicature.closure import MAX_DERIVED_DEPTH, PlannerError, _check_ground
+from implicature.completion import Completion
+from implicature.planner import Operator
 from implicature.terms import (
     Atom,
     Compound,
@@ -202,7 +198,7 @@ def _substituted(op: Operator, s: Substitution) -> Operator:
 def naive_ground_instances(
     op: Operator, facts: Sequence[Term], delta: Collection[Term] | None = None
 ) -> list[Operator]:
-    """The reference for :func:`implicature.planner._ground_instances`.
+    """The reference for :func:`implicature.closure._ground_instances`.
 
     ``facts`` is the ground state in index order, ``delta`` the facts of
     it new in the last round, which are matched in render order.  Each
@@ -350,7 +346,7 @@ def per_state_completion(
 ) -> tuple[Completion | None, ...]:
     """Completion search that grounds every operator afresh at every state.
 
-    The reference for :func:`implicature.planner.complete_from`: a
+    The reference for :func:`implicature.completion.complete_from`: a
     breadth-first search from ``ambient`` whose first action must have a
     precondition unifying with ``state``.  Each state is indexed and every
     operator matched against it; ``visited`` holds states alone.  Each goal
@@ -505,7 +501,7 @@ def naive_relevance_depth(
     its fixpoint, else from its own facts (``base``, the seeds and the
     step's add-effects) alone.  The answer is the chain depth, else None
     when the last stage reached its fixpoint, else ``bound``.  The
-    reference for :class:`implicature.planner.RelevanceGate`, which
+    reference for :class:`implicature.closure.RelevanceGate`, which
     shares one semi-naive closure among the candidates of a turn.
     """
     _check_ground(tuple(base) + tuple(seeds) + step.add, "initial facts and step effects")

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from implicature.cli import _last_plan
-from implicature.planner import to_dot
+from implicature.completion import to_dot
 from implicature.scenario import emit_json, load_scenario, run_detailed
 
 RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"

@@ -1,6 +1,6 @@
 """The planner's grounding kernel against the reference grounder.
 
-:func:`implicature.planner._ground_instances` matches each precondition one
+:func:`implicature.closure._ground_instances` matches each precondition one
 way against the facts a first-argument index offers for it.
 :func:`oracles.naive_ground_instances` is the nested-loop join by two-way
 unification it replaced.  On random states and operators, with and without
@@ -11,13 +11,13 @@ order, or raise the same exception class.
 import random
 from collections import Counter
 
-from implicature.planner import (
+from implicature.closure import (
     MAX_DERIVED_DEPTH,
-    Operator,
     PlannerError,
     _FactIndex,
     _ground_instances,
 )
+from implicature.planner import Operator
 from implicature.terms import Atom, Compound, Term, TermError, parse_term, struct, var, variables
 
 from oracles import naive_ground_instances, random_ground_domain, random_lifted_domain

@@ -2,7 +2,8 @@
 
 import pytest
 
-from implicature import acts, planner
+from implicature import acts
+from implicature import closure as closure_module
 from implicature.acts import ACT_OPERATORS, ACTS, ActError, ActInstance
 from implicature.beliefs import Attitude, holds, render_store
 from implicature.inference import (
@@ -18,7 +19,8 @@ from implicature.inference import (
     infer,
     recognize,
 )
-from implicature.planner import Closure, Operator, cost, linearize, plan, validate_operator
+from implicature.closure import Closure
+from implicature.planner import Operator, cost, linearize, plan, validate_operator
 from implicature.scenario import load_scenario, run_detailed, setup
 from implicature.terms import TermError, parse_term, render, var
 from implicature.trace import Trace
@@ -588,7 +590,7 @@ class TestBuildOnce:
         calls = []
         grounding = [0]
         substituted = Operator.substituted
-        ground_instances = planner._ground_instances
+        ground_instances = closure_module._ground_instances
 
         def counted(op, bindings):
             if not grounding[0] and op is ACT_OPERATORS.get(op.name):
@@ -606,7 +608,7 @@ class TestBuildOnce:
             raise AssertionError(f"act {schema.name} compiled again")
 
         monkeypatch.setattr(Operator, "substituted", counted)
-        monkeypatch.setattr(planner, "_ground_instances", uncounted)
+        monkeypatch.setattr(closure_module, "_ground_instances", uncounted)
         monkeypatch.setattr(acts, "act_operator", recompiled)
         s = load_scenario(scenario_text("computer_off"))
         store, domain = setup(s)

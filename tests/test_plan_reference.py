@@ -21,7 +21,8 @@ import random
 import sys
 from pathlib import Path
 
-from implicature.planner import plan, to_dot
+from implicature.completion import to_dot
+from implicature.planner import plan
 from implicature.terms import Atom, struct, var
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))

@@ -5,25 +5,23 @@ from dataclasses import replace
 
 import pytest
 
+from implicature import closure as closure_module
+from implicature import completion as completion_module
 from implicature import planner
+from implicature.closure import MAX_DERIVED_DEPTH, Closure, PlannerError
+from implicature.completion import Completion, complete_from, to_dot
 from implicature.planner import (
     DEFAULT_BOUND,
-    MAX_DERIVED_DEPTH,
-    Closure,
-    Completion,
     CycleError,
     Operator,
     Plan,
-    PlannerError,
     PreconditionFailure,
     asserted_states,
-    complete_from,
     cost,
     exclusive_states,
     linearize,
     plan,
     simulate,
-    to_dot,
 )
 from implicature.terms import (
     Atom,
@@ -527,13 +525,14 @@ class TestCompleteFrom:
 
     def test_shared_closure_checks_ambient_once(self, monkeypatch):
         checked: list[tuple] = []
-        check = planner._check_ground
+        check = closure_module._check_ground
 
         def recording(facts, what):
             checked.append(facts)
             check(facts, what)
 
-        monkeypatch.setattr(planner, "_check_ground", recording)
+        monkeypatch.setattr(closure_module, "_check_ground", recording)
+        monkeypatch.setattr(completion_module, "_check_ground", recording)
         ambient = {t("seen(item)"), t("held(item)"), t("x")}
         closure = Closure(ambient, self.OPS, 1)
         for entry in ("seen(item)", "held(item)", "x"):
@@ -602,20 +601,20 @@ def random_deleting_domain(rng: random.Random):
 
 
 class TestInstantiate:
-    """``planner._instantiate`` is the planner's one substitution, and
+    """``closure._instantiate`` is the engine's one substitution, and
     ``Operator.substituted`` builds every field of an instance with it."""
 
     def test_unchanged_subterms_are_the_same_object(self):
         ground, value = t("bel(a, f(b))"), t("g(c)")
-        out = planner._instantiate(struct("h", ground, var("x")), {"x": value})
+        out = closure_module._instantiate(struct("h", ground, var("x")), {"x": value})
         assert out == struct("h", ground, value)
         assert out.args[0] is ground and out.args[1] is value
-        assert planner._instantiate(ground, {"x": value}) is ground
-        assert planner._instantiate(var("x"), {"x": value}) is value
+        assert closure_module._instantiate(ground, {"x": value}) is ground
+        assert closure_module._instantiate(var("x"), {"x": value}) is value
 
     def test_a_free_variable_gives_none(self):
-        assert planner._instantiate(t("h(a, f(?y))"), {"x": Atom("a")}) is None
-        assert planner._instantiate(var("y"), {}) is None
+        assert closure_module._instantiate(t("h(a, f(?y))"), {"x": Atom("a")}) is None
+        assert closure_module._instantiate(var("y"), {}) is None
 
     def test_substituted_fills_every_field_and_keeps_ground_parts(self):
         schema = Operator(

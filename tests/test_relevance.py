@@ -25,15 +25,13 @@ from implicature.inference import (
     infer,
     recognize,
 )
-from implicature.planner import (
+from implicature.closure import (
     MAX_DERIVED_DEPTH,
     Closure,
-    Operator,
     PlannerError,
     RelevanceGate,
-    cost,
-    plan,
 )
+from implicature.planner import Operator, cost, plan
 from implicature.scenario import (
     ScenarioError,
     emit_json,

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from implicature.beliefs import render_store
 from implicature.cli import main as cli_main
-from implicature.planner import MAX_DERIVED_DEPTH
+from implicature.closure import MAX_DERIVED_DEPTH
 from implicature.scenario import (
     ParseError,
     ScenarioError,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from implicature import terms as terms_module
-from implicature.planner import _instantiate, _match
+from implicature.closure import _instantiate, _match
 from implicature.terms import (
     Atom,
     Compound,
