@@ -22,6 +22,7 @@ from .beliefs import (
     default_ascribe,
     holds,
 )
+from .completion import Completion, complete_from, to_dot
 from .inference import (
     AscriptionReport,
     Domain,
@@ -35,7 +36,6 @@ from .inference import (
     infer,
     recognize,
 )
-from .completion import Completion, complete_from, to_dot
 from .planner import (
     CausalLink,
     Operator,

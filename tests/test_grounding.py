@@ -1,4 +1,4 @@
-"""The planner's grounding kernel against the reference grounder.
+"""The grounding kernel against the reference grounder.
 
 :func:`implicature.closure._ground_instances` matches each precondition one
 way against the facts a first-argument index offers for it.

@@ -7,8 +7,8 @@ import implicature
 
 PACKAGE = Path(implicature.__file__).parent
 
-#: ``sorted(implicature.__all__)`` before planning was split into the
-#: ``closure``, ``planner`` and ``completion`` modules
+#: ``sorted(implicature.__all__)``, frozen: the public surface changes only
+#: on purpose, whichever module defines each name
 PUBLIC_NAMES = [
     "ACTS", "ActInstance", "ActSchema", "AscriptionReport", "Atom", "Attitude",
     "BeliefStore", "CausalLink", "Completion", "Compound", "Domain",
