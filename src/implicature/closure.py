@@ -491,17 +491,15 @@ class Closure:
         fresh = [f for f in dict.fromkeys(seeds) if f not in self.index.members]
         if not (fresh or (seeds and not self.closed)):
             return self
+        if not self.closed:
+            return Closure(self.facts + seeds, self.ops, self.bound)
         twin = Closure.__new__(Closure)
         twin.ops, twin.bound = self.ops, self.bound
         twin.levels = twin.height = twin._mark = None
-        if self.closed:
-            twin.facts = self.facts + tuple(fresh)
-            index = self.index.copy()
-            index.add(fresh)
-            twin._run(index, _FactIndex(fresh), [list(found) for found in self.actions])
-        else:
-            twin.facts = self.facts + seeds
-            twin._run(_FactIndex(set(twin.facts)), None, [[] for _ in self.ops])
+        twin.facts = self.facts + tuple(fresh)
+        index = self.index.copy()
+        index.add(fresh)
+        twin._run(index, _FactIndex(fresh), [list(found) for found in self.actions])
         return twin
 
     def extend(self, facts: Iterable[Term]) -> None:

@@ -22,6 +22,7 @@ set a :class:`Domain` plans with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterator, Sequence
 
 from .acts import (
     ACT_OPERATORS,
@@ -98,7 +99,8 @@ def build_operators(extra: tuple[Operator, ...] = ()) -> tuple[Operator, ...]:
     return tuple(ops)
 
 
-#: The ascription rules tried on an inefficient verdict, in order.
+#: The ascription rules, in the order an inefficient verdict tries them
+#: unless a domain orders them otherwise; a domain names no other rule.
 DEFAULT_ASCRIPTION_ORDER = ("conjunctive", "avoidance")
 
 
@@ -113,6 +115,11 @@ class Domain:
     avoid_goals: tuple[Term, ...] = ()
     bound: int = DEFAULT_BOUND
     ascription_order: tuple[str, ...] = DEFAULT_ASCRIPTION_ORDER
+
+    def __post_init__(self) -> None:
+        for rule in self.ascription_order:
+            if rule not in DEFAULT_ASCRIPTION_ORDER:
+                raise InferenceError(f"unknown ascription rule {rule!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +333,7 @@ def recognize(
         initial = _dedupe(list(base) + seeds)
         depth, closure = gate.candidate(content, seeds)
         if depth is None:
-            if trace:
-                trace.emit(
-                    _MODULE, "candidate-skipped", goal=render(g), cause="irrelevant-utterance"
-                )
+            _skip(trace, g, "irrelevant-utterance")
             continue
         p = plan(
             initial,
@@ -359,8 +363,7 @@ def recognize(
                 closure=closure,
                 carried=gate.carried,
             )
-        if trace:
-            trace.emit(_MODULE, "candidate-skipped", goal=render(g), cause="unreachable")
+        _skip(trace, g, "unreachable")
     return None
 
 
@@ -394,18 +397,61 @@ def efficiency_audit(
 # ---------------------------------------------------------------------------
 
 
-def _terminal_state(initial: tuple[Term, ...], p: Plan) -> set[Term]:
-    return simulate(initial, [p.steps[sid] for sid in linearize(p)])
+def _completions(
+    r: RecognitionResult,
+    entered: Plan,
+    bypassed: Plan,
+    goals: Sequence[Term],
+    domain: Domain,
+) -> Iterator[tuple[Term, int, Completion]]:
+    """The completions from the states only ``entered`` asserts, lazily.
+
+    The entry states are :func:`planner.exclusive_states` of the two
+    complete plans, so each is asserted by ``entered`` and not by
+    ``bypassed``: exclusiveness holds by construction.  One completion
+    search per entry state serves every goal of ``goals``, from the
+    terminal state of ``entered``; yields (entry state, position of the
+    goal in ``goals``, completion) for each goal with a completion, in
+    entry-state order, then goal order.
+
+    The searches share one closure: the candidate's, which holds every
+    fact of the terminal state, when it reached its fixpoint; else, as a
+    capped closure can miss instances applicable past its cap, a closure of
+    the terminal state that completion search grows.
+    """
+    ambient = simulate(r.initial, [entered.steps[sid] for sid in linearize(entered)])
+    closure = r.closure
+    if closure is None or not closure.closed:
+        closure = Closure(ambient, domain.operators, 1)
+    for state in exclusive_states(entered, bypassed):
+        comps = complete_from(
+            state, goals, domain.operators, domain.bound, ambient, closure=closure
+        )
+        for i, comp in enumerate(comps):
+            if comp is not None:
+                yield state, i, comp
 
 
-def _completion_closure(r: RecognitionResult, ambient: set[Term], domain: Domain) -> Closure:
-    """The closure one rule's completion searches share: the candidate's,
-    which holds every fact of ``ambient``, when it reached its fixpoint;
-    else, as a capped closure can miss instances applicable past its cap,
-    a closure of ``ambient`` that completion search grows."""
-    if r.closure is not None and r.closure.closed:
-        return r.closure
-    return Closure(ambient, domain.operators, 1)
+def _skip(trace: Trace | None, goal: Term, cause: str, state: Term | None = None) -> None:
+    """Trace ``goal`` as a candidate skipped for ``cause``; an ascription
+    rule names the exclusive ``state`` it tried the goal from."""
+    if trace:
+        where = {} if state is None else {"exclusive_state": render(state)}
+        trace.emit(_MODULE, "candidate-skipped", goal=render(goal), **where, cause=cause)
+
+
+def _ascribe(
+    store: BeliefStore,
+    r: RecognitionResult,
+    attitude: Attitude,
+    cause: str,
+    trace: Trace | None,
+) -> BeliefStore:
+    """Ascribe ``attitude`` into the hearer's view of the speaker."""
+    hearer, speaker = r.utterance.hearer, r.utterance.speaker
+    return default_ascribe(
+        store, (hearer,), (hearer, speaker), attitude, trace=trace, cause=cause
+    ).store
 
 
 def ascribe_conjunctive(
@@ -417,17 +463,12 @@ def ascribe_conjunctive(
 ) -> tuple[BeliefStore, AscriptionReport | None]:
     """Try to explain the inefficiency as an extra goal served en route.
 
-    Searches (exclusive state of the recognized plan) x (goal library) for a
-    completion: one completion search per exclusive state serves every
-    template of the library, from the recognized plan's terminal state, and
-    the searches share one closure (:func:`_completion_closure`).  Each
-    entry state comes from :func:`planner.exclusive_states` of the two
-    complete plans, so it is asserted by the recognized plan and not by the
-    optimal one: exclusiveness holds by construction.  Each (state, template) pair with
-    a completion is then checked in library order for the efficiency
-    condition, by planning the goal conjunction.  On success the goal and
-    the completion's actions (as intentions) are ascribed into the hearer's
-    view of the speaker.  Later candidates that also pass are traced as
+    Takes the completions (:func:`_completions`) from the states the
+    recognized plan asserts and the optimal one does not, towards the goal
+    library, and checks each in turn for the efficiency condition, by
+    planning the goal conjunction.  On success the goal and the
+    completion's actions (as intentions) are ascribed into the hearer's
+    view of the speaker.  Later completions that also pass are traced as
     alternatives.
 
     The library leaves out each template that the recognized goal's ground
@@ -442,8 +483,7 @@ def ascribe_conjunctive(
     if verdict.kind != "inefficient":
         raise InferenceError("conjunctive ascription needs an inefficient verdict")
     assert verdict.plan_o is not None
-    speaker, hearer = r.utterance.speaker, r.utterance.hearer
-    pr, po = r.plan_r, verdict.plan_o
+    speaker, pr = r.utterance.speaker, r.plan_r
     recognized = struct("goal", Atom(speaker), *pr.goal_conditions)
     library = [g for g in _library_goals(domain, speaker) if _match(g, recognized, {}) is None]
     if not library:
@@ -451,86 +491,57 @@ def ascribe_conjunctive(
     parts = _goal_parts(r.ascribed_goal)
     assert parts is not None
     _, g1_content = parts
-    # every template is goal(speaker, content): _library_goals keeps no other
-    contents = [g2.args[1] for g2 in library]
-    ambient = _terminal_state(r.initial, pr)
-    closure = _completion_closure(r, ambient, domain)
     winner: AscriptionReport | None = None
-    for s_state in exclusive_states(pr, po):
-        comps = complete_from(
-            s_state, contents, domain.operators, domain.bound, ambient, closure=closure
+    # every template is goal(speaker, content): _library_goals keeps no other
+    contents = [g.args[1] for g in library]
+    for s_state, i, comp in _completions(r, pr, verdict.plan_o, contents, domain):
+        g2_inst = struct("goal", Atom(speaker), comp.achieved_goal)
+        seeds = _seeds_for(g2_inst)
+        joint = plan(
+            _dedupe(list(r.initial) + seeds),
+            (g1_content, comp.achieved_goal),
+            domain.operators,
+            bound=domain.bound,
+            closure=None if r.closure is None else r.closure.with_facts(seeds),
         )
-        for g2, comp in zip(library, comps):
-            if comp is None:
-                continue
-            seeds = _seeds_for(struct("goal", Atom(speaker), comp.achieved_goal))
-            joint = plan(
-                _dedupe(list(r.initial) + seeds),
-                (g1_content, comp.achieved_goal),
-                domain.operators,
-                bound=domain.bound,
-                closure=None if r.closure is None else r.closure.with_facts(seeds),
+        extended_cost = cost(pr) + len(comp.actions)
+        efficiency_ok = joint is not None and cost(joint) == extended_cost
+        if trace:
+            # both sides of the efficiency condition: the unconstrained
+            # joint optimum and the recognized plan plus this completion
+            trace.emit(
+                _MODULE,
+                "efficiency-check",
+                goal=render(library[i]),
+                exclusive_state=render(s_state),
+                joint_optimum=cost(joint) if joint is not None else None,
+                recognized_plus_completion=extended_cost,
+                passed=efficiency_ok,
             )
-            extended_cost = cost(pr) + len(comp.actions)
-            efficiency_ok = joint is not None and cost(joint) == extended_cost
+        if not efficiency_ok:
+            _skip(trace, library[i], "efficiency-condition", s_state)
+            continue
+        if winner is not None:
             if trace:
-                # both sides of the efficiency condition: the unconstrained
-                # joint optimum and the recognized plan plus this completion
                 trace.emit(
                     _MODULE,
-                    "efficiency-check",
-                    goal=render(g2),
+                    "alternative",
+                    goal=render(g2_inst),
                     exclusive_state=render(s_state),
-                    joint_optimum=cost(joint) if joint is not None else None,
-                    recognized_plus_completion=extended_cost,
-                    passed=efficiency_ok,
                 )
-            if not efficiency_ok:
-                if trace:
-                    trace.emit(
-                        _MODULE,
-                        "candidate-skipped",
-                        goal=render(g2),
-                        exclusive_state=render(s_state),
-                        cause="efficiency-condition",
-                    )
-                continue
-            g2_inst = struct("goal", Atom(speaker), comp.achieved_goal)
-            if winner is not None:
-                if trace:
-                    trace.emit(
-                        _MODULE,
-                        "alternative",
-                        goal=render(g2_inst),
-                        exclusive_state=render(s_state),
-                    )
-                continue
-            store = default_ascribe(
-                store,
-                (hearer,),
-                (hearer, speaker),
-                Attitude("goal", comp.achieved_goal),
-                trace=trace,
-                cause="conjunctive-goal",
-            ).store
-            intentions = tuple(a.head() for a in comp.actions)
-            for action_term in intentions:
-                store = default_ascribe(
-                    store,
-                    (hearer,),
-                    (hearer, speaker),
-                    Attitude("int", action_term),
-                    trace=trace,
-                    cause="conjunctive-intention",
-                ).store
-            winner = AscriptionReport(
-                kind="conjunctive",
-                goal=g2_inst,
-                intentions=intentions,
-                exclusive_state=s_state,
-                completion=comp,
-                conditions=(("exclusiveness", True), ("efficiency", True)),
-            )
+            continue
+        store = _ascribe(store, r, Attitude("goal", comp.achieved_goal), "conjunctive-goal", trace)
+        intentions = tuple(a.head() for a in comp.actions)
+        for act in intentions:
+            store = _ascribe(store, r, Attitude("int", act), "conjunctive-intention", trace)
+        winner = AscriptionReport(
+            kind="conjunctive",
+            goal=g2_inst,
+            intentions=intentions,
+            exclusive_state=s_state,
+            completion=comp,
+            conditions=(("exclusiveness", True), ("efficiency", True)),
+        )
     return store, winner
 
 
@@ -543,64 +554,33 @@ def ascribe_avoidance(
 ) -> tuple[BeliefStore, AscriptionReport | None]:
     """Try to explain the inefficiency as a state the speaker is avoiding.
 
-    Searches (exclusive state of the optimal plan) x (avoidance library) for
-    a completion: one completion search per exclusive state serves every
-    avoid-goal, from the optimal plan's terminal state, and the searches
-    share one closure (:func:`_completion_closure`).  Each entry state
-    comes from :func:`planner.exclusive_states` of the two complete plans,
-    so it is asserted by the optimal plan and not by the recognized one:
-    exclusiveness holds by construction.  The pairs are then checked in library order for the causality condition
-    (the speaker is never the completion's actor).  The first pair that
-    passes wins, and the negated goal is ascribed into the hearer's view of
-    the speaker.
+    Takes the completions (:func:`_completions`) from the states the
+    optimal plan asserts and the recognized one does not, towards the
+    avoidance library, and checks each in turn for the causality condition
+    (the speaker is never the completion's actor).  The first that passes
+    wins, and the negated goal is ascribed into the hearer's view of the
+    speaker; no completion after it is searched for.
     """
     if verdict.kind != "inefficient":
         raise InferenceError("avoidance ascription needs an inefficient verdict")
     assert verdict.plan_o is not None
-    speaker, hearer = r.utterance.speaker, r.utterance.hearer
-    pr, po = r.plan_r, verdict.plan_o
+    speaker = r.utterance.speaker
     if not domain.avoid_goals:
         return store, None
-    ambient = _terminal_state(r.initial, po)
-    closure = _completion_closure(r, ambient, domain)
-    for s_state in exclusive_states(po, pr):
-        comps = complete_from(
-            s_state, domain.avoid_goals, domain.operators, domain.bound, ambient, closure=closure
+    for s_state, i, comp in _completions(r, verdict.plan_o, r.plan_r, domain.avoid_goals, domain):
+        if not all(isinstance(a.actor, Atom) and a.actor.name != speaker for a in comp.actions):
+            _skip(trace, domain.avoid_goals[i], "causality-condition", s_state)
+            continue
+        avoided = struct("not", comp.achieved_goal)
+        store = _ascribe(store, r, Attitude("goal", avoided), "avoidance-goal", trace)
+        return store, AscriptionReport(
+            kind="avoidance",
+            goal=avoided,
+            intentions=(),
+            exclusive_state=s_state,
+            completion=comp,
+            conditions=(("exclusiveness", True), ("causality", True)),
         )
-        for ag, comp in zip(domain.avoid_goals, comps):
-            if comp is None:
-                continue
-            causality_ok = all(
-                isinstance(a.actor, Atom) and a.actor.name != speaker
-                for a in comp.actions
-            )
-            if not causality_ok:
-                if trace:
-                    trace.emit(
-                        _MODULE,
-                        "candidate-skipped",
-                        goal=render(ag),
-                        exclusive_state=render(s_state),
-                        cause="causality-condition",
-                    )
-                continue
-            avoided = struct("not", comp.achieved_goal)
-            store = default_ascribe(
-                store,
-                (hearer,),
-                (hearer, speaker),
-                Attitude("goal", avoided),
-                trace=trace,
-                cause="avoidance-goal",
-            ).store
-            return store, AscriptionReport(
-                kind="avoidance",
-                goal=avoided,
-                intentions=(),
-                exclusive_state=s_state,
-                completion=comp,
-                conditions=(("exclusiveness", True), ("causality", True)),
-            )
     return store, None
 
 
@@ -654,16 +634,9 @@ def infer(
     report: AscriptionReport | None = None
     if verdict.kind == "inefficient":
         for rule in domain.ascription_order:
-            if rule == "conjunctive":
-                store, report = ascribe_conjunctive(
-                    store, recognition, verdict, domain, trace=trace
-                )
-            elif rule == "avoidance":
-                store, report = ascribe_avoidance(
-                    store, recognition, verdict, domain, trace=trace
-                )
-            else:
-                raise InferenceError(f"unknown ascription rule {rule!r}")
+            # looked up at each call, so a wrapper set on the module sees it
+            ascribe = ascribe_conjunctive if rule == "conjunctive" else ascribe_avoidance
+            store, report = ascribe(store, recognition, verdict, domain, trace=trace)
             if report is not None:
                 break
     if report is None:

@@ -300,6 +300,35 @@ class TestConjunctiveRule:
         with pytest.raises(InferenceError):
             ascribe_conjunctive(store, r, optimal, domain)
 
+    def test_later_passing_goal_traced_as_alternative(self):
+        # the ground instance of the stereotype template, declared as well:
+        # both pass the efficiency condition from the same exclusive state,
+        # the template first in library order, so the ground goal is the
+        # alternative
+        ground = "goal(expert, bel(system, cause(switch(system, computer_off), damage(hard_drive))))"
+        text = scenario_text("computer_off") + f"(candidate-goal {ground})\n"
+        trace, _, outcomes = run_detailed(load_scenario(text))
+        start = max(e.index for e in trace.find("act"))
+        events = [
+            e for e in trace.events if e.module == "implicature" and e.index > start
+        ]
+        assert [e.kind for e in events] == [
+            "candidate-skipped",
+            "plan-found",
+            "audit",
+            "efficiency-check",
+            "efficiency-check",
+            "alternative",
+            "ascription-report",
+        ]
+        checks = events[3:5]
+        assert [e.payload["passed"] for e in checks] == [True, True]
+        assert checks[1].payload["goal"] == ground
+        state = "bel(system, bel(expert, cause(switch(system, computer_off), damage(hard_drive))))"
+        assert events[5].payload == {"goal": ground, "exclusive_state": state}
+        assert events[6].payload["report"] == "conjunctive"
+        assert outcomes[-1].report.kind == "conjunctive"
+
 
 class TestAvoidanceRule:
     def test_burnt_cakes_report(self):
@@ -341,6 +370,16 @@ class TestAvoidanceRule:
         store, _ = setup(load_scenario("(agents spk hrr)"))
         store, report = ascribe_avoidance(store, r, verdict, domain)
         assert report is None
+
+    def test_requires_inefficient_verdict(self):
+        blame = ground_op("blame", pre=["admission"], add=["blamed"], actor="hrr")
+        r, verdict, domain = synthetic_recognition(
+            (blame,), avoid=[t("blamed")], extra_po_add=["admission"]
+        )
+        optimal = EfficiencyVerdict(kind="optimal", plan_o=None, cost_r=2, cost_o=None)
+        store, _ = setup(load_scenario("(agents spk hrr)"))
+        with pytest.raises(InferenceError):
+            ascribe_avoidance(store, r, optimal, domain)
 
 
 def nest(depth, inner="a"):
@@ -493,6 +532,10 @@ class TestAscriptionOrder:
         report = outcomes[-1].report
         assert report.kind == "avoidance"
         assert render(report.goal) == "not(blamed(cook))"
+
+    def test_unknown_rule_rejected_when_the_domain_is_built(self):
+        with pytest.raises(InferenceError, match="unknown ascription rule 'bogus'"):
+            Domain(operators=build_operators(), ascription_order=("conjunctive", "bogus"))
 
 
 class TestInferPipeline:
