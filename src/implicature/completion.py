@@ -7,18 +7,20 @@ recognized candidate's closure (:mod:`closure`) when that reached its
 fixpoint, and otherwise grows a closure of its ambient facts, one round per
 search level it reaches; the searches from every entry state of an
 ascription rule share it, and a state's applicable instances are those
-whose preconditions it holds.  Its goal test uses the closure's one-way
-matcher.  :func:`to_dot` draws a plan (:mod:`planner`), with an optional
-completion overlay, as a DOT digraph.
+whose preconditions it holds.  Its goal test runs the closure's one-way
+matcher on the goals whose shape fits a fact's.  :func:`to_dot` draws a
+plan (:mod:`planner`), with an optional completion overlay, as a DOT
+digraph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .closure import Closure, PlannerError, _check_ground, _match
+from .closure import Closure, PlannerError, _check_ground, _key, _match
 from .planner import GOAL_ID, INIT_ID, Operator, Plan, asserted_states, linearize
-from .terms import Term, render
+from .terms import Atom, Compound, Term, render
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,30 @@ class Completion:
 # ---------------------------------------------------------------------------
 # Completion search
 # ---------------------------------------------------------------------------
+
+
+def _shape(t: Term) -> tuple | None:
+    """The shape key of a term: its root's key and each argument's key
+    (:func:`closure._key`: a compound's functor and arity, an atom's name,
+    None for a variable); None for a variable."""
+    if isinstance(t, Compound):
+        return _key(t), tuple(map(_key, t.args))
+    if isinstance(t, Atom):
+        return _key(t), ()
+    return None
+
+
+def _fits(goal: tuple | None, fact: tuple) -> bool:
+    """Whether a goal of shape ``goal`` may match a fact of shape ``fact``:
+    a None key in the goal's shape fits any key."""
+    if goal is None:
+        return True
+    if goal[0] != fact[0]:
+        return False
+    for g, f in zip(goal[1], fact[1]):
+        if g is not None and g != f:
+            return False
+    return True
 
 
 def complete_from(
@@ -60,9 +86,9 @@ def complete_from(
 
     One breadth-first search serves every goal.  Its expansion order
     (frontier, operators, ground instances, visited states) does not depend
-    on the goals; each pending goal is tested at every generated state and
-    settled at its first hit, and the search stops once none is pending.
-    A one-goal search stops at that same first hit, so each answer is
+    on the goals; a goal is settled at the first generated state with a
+    fact it matches, and the search stops once no goal is pending.  A
+    one-goal search stops at that same first hit, so each answer is
     exactly the one a search for that goal alone returns.
 
     Applicable instances come from `closure`: either closed and holding
@@ -85,20 +111,40 @@ def complete_from(
     past the start was tested when it was generated, so a pending goal
     matches none of its facts: at depth 2 and beyond only the action's
     add-effects can reach it, and at depth 1 also the ambient facts the
-    action does not delete.
+    action does not delete.  Which goals a fact may match is looked up by
+    its shape (:func:`_shape`), once per shape; the matcher runs only on
+    the goals that fit.  The facts each goal matches are found once per
+    search: for the ambient facts at the first action, and for each
+    instance's add-effects when the instance first applies.
     """
     if bound < 1:
         raise PlannerError("bound must be >= 1")
     _check_ground((state,), "entry state")
     if closure is None:
         closure = Closure(ambient, ops, 1)
+    shapes = [_shape(g) for g in goals]
+    fitting: dict[tuple, tuple[int, ...]] = {}  # fact shape -> the goals that fit it
+
+    def matched(facts: Iterable[Term]) -> dict[int, list[Term]]:
+        """Goal index -> the facts of ``facts`` that the goal matches."""
+        out: dict[int, list[Term]] = {}
+        for f in facts:
+            key = _shape(f)
+            fit = fitting.get(key)
+            if fit is None:
+                fit = fitting[key] = tuple(i for i, s in enumerate(shapes) if _fits(s, key))
+            for i in fit:
+                if _match(goals[i], f, {}) is not None:
+                    out.setdefault(i, []).append(f)
+        return out
+
     found: list[Completion | None] = [None] * len(goals)
-    pending = list(range(len(goals)))
+    pending = len(goals)
     start = frozenset(ambient)
-    at_start: list[list[Term]] = []  # the ambient facts each goal matches
-    # (instance, goal index) -> the instance's add-effects that the goal
-    # matches; the closure keeps every instance alive, so ids stay unique
-    hits: dict[tuple[int, int], list[Term]] = {}
+    at_start: dict[int, list[Term]] | None = None  # the ambient facts each goal matches
+    # id(instance) -> the instance's add-effects each goal matches; the
+    # closure keeps every instance alive, so ids stay unique
+    hits: dict[int, dict[int, list[Term]]] = {}
     frontier: list[tuple[frozenset[Term], tuple[Operator, ...]]] = [(start, ())]
     visited: set[frozenset[Term]] = {start}
     for level in range(bound):
@@ -114,28 +160,28 @@ def complete_from(
                         continue
                     if not current.issuperset(inst.preconditions):
                         continue
-                    if not seq and not at_start:
-                        at_start = [
-                            [f for f in start if _match(g, f, {}) is not None] for g in goals
-                        ]
+                    reached_by = hits.get(id(inst))
+                    if reached_by is None:
+                        reached_by = hits[id(inst)] = matched(inst.add)
                     deleted = set(inst.delete)
+                    if not seq:
+                        if at_start is None:
+                            at_start = matched(start)
+                        reached_by = dict(reached_by)
+                        for i, facts in at_start.items():
+                            kept = [f for f in facts if f not in deleted]
+                            if kept:
+                                reached_by[i] = reached_by.get(i, []) + kept
                     new_seq = seq + (inst,)
-                    for i in tuple(pending):
-                        goal = goals[i]
-                        reached = hits.get((id(inst), i))
-                        if reached is None:
-                            reached = [e for e in inst.add if _match(goal, e, {}) is not None]
-                            hits[id(inst), i] = reached
-                        if not seq:
-                            reached = reached + [f for f in at_start[i] if f not in deleted]
-                        if reached:
+                    for i, reached in reached_by.items():
+                        if found[i] is None:
                             # a matched fact is the goal's instance under the match
                             found[i] = Completion(
                                 actions=new_seq,
                                 entry_state=state,
                                 achieved_goal=min(reached, key=render),
                             )
-                            pending.remove(i)
+                            pending -= 1
                     if not pending:
                         return tuple(found)
                     new_state = frozenset((current - deleted) | set(inst.add))

@@ -206,12 +206,11 @@ def _library_goals(domain: Domain, speaker: str) -> list[Term]:
     templates = [
         g for st in domain.stereotypes if speaker in st.members for g in st.goal_library
     ]
-    out: list[Term] = []
-    for g in templates + list(domain.declared_goals):
-        parts = _goal_parts(g)
-        if parts and parts[0] == speaker and g not in out:
-            out.append(g)
-    return out
+    return [
+        g
+        for g in _dedupe(templates + list(domain.declared_goals))
+        if (parts := _goal_parts(g)) is not None and parts[0] == speaker
+    ]
 
 
 def candidate_goals(
@@ -466,7 +465,9 @@ def ascribe_conjunctive(
     Takes the completions (:func:`_completions`) from the states the
     recognized plan asserts and the optimal one does not, towards the goal
     library, and checks each in turn for the efficiency condition, by
-    planning the goal conjunction.  On success the goal and the
+    planning the goal conjunction.  Only the joint plan's cost enters the
+    condition, so that search stops at its first plan of least cost
+    (``tie_break=False``).  On success the goal and the
     completion's actions (as intentions) are ascribed into the hearer's
     view of the speaker.  Later completions that also pass are traced as
     alternatives.
@@ -503,6 +504,7 @@ def ascribe_conjunctive(
             domain.operators,
             bound=domain.bound,
             closure=None if r.closure is None else r.closure.with_facts(seeds),
+            tie_break=False,
         )
         extended_cost = cost(pr) + len(comp.actions)
         efficiency_ok = joint is not None and cost(joint) == extended_cost

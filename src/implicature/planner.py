@@ -19,9 +19,11 @@ step count makes the returned plan cost-minimal; among equal-cost plans
 the least under ``_plan_key`` (operator names in linearized order first)
 wins.  Every complete plan of the cheapest depth is compared, with no
 cap, so identical inputs yield identical plans and the tie-break is
-exact.  A caller that has proved no acceptable plan is cheaper than some
-cost may start the deepening there (``plan(..., min_cost=...)``): the
-depths it skips hold no plan, so the result is the same.  A node with an
+exact.  A caller that reads only the cost may skip the comparison
+(``plan(..., tie_break=False)``) and take the first complete plan of the
+cheapest depth.  A caller that has proved no acceptable plan is cheaper
+than some cost may start the deepening there (``plan(..., min_cost=...)``):
+the depths it skips hold no plan, so the result is the same.  A node with an
 open condition that no initial fact, earlier step or new step can close is
 dropped before it is expanded (forward checking).
 
@@ -484,12 +486,17 @@ def _canonical(orderings: frozenset[tuple[int, int]]) -> frozenset[tuple[int, in
 
 
 def _search_depth(
-    prob: _Problem, root: _Node, connected_from: int | None, best: tuple | None
+    prob: _Problem,
+    root: _Node,
+    connected_from: int | None,
+    best: tuple | None,
+    tie_break: bool,
 ) -> tuple | None:
     """The least of ``best`` and every complete plan within ``prob.limit``
     steps under :func:`_plan_key`, as a (key, plan) pair, or None.  With
     ``connected_from``, only plans whose causal links route that step to
-    the goal count."""
+    the goal count.  Without ``tie_break``, the first complete plan found
+    is returned at once, with no key."""
     stack = [root]
     while stack:
         node = stack.pop()
@@ -500,6 +507,8 @@ def _search_depth(
                 frozenset((l.producer, l.consumer) for l in plan.links), connected_from, GOAL_ID
             ):
                 continue
+            if not tie_break:
+                return (None, plan)
             key = _plan_key(plan)
             if best is None or key < best[0]:
                 best = (key, plan)
@@ -534,6 +543,7 @@ def plan(
     *,
     min_cost: int = 0,
     closure: Closure | None = None,
+    tie_break: bool = True,
 ) -> Plan | None:
     """Minimal-cost complete plan within the step bound, or None.
 
@@ -567,6 +577,12 @@ def plan(
     skipped hold no acceptable plan, so the result is the one a search
     from the seeded step count returns.  The bound must be proved, not
     guessed: a plan cheaper than ``min_cost`` is never found.
+
+    With ``tie_break`` false, the search stops at the first complete plan
+    of the first depth that has one, and skips the comparison among
+    equal-cost plans.  That plan has the minimal cost, but it need not be
+    the least under the tie-break, so a caller that passes False relies on
+    nothing but the plan's cost.
     """
     if bound < 1:
         raise PlannerError("bound must be >= 1")
@@ -616,7 +632,9 @@ def plan(
                 links=(),
                 threats=(),
             )
-            best = _search_depth(prob, root, connected_from, best)
+            best = _search_depth(prob, root, connected_from, best, tie_break)
+            if best is not None and not tie_break:
+                break
         if best is not None:
             return best[1]
     return None

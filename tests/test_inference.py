@@ -2,10 +2,10 @@
 
 import pytest
 
-from implicature import acts
+from implicature import acts, inference
 from implicature import closure as closure_module
 from implicature.acts import ACT_OPERATORS, ACTS, ActError, ActInstance
-from implicature.beliefs import Attitude, holds, render_store
+from implicature.beliefs import Attitude, Stereotype, holds, render_store
 from implicature.inference import (
     Domain,
     build_operators,
@@ -76,6 +76,25 @@ class TestCandidateGoals:
         assert [render(g) for g in candidate_goals(store, "a", "b", domain)] == [
             "goal(b, bel(a, p))"
         ]
+
+
+    def test_library_keeps_each_template_once_at_its_first_position(self):
+        # a declared goal repeating a template stays at the template's
+        # place; a second stereotype's copy of a template is dropped
+        x, y, z = (t(f"goal(b, bel(?h, {f}(?h)))") for f in "xyz")
+        domain = Domain(
+            operators=build_operators(),
+            stereotypes=(
+                Stereotype("first", frozenset({"b"}), (x, t("goal(a, bel(b, p))"), y)),
+                Stereotype("second", frozenset({"a", "b"}), (z, x)),
+                Stereotype("other", frozenset({"a"}), (t("goal(b, bel(a, q))"),)),
+            ),
+            declared_goals=(t("goal(b, bel(a, p))"), y, t("goal(b, bel(a, p))")),
+        )
+        expected = [x, y, z, t("goal(b, bel(a, p))")]
+        assert inference._library_goals(domain, "b") == expected
+        store, _ = setup(load_scenario("(agents a b)"))
+        assert candidate_goals(store, "a", "b", domain) == expected
 
 
 class TestRecognize:

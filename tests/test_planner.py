@@ -25,6 +25,7 @@ from implicature.planner import (
 )
 from implicature.terms import (
     Atom,
+    Compound,
     TermError,
     parse_term,
     render,
@@ -721,6 +722,96 @@ class TestCompletionClosure:
         assert sum(c is not None and any(a.delete for a in c.actions) for c in answers) > 500
 
 
+def random_nested_domain(rng: random.Random):
+    """Lifted operators over bel/2 facts nested two and three levels deep,
+    as in a goal library's templates: bel(X, fK(Y)) and
+    bel(X, cause(v(Y, o), hK(t))), plus seen/1 and the atom ``done``; with
+    delete effects, initial facts over the agents a and b, and a maker of
+    random ground facts."""
+    agents = [Atom("a"), Atom("b")]
+    x, y = var("x"), var("y")
+
+    def fact(args):
+        kind = rng.random()
+        if kind < 0.05:
+            return Atom("done")
+        if kind < 0.15:
+            return struct("seen", rng.choice(args))
+        if kind < 0.6:
+            return struct("bel", rng.choice(args), struct(f"f{rng.randrange(4)}", rng.choice(args)))
+        cause = struct(
+            "cause",
+            struct("v", rng.choice(args), Atom("o")),
+            struct(f"h{rng.randrange(3)}", Atom("t")),
+        )
+        return struct("bel", rng.choice(args), cause)
+
+    ops: list[Operator] = []
+    for i in range(rng.randint(2, 5)):
+        params = (x,) if rng.random() < 0.5 else (x, y)
+        terms = list(params) + agents
+        if len(params) == 2:
+            pre = [struct("bel", x, struct(f"f{rng.randrange(4)}", y))]
+        else:
+            pre = [rng.choice([struct("seen", x), struct("bel", x, struct("f0", x))])]
+        pre += [fact(terms) for _ in range(rng.randint(0, 1))]
+        add = list(dict.fromkeys(fact(terms) for _ in range(rng.randint(1, 2))))
+        deletable = [d for d in dict.fromkeys(pre[:1] + [fact(terms)]) if d not in add]
+        ops.append(
+            Operator(
+                name=f"o{i}",
+                args=params,
+                preconditions=tuple(pre),
+                add=tuple(add),
+                delete=tuple(rng.sample(deletable, rng.randint(0, len(deletable)))),
+                actor=Atom("spk"),
+            )
+        )
+    initial = list(dict.fromkeys(fact(agents) for _ in range(rng.randint(2, 6))))
+    return initial, ops, lambda: fact(agents)
+
+
+def wide_library(rng: random.Random) -> list:
+    """8-16 goal templates that all share the root bel/2 and differ two or
+    three levels down, in random order."""
+    h = var("h")
+    pool = [struct("bel", h, struct(f"f{k}", h)) for k in range(4)]
+    pool += [struct("bel", h, struct(f"f{k}", a)) for k in range(4) for a in (Atom("a"), Atom("b"))]
+    for k in range(3):
+        harm = struct(f"h{k}", Atom("t"))
+        pool.append(struct("bel", h, struct("cause", struct("v", h, Atom("o")), harm)))
+        pool.append(struct("bel", Atom("a"), struct("cause", struct("v", var("z"), Atom("o")), harm)))
+    return rng.sample(pool, rng.randint(8, 16))
+
+
+class TestWideNestedLibraries:
+    """Completion search with a library 8-16 templates wide, which all share
+    a root and differ deeper down, answers as the search that grounds every
+    operator at every state and matches every goal against every fact: the
+    shape filter passes every goal a fact matches."""
+
+    def test_against_the_per_state_search(self):
+        rng = random.Random(20261029)
+        answers: list = []
+        for _ in range(600):
+            initial, ops, fact = random_nested_domain(rng)
+            goals = wide_library(rng) + [var("w"), Atom("done")]
+            rng.shuffle(goals)
+            ambient = set(initial)
+            shared = Closure(ambient, ops, 1)
+            for entry in initial[:3] + [fact()]:
+                bound = rng.randint(1, 4)
+                expected = per_state_completion(entry, goals, ops, bound, ambient)
+                assert complete_from(entry, goals, ops, bound, ambient) == expected
+                assert complete_from(entry, goals, ops, bound, ambient, closure=shared) == expected
+                answers += [(g, c) for g, c in zip(goals, expected) if c is not None]
+        deep = [c for g, c in answers if isinstance(g, Compound) and g.args[1].functor == "cause"]
+        assert len(answers) > 1200 and len(deep) > 300
+        assert sum(g == Atom("done") for g, _ in answers) > 40
+        assert sum(len(c.actions) > 1 for _, c in answers) > 80
+        assert sum(any(a.delete for a in c.actions) for _, c in answers) > 700
+
+
 class TestDotExport:
     def test_empty_plan_has_only_pseudo_nodes(self):
         p = plan([t("g")], t("g"), [], bound=2)
@@ -926,6 +1017,48 @@ class TestForwardChecking:
         _unpruned(monkeypatch)
         found, unpruned = self._expansions(monkeypatch, *args, bound=1, required_step=step)
         assert found is None and unpruned > 1
+
+
+class TestCostOnly:
+    """``plan(..., tie_break=False)`` stops at the first plan of the cheapest
+    depth: it costs what the exact search's plan costs, with less search."""
+
+    def test_cost_equals_the_exact_search_and_bfs(self, monkeypatch):
+        rng = random.Random(20261021)
+        expand = TestForwardChecking._expansions
+        solved = stopped_early = other_plan = 0
+        for _ in range(1000):
+            initial, goal, ops = random_ground_domain(rng)
+            atoms = sorted({a for o in ops for a in o.add} | set(initial), key=render)
+            goals = [goal, rng.choice(atoms)]
+            fast, quick = expand(monkeypatch, initial, goals, ops, bound=5, tie_break=False)
+            exact, slow = expand(monkeypatch, initial, goals, ops, bound=5)
+            expected = bfs_min_cost(initial, goals, ops, bound=5)
+            assert quick <= slow
+            if expected is None:
+                assert fast is None and exact is None
+                continue
+            assert cost(fast) == cost(exact) == expected
+            assert set(goals) <= simulate(initial, [fast.steps[i] for i in linearize(fast)])
+            solved += 1
+            stopped_early += quick < slow
+            other_plan += fast != exact
+        assert solved >= 500 and stopped_early >= 150 and other_plan >= 5
+
+    def test_fewer_expansions_past_many_equal_plans(self, monkeypatch):
+        # 4**5 = 1024 equal-cost plans at depth 5: the exact search compares
+        # them all, the cost-only one takes the first it completes
+        ops = [
+            op(f"{prefix}{i}", add=[f"g{i}"]) for i in range(5) for prefix in "zyxa"
+        ]
+        args = ([], [t(f"g{i}") for i in range(5)], ops)
+        exact, slow = TestForwardChecking._expansions(monkeypatch, *args, bound=5)
+        fast, quick = TestForwardChecking._expansions(
+            monkeypatch, *args, bound=5, tie_break=False
+        )
+        assert [fast.steps[i].name for i in linearize(fast)] == ["z0", "z1", "z2", "z3", "z4"]
+        assert [exact.steps[i].name for i in linearize(exact)] == ["a0", "a1", "a2", "a3", "a4"]
+        assert (slow, quick) == (1818, 459)
 
 
 class TestInstanceOrder:
