@@ -16,9 +16,9 @@ digraph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .closure import Closure, PlannerError, _check_ground, _key, _match
+from .closure import Closure, PlannerError, _check_ground, _match
 from .planner import GOAL_ID, INIT_ID, Operator, Plan, asserted_states, linearize
 from .terms import Atom, Compound, Term, render
 
@@ -41,28 +41,75 @@ class Completion:
 # ---------------------------------------------------------------------------
 
 
-def _shape(t: Term) -> tuple | None:
-    """The shape key of a term: its root's key and each argument's key
-    (:func:`closure._key`: a compound's functor and arity, an atom's name,
-    None for a variable); None for a variable."""
-    if isinstance(t, Compound):
-        return _key(t), tuple(map(_key, t.args))
-    if isinstance(t, Atom):
-        return _key(t), ()
-    return None
+def _head(t: Term) -> tuple[str, int] | str | None:
+    """A compound's functor and arity, an atom's name, None for a variable."""
+    if type(t) is Compound:
+        return t.functor, len(t.args)
+    return t.name if type(t) is Atom else None
 
 
-def _fits(goal: tuple | None, fact: tuple) -> bool:
+def _shape(t: Term) -> tuple | str | None:
+    """The shape of a term: an atom's name, a compound's functor with the
+    :func:`_head` of each argument, None for a variable.  Facts are ground,
+    so only a goal's shape holds None."""
+    if type(t) is Compound:
+        return t.functor, tuple(map(_head, t.args))
+    return _head(t)
+
+
+def _fits(goal: tuple | str | None, fact: tuple | str) -> bool:
     """Whether a goal of shape ``goal`` may match a fact of shape ``fact``:
-    a None key in the goal's shape fits any key."""
-    if goal is None:
+    a None in the goal's shape fits anything."""
+    if goal is None or goal == fact:
         return True
-    if goal[0] != fact[0]:
+    if type(goal) is not tuple or type(fact) is not tuple or goal[0] != fact[0]:
+        return False
+    if len(goal[1]) != len(fact[1]):
         return False
     for g, f in zip(goal[1], fact[1]):
         if g is not None and g != f:
             return False
     return True
+
+
+class _GoalIndex:
+    """The goals of one completion search, for its goal test.
+
+    A fact can match only the goals with its root name, or variables.  Where
+    several goals share that name, they are told apart by :func:`_fits` on
+    the fact's shape, once per shape, and the matcher runs only on the
+    goals that fit.
+    """
+
+    def __init__(self, goals: Sequence[Term]) -> None:
+        self.goals = goals
+        self.shapes = [_shape(g) for g in goals]
+        #: the variable goals, and by root name the goals with that name
+        #: together with the variable ones
+        self.anywhere = [i for i, s in enumerate(self.shapes) if s is None]
+        self.by_name: dict[str, list[int]] = {}
+        for i, s in enumerate(self.shapes):
+            if s is not None:
+                name = s if type(s) is str else s[0]
+                self.by_name.setdefault(name, list(self.anywhere)).append(i)
+        self.fitting: dict[tuple | str, list[int]] = {}  # fact shape -> the goals that fit
+
+    def matched(self, facts: Iterable[Term]) -> dict[int, list[Term]]:
+        """Goal position -> the facts of the ground ``facts`` that the goal
+        matches, for the goals that match any."""
+        out: dict[int, list[Term]] = {}
+        for f in facts:
+            fit = self.by_name.get(f.functor if type(f) is Compound else f.name, self.anywhere)
+            if len(fit) > 1:
+                key = _shape(f)
+                narrowed = self.fitting.get(key)
+                if narrowed is None:
+                    narrowed = self.fitting[key] = [i for i in fit if _fits(self.shapes[i], key)]
+                fit = narrowed
+            for i in fit:
+                if _match(self.goals[i], f, {}) is not None:
+                    out.setdefault(i, []).append(f)
+        return out
 
 
 def complete_from(
@@ -111,37 +158,23 @@ def complete_from(
     past the start was tested when it was generated, so a pending goal
     matches none of its facts: at depth 2 and beyond only the action's
     add-effects can reach it, and at depth 1 also the ambient facts the
-    action does not delete.  Which goals a fact may match is looked up by
-    its shape (:func:`_shape`), once per shape; the matcher runs only on
-    the goals that fit.  The facts each goal matches are found once per
-    search: for the ambient facts at the first action, and for each
-    instance's add-effects when the instance first applies.
+    action does not delete.  The matcher runs only on the goals that a
+    :class:`_GoalIndex` finds for a fact: those with its root name, told
+    apart by shape where several share it.  The facts each goal matches
+    are found once per search: for the ambient facts at the first action,
+    and for each instance's add-effects when the instance first applies.
     """
     if bound < 1:
         raise PlannerError("bound must be >= 1")
     _check_ground((state,), "entry state")
     if closure is None:
         closure = Closure(ambient, ops, 1)
-    shapes = [_shape(g) for g in goals]
-    fitting: dict[tuple, tuple[int, ...]] = {}  # fact shape -> the goals that fit it
-
-    def matched(facts: Iterable[Term]) -> dict[int, list[Term]]:
-        """Goal index -> the facts of ``facts`` that the goal matches."""
-        out: dict[int, list[Term]] = {}
-        for f in facts:
-            key = _shape(f)
-            fit = fitting.get(key)
-            if fit is None:
-                fit = fitting[key] = tuple(i for i, s in enumerate(shapes) if _fits(s, key))
-            for i in fit:
-                if _match(goals[i], f, {}) is not None:
-                    out.setdefault(i, []).append(f)
-        return out
-
     found: list[Completion | None] = [None] * len(goals)
     pending = len(goals)
     start = frozenset(ambient)
-    at_start: dict[int, list[Term]] | None = None  # the ambient facts each goal matches
+    # built at the first applicable instance, which enters from ``state``
+    index: _GoalIndex | None = None
+    at_start: dict[int, list[Term]] = {}  # the ambient facts each goal matches
     # id(instance) -> the instance's add-effects each goal matches; the
     # closure keeps every instance alive, so ids stay unique
     hits: dict[int, dict[int, list[Term]]] = {}
@@ -160,13 +193,14 @@ def complete_from(
                         continue
                     if not current.issuperset(inst.preconditions):
                         continue
+                    if index is None:
+                        index = _GoalIndex(goals)
+                        at_start = index.matched(start)
                     reached_by = hits.get(id(inst))
                     if reached_by is None:
-                        reached_by = hits[id(inst)] = matched(inst.add)
+                        reached_by = hits[id(inst)] = index.matched(inst.add)
                     deleted = set(inst.delete)
                     if not seq:
-                        if at_start is None:
-                            at_start = matched(start)
                         reached_by = dict(reached_by)
                         for i, facts in at_start.items():
                             kept = [f for f in facts if f not in deleted]
