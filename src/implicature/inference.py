@@ -151,8 +151,13 @@ class RecognitionResult:
 @dataclass(frozen=True)
 class EfficiencyVerdict:
     kind: str  # "optimal" | "inefficient"
+    #: A cheapest plan for the recognized goal: the recognized plan itself
+    #: when the verdict is optimal.  :func:`efficiency_audit` never leaves
+    #: it None.
     plan_o: Plan | None
     cost_r: int
+    #: ``cost(plan_o)``: below ``cost_r`` when inefficient, equal to it when
+    #: optimal.
     cost_o: int | None
 
     def __post_init__(self) -> None:
@@ -369,17 +374,28 @@ def recognize(
 def efficiency_audit(
     r: RecognitionResult, domain: Domain, trace: Trace | None = None
 ) -> EfficiencyVerdict:
-    """Re-plan the recognized goal without requiring the utterance."""
+    """Re-plan the recognized goal without requiring the utterance, and
+    call the recognized plan inefficient when a strictly cheaper plan exists.
+
+    The recognized plan is itself a plan for the goal from ``r.initial``
+    over instances of the candidate's closure, so the optimum never costs
+    more: the search stops below the recognized cost.  A plan found there is
+    the cheapest, least under the tie-break (:func:`planner.plan`); when
+    none is, the recognized plan is optimal and stands as ``plan_o``.  The
+    bound is at least 1, which still finds a goal that already holds.
+    """
     parts = _goal_parts(r.ascribed_goal)
     assert parts is not None
     _, content = parts
+    cr = cost(r.plan_r)
     # the candidate's closure also holds the utterance's add-effects: more
     # instances than the audit needs, and the same plans
-    po = plan(r.initial, content, domain.operators, bound=domain.bound, closure=r.closure)
-    cr = cost(r.plan_r)
-    co = None if po is None else cost(po)
-    kind = "optimal" if co is None or co >= cr else "inefficient"
-    verdict = EfficiencyVerdict(kind=kind, plan_o=po, cost_r=cr, cost_o=co)
+    po = plan(r.initial, content, domain.operators, bound=max(1, cr - 1), closure=r.closure)
+    if po is not None and cost(po) < cr:
+        kind = "inefficient"
+    else:
+        kind, po = "optimal", r.plan_r
+    verdict = EfficiencyVerdict(kind=kind, plan_o=po, cost_r=cr, cost_o=cost(po))
     if trace:
         trace.emit(
             _MODULE,

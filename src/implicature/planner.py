@@ -30,16 +30,17 @@ dropped before it is expanded (forward checking).
 Besides plan construction this module provides the plan-comparison
 machinery the goal-ascription rules need: simulation, asserted states and
 exclusive states.  Recognition and the efficiency audit plan over the
-recognized candidate's closure (:mod:`closure`), and joint planning over
-that closure extended with the second goal's seeds.  Completion search and
-DOT export are in :mod:`completion`.
+recognized candidate's closure (:mod:`closure`), the audit only below the
+recognized plan's cost, and joint planning over that closure extended with
+the second goal's seeds.  Completion search and DOT export are in
+:mod:`completion`.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 from .closure import (
     Closure,
@@ -294,8 +295,10 @@ def exclusive_states(a: Plan, b: Plan) -> list[Term]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Node:
+class _Node(NamedTuple):
+    """A search node.  Children are built with the positional constructor
+    (fields in this order), which is cheaper than copying a dataclass."""
+
     steps: tuple[tuple[int, Operator], ...]
     agenda: tuple[tuple[int, Term], ...]
     orderings: frozenset[tuple[int, int]]
@@ -315,16 +318,19 @@ class _Problem:
     facts: frozenset[Term]
 
 
-def _is_threat(node: _Node, link: CausalLink, sid: int, op: Operator) -> bool:
+def _is_threat(
+    orderings: frozenset[tuple[int, int]], link: CausalLink, sid: int, op: Operator
+) -> bool:
     """Step ``sid`` (operator ``op``) adds or deletes the protected
-    condition and could come between the link's producer and consumer."""
+    condition and could come between the link's producer and consumer
+    under ``orderings``."""
     if sid in (link.producer, link.consumer):
         return False
     if link.condition not in op.add and link.condition not in op.delete:
         return False
     return not (
-        _ordered_before(node.orderings, sid, link.producer)
-        or _ordered_before(node.orderings, link.consumer, sid)
+        _ordered_before(orderings, sid, link.producer)
+        or _ordered_before(orderings, link.consumer, sid)
     )
 
 
@@ -361,18 +367,19 @@ def _with_link(
             return None
         orderings = maybe
     link = CausalLink(producer, cond, consumer)
-    candidate = replace(node, orderings=orderings, links=node.links + (link,))
     found: list[tuple[CausalLink, int, Operator]] = []
     if new_step is not None:
         found.extend(
             (old, producer, new_step)
             for old in node.links
-            if _is_threat(candidate, old, producer, new_step)
+            if _is_threat(orderings, old, producer, new_step)
         )
     found.extend(
-        (link, sid, op) for sid, op in node.steps if _is_threat(candidate, link, sid, op)
+        (link, sid, op) for sid, op in node.steps if _is_threat(orderings, link, sid, op)
     )
-    return replace(candidate, threats=node.threats + tuple(found))
+    return _Node(
+        node.steps, node.agenda, orderings, node.links + (link,), node.threats + tuple(found)
+    )
 
 
 def _may_close(prob: _Problem, node: _Node, consumer: int, cond: Term) -> bool:
@@ -407,47 +414,48 @@ def _expand(prob: _Problem, node: _Node) -> list[_Node] | None:
     new step from the instances that add it (:meth:`Closure.achievers`).
     """
     # resolve threats first
-    while node.threats:
-        (link, sid, op), rest = node.threats[0], node.threats[1:]
-        node = replace(node, threats=rest)
-        if not _is_threat(node, link, sid, op):
+    steps, agenda, orderings, links, threats = node
+    while threats:
+        (link, sid, op), threats = threats[0], threats[1:]
+        if not _is_threat(orderings, link, sid, op):
             continue
         children = []
-        promoted = _add_ordering(node.orderings, sid, link.producer)
+        promoted = _add_ordering(orderings, sid, link.producer)
         if promoted is not None:
-            children.append(replace(node, orderings=promoted))
-        demoted = _add_ordering(node.orderings, link.consumer, sid)
+            children.append(_Node(steps, agenda, promoted, links, threats))
+        demoted = _add_ordering(orderings, link.consumer, sid)
         if demoted is not None:
-            children.append(replace(node, orderings=demoted))
+            children.append(_Node(steps, agenda, demoted, links, threats))
         return children
-    if not node.agenda:
+    if not agenda:
         return None
-    if not all(_may_close(prob, node, c, cond) for c, cond in node.agenda[1:]):
+    if not all(_may_close(prob, node, c, cond) for c, cond in agenda[1:]):
         return []
-    (consumer, cond), agenda = node.agenda[0], node.agenda[1:]
-    node = replace(node, agenda=agenda)
+    (consumer, cond), agenda = agenda[0], agenda[1:]
+    node = _Node(steps, agenda, orderings, links, ())
     children: list[_Node] = []
     producers = [INIT_ID] if cond in prob.facts else []
     producers += [
         sid
-        for sid, op in node.steps
+        for sid, op in steps
         if sid != consumer
         and cond in op.add
-        and not _ordered_before(node.orderings, consumer, sid)
+        and not _ordered_before(orderings, consumer, sid)
     ]
     for pid in producers:
         child = _with_link(node, pid, cond, consumer)
         if child is not None:
             children.append(child)
-    if len(node.steps) < prob.limit:
-        sid = FIRST_STEP_ID + len(node.steps)
-        orderings = node.orderings | {(INIT_ID, sid), (sid, GOAL_ID)}
+    if len(steps) < prob.limit:
+        sid = FIRST_STEP_ID + len(steps)
+        grown = orderings | {(INIT_ID, sid), (sid, GOAL_ID)}
         for inst in prob.closure.achievers(cond):
-            base = replace(
-                node,
-                steps=node.steps + ((sid, inst),),
-                agenda=node.agenda + tuple((sid, p) for p in inst.preconditions),
-                orderings=orderings,
+            base = _Node(
+                steps + ((sid, inst),),
+                agenda + tuple((sid, p) for p in inst.preconditions),
+                grown,
+                links,
+                (),
             )
             child = _with_link(base, sid, cond, consumer, inst)
             if child is not None:

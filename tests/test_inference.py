@@ -1,8 +1,10 @@
 """Tests for recognition, the efficiency audit, and the ascription rules."""
 
+import random
+
 import pytest
 
-from implicature import acts, inference
+from implicature import acts, inference, planner
 from implicature import closure as closure_module
 from implicature.acts import ACT_OPERATORS, ACTS, ActError, ActInstance
 from implicature.beliefs import Attitude, Stereotype, holds, render_store
@@ -24,6 +26,7 @@ from implicature.planner import Operator, cost, linearize, plan, validate_operat
 from implicature.scenario import load_scenario, run_detailed, setup
 from implicature.terms import TermError, parse_term, render, var
 from implicature.trace import Trace
+from oracles import bfs_min_cost, random_ground_domain
 
 t = parse_term
 
@@ -184,7 +187,9 @@ class TestEfficiencyAudit:
         assert outcomes[-1].report.kind == "none"
 
     def test_goal_unplannable_without_utterance_is_optimal(self):
-        # audit over an operator set that cannot reach the goal at all
+        # audit over an operator set that cannot reach the goal at all, which
+        # ``infer`` never builds: no plan is cheaper than the recognized one,
+        # so it stands as the optimum
         deny = ground_op("solo", pre=["start"], add=["g1"], actor="spk")
         pr = plan((t("start"),), t("g1"), (deny,), bound=3)
         r = RecognitionResult(
@@ -196,7 +201,113 @@ class TestEfficiencyAudit:
         )
         empty_domain = Domain(operators=(), bound=3)
         v = efficiency_audit(r, empty_domain)
-        assert v.kind == "optimal" and v.plan_o is None
+        assert v.kind == "optimal" and v.cost_o == v.cost_r == 1
+        assert v.plan_o is r.plan_r
+
+    def test_bounded_audit_agrees_with_the_full_search(self):
+        # the audit searches only below the recognized cost; its verdict,
+        # cost and inefficient plan are those of a search to the full bound
+        rng = random.Random(3030)
+        audits = inefficient = unit = held = 0
+        for _ in range(600):
+            initial, goal, ops = random_ground_domain(rng)
+            ops, bound = tuple(ops), rng.choice((3, 4, 5))
+            full = plan(initial, goal, ops, bound=bound)
+            expected = bfs_min_cost(initial, [goal], ops, bound)
+            domain = Domain(operators=ops, bound=bound)
+            for u in ops:
+                pr = plan(initial, goal, ops, bound=bound, required_step=u)
+                if pr is None:
+                    continue
+                # the recognized candidate's closure, as ``recognize`` hands
+                # it on, or none, so that the audit builds its own
+                closure = Closure(initial + list(u.add), ops, bound) if audits % 2 else None
+                r = RecognitionResult(
+                    utterance=ActInstance("inform", "spk", "hrr", t("x(y)")),
+                    ascribed_goal=t(f"goal(spk, {render(goal)})"),
+                    plan_r=pr,
+                    candidate_rank=0,
+                    initial=tuple(initial),
+                    closure=closure,
+                )
+                v = efficiency_audit(r, domain)
+                cr = cost(pr)
+                assert v.cost_r == cr and v.cost_o == cost(full) == expected <= cr
+                assert v.kind == ("inefficient" if expected < cr else "optimal")
+                if v.kind == "inefficient":
+                    assert v.plan_o == full
+                    inefficient += 1
+                else:
+                    assert v.plan_o is r.plan_r
+                audits += 1
+                unit += cr == 1
+                held += goal in initial
+        assert audits >= 700 and inefficient >= 400 and audits - inefficient >= 250
+        assert unit >= 350 and held >= 250
+
+    def test_inefficient_plan_is_least_under_the_tie_break(self):
+        # two one-step plans undercut the recognized two-step one; the search
+        # completes ``zeta``'s first, and the audit still returns ``alpha``'s
+        warn = ground_op("warn", pre=["start"], add=["mid"], actor="spk")
+        deduce = ground_op("deduce", pre=["mid"], add=["g1"])
+        zeta = ground_op("zeta", pre=["start"], add=["g1"], actor="spk")
+        alpha = ground_op("alpha", pre=["start"], add=["g1"], actor="spk")
+        ops = (zeta, alpha, warn, deduce)
+        pr = plan((t("start"),), t("g1"), ops, bound=3, required_step=warn)
+        first = plan((t("start"),), t("g1"), ops, bound=1, tie_break=False)
+        assert [s.name for s in first.steps.values()] == ["zeta"]
+        r = RecognitionResult(
+            utterance=ActInstance("inform", "spk", "hrr", t("x(y)")),
+            ascribed_goal=t("goal(spk, g1)"),
+            plan_r=pr,
+            candidate_rank=0,
+            initial=(t("start"),),
+        )
+        v = efficiency_audit(r, Domain(operators=ops, bound=3))
+        assert (v.kind, v.cost_r, v.cost_o) == ("inefficient", 2, 1)
+        assert [s.name for s in v.plan_o.steps.values()] == ["alpha"]
+
+    def test_no_audit_search_reaches_the_recognized_cost(self, monkeypatch):
+        # a question, then its direct answer: the recognized plan (answer,
+        # accept) costs 2, so the audit searches depths 0 and 1 only
+        text = (
+            "(agents system expert)\n"
+            "(reliable expert permission)\n"
+            "(turn question(system, expert, permission(system, go(out))))\n"
+            "(turn yes_answer(expert, system, permission(system, go(out))))\n"
+        )
+        limits, expanded, auditing = [], [], [False]
+        real_audit, real_search, real_expand = (
+            inference.efficiency_audit,
+            planner._search_depth,
+            planner._expand,
+        )
+
+        def audit(*args, **kwargs):
+            auditing[0] = True
+            try:
+                return real_audit(*args, **kwargs)
+            finally:
+                auditing[0] = False
+
+        def search(prob, *args):
+            if auditing[0]:
+                limits.append(prob.limit)
+            return real_search(prob, *args)
+
+        def expand(prob, node):
+            if auditing[0]:
+                expanded.append(node)
+            return real_expand(prob, node)
+
+        monkeypatch.setattr(inference, "efficiency_audit", audit)
+        monkeypatch.setattr(planner, "_search_depth", search)
+        monkeypatch.setattr(planner, "_expand", expand)
+        _, _, outcomes = run_detailed(load_scenario(text))
+        v = outcomes[-1].verdict
+        assert (v.kind, v.cost_r, v.cost_o) == ("optimal", 2, 2)
+        assert v.plan_o is outcomes[-1].recognition.plan_r
+        assert limits == [0, 1] and len(expanded) == 3
 
     def test_verdict_invariant_under_uniform_cost_scaling(self, computer_off):
         _, _, outcomes = computer_off
