@@ -40,7 +40,7 @@ from .beliefs import (
     render_store,
 )
 from .closure import Closure, RelevanceGate, _match
-from .completion import Completion, complete_from
+from .completion import Completion, _GoalIndex, complete_from
 from .planner import (
     DEFAULT_BOUND,
     Operator,
@@ -424,7 +424,7 @@ def _completions(
     The entry states are :func:`planner.exclusive_states` of the two
     complete plans, so each is asserted by ``entered`` and not by
     ``bypassed``: exclusiveness holds by construction.  One completion
-    search per entry state serves every goal of ``goals``, from the
+    search per entry state serves every goal searched for, from the
     terminal state of ``entered``; yields (entry state, position of the
     goal in ``goals``, completion) for each goal with a completion, in
     entry-state order, then goal order.
@@ -433,16 +433,31 @@ def _completions(
     fact of the terminal state, when it reached its fixpoint; else, as a
     capped closure can miss instances applicable past its cap, a closure of
     the terminal state that completion search grows.
+
+    Over the candidate's closed closure, only the goals that match one of
+    its facts are searched for, and none at all when no goal does.  Every
+    state a search visits holds only facts of that closure: ``r.initial``
+    and the steps of both plans come from it, and so does every instance a
+    search applies, so a goal that matches none of its facts has no
+    completion (the delete-relaxed reachability the gate rests on).  With a
+    capped or missing closure, every goal is searched for.
     """
+    closure = r.closure if r.closure is not None and r.closure.closed else None
+    if closure is None:
+        kept = range(len(goals))
+    else:
+        kept = sorted(_GoalIndex(goals).matched(closure.index.facts))
+        if not kept:
+            return
+        goals = [goals[i] for i in kept]
     ambient = simulate(r.initial, [entered.steps[sid] for sid in linearize(entered)])
-    closure = r.closure
-    if closure is None or not closure.closed:
+    if closure is None:
         closure = Closure(ambient, domain.operators, 1)
     for state in exclusive_states(entered, bypassed):
         comps = complete_from(
             state, goals, domain.operators, domain.bound, ambient, closure=closure
         )
-        for i, comp in enumerate(comps):
+        for i, comp in zip(kept, comps):
             if comp is not None:
                 yield state, i, comp
 

@@ -316,11 +316,13 @@ class TestEfficiencyAudit:
             assert (k * v.cost_o < k * v.cost_r) == (v.kind == "inefficient")
 
 
-def synthetic_recognition(ops, library=(), avoid=(), extra_po_add=()):
+def synthetic_recognition(ops, library=(), avoid=(), extra_po_add=(), closed=False):
     """A hand-built inefficient recognition over a toy domain.
 
     Pr = [warn, deduce] (cost 2) reaches g1; Po = [deny] (cost 1) reaches it
     directly, asserting `admission` on the way when extra_po_add says so.
+    With ``closed``, the recognition keeps the closed closure of the domain
+    from the initial state, as a gate's candidate closure.
     """
     deny = ground_op("deny", pre=["start"], add=["g1"] + list(extra_po_add), actor="spk")
     warn = ground_op("warn", pre=["start"], add=["mid"], actor="spk")
@@ -342,7 +344,9 @@ def synthetic_recognition(ops, library=(), avoid=(), extra_po_add=()):
         plan_r=pr,
         candidate_rank=0,
         initial=initial,
+        closure=Closure(initial, all_ops, domain.bound) if closed else None,
     )
+    assert not closed or r.closure.closed
     verdict = EfficiencyVerdict(kind="inefficient", plan_o=po, cost_r=2, cost_o=1)
     return r, verdict, domain
 
@@ -601,6 +605,116 @@ class TestCappedClosure:
         assert render(report.exclusive_state) == "admission"
         assert [a.name for a in report.completion.actions] == ["blame"]
         assert holds(store, ("hrr", "spk"), Attitude("goal", t("not(blamed)")))
+
+
+class TestReachableGoals:
+    """Over a closed candidate closure, the ascription rules search only for
+    the goals that match one of its facts, and report each completion under
+    its goal's own position in the library."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The goals handed to each completion search, and how many times
+        the terminal state was simulated and the entry states taken."""
+        seen = {"complete_from": [], "simulate": 0, "exclusive_states": 0}
+        real = inference.complete_from, inference.simulate, inference.exclusive_states
+
+        def complete_from(state, goals, *args, **kwargs):
+            seen["complete_from"].append(list(map(render, goals)))
+            return real[0](state, goals, *args, **kwargs)
+
+        def simulate(*args):
+            seen["simulate"] += 1
+            return real[1](*args)
+
+        def exclusive_states(*args):
+            seen["exclusive_states"] += 1
+            return real[2](*args)
+
+        monkeypatch.setattr(inference, "complete_from", complete_from)
+        monkeypatch.setattr(inference, "simulate", simulate)
+        monkeypatch.setattr(inference, "exclusive_states", exclusive_states)
+        return seen
+
+    def test_a_reachable_template_after_unreachable_ones_keeps_its_position(self, calls):
+        teach = ground_op("teach", pre=["mid"], add=["g2"], actor="spk")
+        library = [t("goal(spk, never)"), t("goal(spk, k(?x))"), t("goal(spk, g2)")]
+        r, verdict, domain = synthetic_recognition((teach,), library=library, closed=True)
+        contents = [g.args[1] for g in library]
+        found = list(inference._completions(r, r.plan_r, verdict.plan_o, contents, domain))
+        assert [(render(s), i, [a.name for a in c.actions]) for s, i, c in found] == [
+            ("mid", 2, ["teach"])
+        ]
+        store, _ = setup(load_scenario("(agents spk hrr)"))
+        store = store.with_actions(["teach"])
+        trace = Trace()
+        _, report = ascribe_conjunctive(store, r, verdict, domain, trace=trace)
+        assert report is not None and render(report.goal) == "goal(spk, g2)"
+        (check,) = trace.find("efficiency-check")
+        assert check.payload["goal"] == "goal(spk, g2)"
+        assert calls["complete_from"] == [["g2"], ["g2"]]
+
+    def test_a_rule_with_no_reachable_goal_searches_nothing(self, calls):
+        blame = ground_op("blame", pre=["admission"], add=["blamed"])
+        r, verdict, domain = synthetic_recognition(
+            (blame,), library=[t("goal(spk, never)")], avoid=[t("k(a)")],
+            extra_po_add=["admission"], closed=True,
+        )
+        store, _ = setup(load_scenario("(agents spk hrr)"))
+        assert ascribe_conjunctive(store, r, verdict, domain) == (store, None)
+        assert ascribe_avoidance(store, r, verdict, domain) == (store, None)
+        assert calls == {"complete_from": [], "simulate": 0, "exclusive_states": 0}
+
+    def test_without_a_closed_closure_every_goal_is_searched_for(self, calls):
+        blame = ground_op("blame", pre=["admission"], add=["blamed"])
+        r, verdict, domain = synthetic_recognition(
+            (blame,), avoid=[t("k(a)"), t("blamed")], extra_po_add=["admission"]
+        )
+        store, _ = setup(load_scenario("(agents spk hrr)"))
+        _, report = ascribe_avoidance(store, r, verdict, domain)
+        assert render(report.goal) == "not(blamed)"
+        assert calls == {
+            "complete_from": [["k(a)", "blamed"]], "simulate": 1, "exclusive_states": 1
+        }
+
+
+class TestCompletionCounts:
+    """Over the seed-1 and seed-2 rounds of each benchmark workload: the
+    completion searches (calls to :func:`completion.complete_from`), the
+    goals handed to them and the completions found.  A change that moves
+    these numbers regenerates them and gives the reason, as for golden
+    traces."""
+
+    #: workload -> (searches, goals searched for, completions found)
+    COUNTS = {
+        "paper": (18, 18, 6),
+        "deep": (126, 126, 18),
+        # 272 goals before the ascription rules left out the goals that
+        # match no fact of the candidate's closed closure
+        "wide": (24, 42, 14),
+        "dialogues": (24, 24, 6),
+    }
+
+    @pytest.mark.parametrize("workload", sorted(COUNTS))
+    def test_counts(self, workload, monkeypatch):
+        from test_bench_golden import SEEDS, load_run
+
+        counts = [0, 0, 0]
+        real = inference.complete_from
+
+        def complete_from(state, goals, *args, **kwargs):
+            found = real(state, goals, *args, **kwargs)
+            counts[0] += 1
+            counts[1] += len(goals)
+            counts[2] += sum(c is not None for c in found)
+            return found
+
+        monkeypatch.setattr(inference, "complete_from", complete_from)
+        build_round = load_run().build_round
+        for seed in SEEDS:
+            for d in build_round(workload, seed):
+                run_detailed(load_scenario(d.text))
+        assert tuple(counts) == self.COUNTS[workload]
 
 
 class TestUnpromptedInform:

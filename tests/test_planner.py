@@ -722,6 +722,62 @@ class TestCompletionClosure:
         assert sum(c is not None and any(a.delete for a in c.actions) for c in answers) > 500
 
 
+class TestUnreachableGoals:
+    """A goal that matches no fact of a closed closure of the ambient facts
+    has no completion, and leaving it out of a search changes no other
+    goal's answer: every state the search visits holds only closure facts.
+    So the ascription rules search only for the goals that match one."""
+
+    #: goals over names that no operator adds
+    PLANTED = (t("never"), t("k(a)"), t("k(?z)"))
+
+    def _check(self, rng, initial, ops, entries, goals):
+        goals = goals + list(self.PLANTED)
+        rng.shuffle(goals)
+        closure = Closure(initial, ops, 100)
+        assert closure.closed
+        facts = closure.index.facts
+        reachable = [i for i, g in enumerate(goals) if any(unify(g, f) is not None for f in facts)]
+        assert sorted(completion_module._GoalIndex(goals).matched(facts)) == reachable
+        kept = [goals[i] for i in reachable]
+        ambient = set(initial)
+        answers = []
+        for entry in entries:
+            bound = rng.randint(1, 4)
+            full = complete_from(entry, goals, ops, bound, ambient, closure=closure)
+            assert all(full[i] is None for i in range(len(goals)) if i not in reachable)
+            alone = complete_from(entry, kept, ops, bound, ambient, closure=closure)
+            assert alone == tuple(full[i] for i in reachable)
+            assert alone == per_state_completion(entry, kept, ops, bound, ambient)
+            answers.extend(alone)
+        # a case that drops a goal besides the planted ones
+        self.dropped += len(kept) < len(goals) - len(self.PLANTED)
+        self.found += any(c is not None for c in answers)
+
+    def test_random_ground_domains(self):
+        rng = random.Random(20261022)
+        self.dropped = self.found = 0
+        for _ in range(300):
+            initial, _, ops = random_ground_domain(rng)
+            named = {a for o in ops for a in o.preconditions + o.add} | set(initial)
+            atoms = sorted(named, key=render)
+            entries = list(dict.fromkeys(initial + [rng.choice(atoms)]))
+            self._check(rng, initial, ops, entries, atoms + [var("x")])
+        assert self.dropped > 150
+        assert self.found > 90
+
+    def test_random_lifted_domains(self):
+        rng = random.Random(1022)
+        self.dropped = self.found = 0
+        for _ in range(300):
+            initial, goal, ops, u = random_lifted_domain(rng)
+            entries = list(dict.fromkeys(initial[:3] + list(u.preconditions)))
+            goals = [goal, t("f(?z)"), t("g(?z, ?z)"), t("h(c)"), *u.add]
+            self._check(rng, initial, ops, entries, goals)
+        assert self.dropped > 240
+        assert self.found > 180
+
+
 def random_nested_domain(rng: random.Random):
     """Lifted operators over bel/2 facts nested two and three levels deep,
     as in a goal library's templates: bel(X, fK(Y)) and
